@@ -21,77 +21,88 @@ from typing import Dict, List, Optional, Tuple
 from .kupisch import ZERO, Coord, KupischSeries, coord_to_json
 
 
+# The private steps and the walk trust their argument: a nonzero coordinate
+# of a module over K.  The public functions validate it once.
+
+def _tau(K: KupischSeries, x):
+    i, j = x
+    return ZERO if j == K.u(i + j) else (i - 1, j)
+
+
+def _tau_inv(K: KupischSeries, x):
+    i, j = x
+    return ZERO if j == K.v(i) else (i + 1, j)
+
+
+def _syzygy(K: KupischSeries, x):
+    i, j = x
+    s = i + j
+    u = K.u(s)
+    return ZERO if j == u else (s - u, u - j)
+
+
+def _cosyzygy(K: KupischSeries, x):
+    i, j = x
+    v = K.v(i)
+    return ZERO if j == v else (i + j, v - j)
+
+
+def _walk(K: KupischSeries, step, x, limit: int):
+    """Apply step to x until it gives ZERO or limit steps are taken;
+    return the last nonzero module and the number of steps taken.
+
+    A (co)syzygy walk that stops early ends at a projective (injective)
+    module, which _tau (_tau_inv) sends to ZERO: tau_n of a module whose
+    chain vanishes is ZERO without a separate check."""
+    k = 0
+    while k < limit:
+        y = step(K, x)
+        if y is ZERO:
+            break
+        x = y
+        k += 1
+    return x, k
+
+
+def _check_order(n: int):
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
+
 def tau(K: KupischSeries, x):
     """Auslander-Reiten translate; ZERO on projectives."""
-    if x is ZERO:
-        return ZERO
-    i, j = K.check_exists(x)
-    if j == K.u(i + j):
-        return ZERO
-    return (i - 1, j)
+    return ZERO if x is ZERO else _tau(K, K.check_exists(x))
 
 
 def tau_inv(K: KupischSeries, x):
     """Inverse translate; ZERO on injectives."""
-    if x is ZERO:
-        return ZERO
-    i, j = K.check_exists(x)
-    if j == K.v(i):
-        return ZERO
-    return (i + 1, j)
+    return ZERO if x is ZERO else _tau_inv(K, K.check_exists(x))
 
 
 def syzygy(K: KupischSeries, x):
     """Kernel of the projective cover; ZERO on projectives."""
-    if x is ZERO:
-        return ZERO
-    i, j = K.check_exists(x)
-    s = i + j
-    u = K.u(s)
-    if j == u:
-        return ZERO
-    return (s - u, u - j)
+    return ZERO if x is ZERO else _syzygy(K, K.check_exists(x))
 
 
 def cosyzygy(K: KupischSeries, x):
     """Cokernel of the injective envelope; ZERO on injectives."""
-    if x is ZERO:
-        return ZERO
-    i, j = K.check_exists(x)
-    v = K.v(i)
-    if j == v:
-        return ZERO
-    return (i + j, v - j)
-
-
-def syzygy_power(K: KupischSeries, k: int, x):
-    for _ in range(k):
-        if x is ZERO:
-            return ZERO
-        x = syzygy(K, x)
-    return x
-
-
-def cosyzygy_power(K: KupischSeries, k: int, x):
-    for _ in range(k):
-        if x is ZERO:
-            return ZERO
-        x = cosyzygy(K, x)
-    return x
+    return ZERO if x is ZERO else _cosyzygy(K, K.check_exists(x))
 
 
 def tau_n(K: KupischSeries, n: int, x):
     """Higher translate: tau after n-1 syzygies."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return tau(K, syzygy_power(K, n - 1, x))
+    _check_order(n)
+    if x is ZERO:
+        return ZERO
+    return _tau(K, _walk(K, _syzygy, K.check_exists(x), n - 1)[0])
 
 
 def tau_n_inv(K: KupischSeries, n: int, x):
     """Higher inverse translate: tau_inv after n-1 cosyzygies."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return tau_inv(K, cosyzygy_power(K, n - 1, x))
+    _check_order(n)
+    if x is ZERO:
+        return ZERO
+    return _tau_inv(K, _walk(K, _cosyzygy, K.check_exists(x), n - 1)[0])
 
 
 def tau_n_closed_lambda_mh(m: int, h: int, n: int, x: Coord,
@@ -126,39 +137,28 @@ def tau_n_closed_lambda_mh(m: int, h: int, n: int, x: Coord,
 
 def pd(K: KupischSeries, x) -> int:
     """Projective dimension: the largest k with a nonzero k-th syzygy."""
-    K.check_exists(x)
-    k = 0
-    while True:
-        nxt = syzygy(K, x)
-        if nxt is ZERO:
-            return k
-        x = nxt
-        k += 1
+    # an algebra on m vertices has global dimension below m
+    return _walk(K, _syzygy, K.check_exists(x), K.m)[1]
 
 
 def idim(K: KupischSeries, x) -> int:
     """Injective dimension, via cosyzygies."""
-    K.check_exists(x)
-    k = 0
-    while True:
-        nxt = cosyzygy(K, x)
-        if nxt is ZERO:
-            return k
-        x = nxt
-        k += 1
+    return _walk(K, _cosyzygy, K.check_exists(x), K.m)[1]
 
 
 def gldim(K: KupischSeries) -> int:
     """Global dimension: maximal projective dimension (always finite)."""
     memo: Dict[Coord, int] = {}
-
-    def pd_memo(x):
-        if x not in memo:
-            nxt = syzygy(K, x)
-            memo[x] = 0 if nxt is ZERO else 1 + pd_memo(nxt)
-        return memo[x]
-
-    return max(pd_memo(x) for x in K.all_modules())
+    for x in K.all_modules():
+        chain = []
+        while x is not ZERO and x not in memo:
+            chain.append(x)
+            x = _syzygy(K, x)
+        k = -1 if x is ZERO else memo[x]
+        for y in reversed(chain):
+            k += 1
+            memo[y] = k
+    return max(memo.values())
 
 
 @dataclass(frozen=True)
@@ -197,5 +197,5 @@ def ar_quiver(K: KupischSeries) -> ARQuiver:
             arrows.append(((i, j), (i, j + 1)))
         if (i + 1, j - 1) in vset:
             arrows.append(((i, j), (i + 1, j - 1)))
-    translation = {x: tau(K, x) for x in verts if not K.is_projective(x)}
+    translation = {x: y for x in verts if (y := _tau(K, x)) is not ZERO}
     return ARQuiver(tuple(verts), tuple(sorted(arrows)), translation)

@@ -47,14 +47,18 @@ def _series_inputs(arg: str):
         yield arg
 
 
-def _coords_arg(text: str):
-    data = json.loads(text)
+def _coords_from_json(data):
+    if not isinstance(data, list):
+        raise CliError(f"bad coordinate list {data!r}: expected [[i, j], ...]")
     return [coord_from_json(c) for c in data]
 
 
-def _fracture_from_json(K: KupischSeries, data: dict) -> Fracture:
-    coords = [coord_from_json(c) for c in data["coords"]]
-    return is_fracture(K, data["side"], int(data["height"]), coords)
+def _fracture_from_json(K: KupischSeries, data) -> Fracture:
+    if not isinstance(data, dict) or type(data.get("height")) is not int:
+        raise CliError(f"bad fracture {data!r}: expected "
+                       '{"side": ..., "height": <int>, "coords": ...}')
+    coords = _coords_from_json(data["coords"])
+    return is_fracture(K, data["side"], data["height"], coords)
 
 
 def _emit(payload: dict, as_json: bool, text: str = ""):
@@ -85,7 +89,8 @@ def cmd_ar_quiver(args) -> int:
     for text in _series_inputs(args.kupisch):
         K = _series_arg(text)
         gamma = ar.ar_quiver(K)
-        highlight = _coords_arg(args.highlight) if args.highlight else ()
+        highlight = (_coords_from_json(json.loads(args.highlight))
+                     if args.highlight else ())
         spec = RenderSpec(format="json" if args.json else args.format,
                           highlight=tuple(highlight), labels=args.labels)
         sys.stdout.write(render(gamma, spec))
@@ -114,11 +119,15 @@ def cmd_check_fractured(args) -> int:
     K = _series_arg(args.kupisch)
     if args.fracturing:
         data = json.loads(args.fracturing)
+        if not isinstance(data, dict):
+            raise CliError(f"bad fracturing {data!r}: expected "
+                           '{"TL": ..., "TR": ...}')
         F = Fracturing(_fracture_from_json(K, data["TL"]),
                        _fracture_from_json(K, data["TR"]))
     else:
         F = tilting.projective_injective_fracturing(K)
-    candidate = _coords_arg(args.candidate) if args.candidate else None
+    candidate = (_coords_from_json(json.loads(args.candidate))
+                 if args.candidate else None)
     verdict = check_fractured(K, args.n, F, candidate=candidate)
     payload = verdict.to_json()
     payload["fracturing"] = F.to_json()

@@ -56,14 +56,13 @@ def generate_candidate(K: KupischSeries, n: int,
                        F: Fracturing) -> List[Coord]:
     """Close the fractured projectives under the inverse higher translate
     (dropping ZERO) and adjoin the fractured injectives."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    ar._check_order(n)
     seed = tilting.pL_category(K, F)
     closed = set(seed)
     frontier = list(seed)
     while frontier:
-        x = frontier.pop()
-        y = ar.tau_n_inv(K, n, x)
+        w = ar._walk(K, ar._cosyzygy, frontier.pop(), n - 1)[0]
+        y = ar._tau_inv(K, w)
         if y is not ZERO and y not in closed:
             closed.add(y)
             frontier.append(y)
@@ -86,6 +85,7 @@ def check_fractured(K: KupischSeries, n: int, F: Fracturing,
        nonzero up to order n-1,
     4. cosyzygies dually.
     """
+    ar._check_order(n)
     pl = set(tilting.pL_category(K, F))
     ir = set(tilting.iR_category(K, F))
     if candidate is None:
@@ -102,9 +102,16 @@ def check_fractured(K: KupischSeries, n: int, F: Fracturing,
     c_minus_p = [x for x in cand if x not in pl]
     c_minus_i = [x for x in cand if x not in ir]
 
+    # One (co)syzygy walk per module gives its higher translate and, if
+    # the chain vanishes early, the condition 3 (4) witness.
+    vanished: List[dict] = []
     forward: Dict[Coord, Coord] = {}
     for x in c_minus_p:
-        y = ar.tau_n(K, n, x)
+        w, k = ar._walk(K, ar._syzygy, x, n - 1)
+        y = ar._tau(K, w)
+        if k < n - 1:
+            vanished.append(_fail(
+                3, x, f"syzygy^{k + 1}({x}) vanishes before order {n}"))
         if y is ZERO or y not in cset or y in ir:
             failures.append(_fail(
                 2, x, f"tau_n({x}) = {y} not in candidate minus "
@@ -113,7 +120,11 @@ def check_fractured(K: KupischSeries, n: int, F: Fracturing,
             forward[x] = y
     backward: Dict[Coord, Coord] = {}
     for y in c_minus_i:
-        x = ar.tau_n_inv(K, n, y)
+        w, k = ar._walk(K, ar._cosyzygy, y, n - 1)
+        x = ar._tau_inv(K, w)
+        if k < n - 1:
+            vanished.append(_fail(
+                4, y, f"cosyzygy^{k + 1}({y}) vanishes before order {n}"))
         if x is ZERO or x not in cset or x in pl:
             failures.append(_fail(
                 2, y, f"tau_n_inv({y}) = {x} not in candidate minus "
@@ -126,23 +137,7 @@ def check_fractured(K: KupischSeries, n: int, F: Fracturing,
     for y, x in backward.items():
         if forward.get(x) != y:
             failures.append(_fail(2, y, f"tau_n_inv not inverted at {y}"))
-
-    for x in c_minus_p:
-        w = x
-        for k in range(1, n):
-            w = ar.syzygy(K, w)
-            if w is ZERO:
-                failures.append(_fail(
-                    3, x, f"syzygy^{k}({x}) vanishes before order {n}"))
-                break
-    for y in c_minus_i:
-        w = y
-        for k in range(1, n):
-            w = ar.cosyzygy(K, w)
-            if w is ZERO:
-                failures.append(_fail(
-                    4, y, f"cosyzygy^{k}({y}) vanishes before order {n}"))
-                break
+    failures += vanished
 
     # (x, tau_n_inv x) for x in the candidate minus fractured injectives
     orbit = tuple(sorted(backward.items()))

@@ -15,7 +15,7 @@ and (co)syzygy chains can saturate without exceptions.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 Coord = Tuple[int, int]
 
@@ -130,11 +130,6 @@ class KupischSeries:
                 if self.exists((i, j)):
                     out.append((i, j))
         return out
-
-    def coords_by_codiagonal(self) -> Iterator[Coord]:
-        for s in range(2, self.m + 2):
-            for j in range(1, self.u(s) + 1):
-                yield (s - j, j)
 
     # -- structure of a single module --------------------------------------
 
@@ -268,7 +263,10 @@ def parse_series(text: str) -> KupischSeries:
             continue
         if "^" in part:
             base, _, count = part.partition("^")
-            entries.extend([int(base)] * int(count))
+            k = int(count)
+            if k < 1:
+                raise ValueError(f"run length {k} < 1 in {part!r}")
+            entries.extend([int(base)] * k)
         else:
             entries.append(int(part))
     return KupischSeries(entries)
@@ -288,4 +286,10 @@ def coord_to_json(coord):
 
 
 def coord_from_json(data):
-    return ZERO if data is None else (int(data[0]), int(data[1]))
+    """Inverse of coord_to_json: null or a list of exactly two integers."""
+    if data is None:
+        return ZERO
+    if not (isinstance(data, list) and len(data) == 2
+            and all(type(c) is int for c in data)):
+        raise ValueError(f"bad coordinate {data!r}: expected [i, j]")
+    return (data[0], data[1])

@@ -78,6 +78,14 @@ def test_cosyzygy_examples():
     assert cosyzygy(K, (1, 2)) == (3, 1)
 
 
+def oracle_chain(K, step, x):
+    """x, step(x), step(step(x)), ... up to the first ZERO (excluded)."""
+    chain = [x]
+    while (y := step(K, chain[-1])) is not ZERO:
+        chain.append(y)
+    return chain
+
+
 def test_matrix_oracle_omega():
     rng = random.Random(6)
     for _ in range(25):
@@ -86,9 +94,21 @@ def test_matrix_oracle_omega():
             assert syzygy(K, x) == syzygy_oracle(K, x)
             assert cosyzygy(K, x) == cosyzygy_oracle(K, x)
         t = translation_oracle(K)
+        t_inv = {y: x for x, y in t.items()}
         for x in K.all_modules():
             if not K.is_projective(x):
                 assert tau(K, x) == t[x]
+            # higher translates and dimensions from oracle-composed chains
+            omega = oracle_chain(K, syzygy_oracle, x)
+            comega = oracle_chain(K, cosyzygy_oracle, x)
+            assert pd(K, x) == len(omega) - 1
+            assert idim(K, x) == len(comega) - 1
+            for n in range(1, 5):
+                assert tau_n(K, n, x) == \
+                    (t.get(omega[n - 1], ZERO) if n <= len(omega) else ZERO)
+                assert tau_n_inv(K, n, x) == \
+                    (t_inv.get(comega[n - 1], ZERO) if n <= len(comega)
+                     else ZERO)
 
 
 def test_tau_n_examples():

@@ -139,3 +139,35 @@ def test_byte_identical_output(capsys):
 
 def test_usage_error(capsys):
     assert main(["check-nct", "--kupisch", "2,2,1"]) == 2  # missing --n
+
+
+def input_error(capsys, *argv):
+    """Exit code and stderr of a run."""
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+def test_run_length_below_one(capsys):
+    for text in ("2^-3,1", "2^0,1"):
+        code, err = input_error(capsys, "validate", "--kupisch", text)
+        assert code == 2 and err.startswith("error: bad Kupisch series")
+
+
+def test_fracturing_not_an_object(capsys):
+    code, err = input_error(capsys, "check-fractured", "--kupisch",
+                            "5,5,4^7,3,2,1", "--n", "2",
+                            "--fracturing", '{"TL": 3}')
+    assert code == 2 and err.startswith("error: bad fracture 3")
+
+
+def test_candidate_short_coordinate(capsys):
+    code, err = input_error(capsys, "check-fractured", "--kupisch",
+                            "5,5,4^7,3,2,1", "--n", "2",
+                            "--candidate", "[[1]]")
+    assert code == 2 and err.startswith("error: bad coordinate [1]")
+
+
+def test_highlight_long_coordinate(capsys):
+    code, err = input_error(capsys, "ar-quiver", "--kupisch", "3,3,2,1",
+                            "--highlight", "[[1, 2, 3]]")
+    assert code == 2 and err.startswith("error: bad coordinate [1, 2, 3]")

@@ -171,6 +171,12 @@ def test_parse_and_format():
     assert format_series(KupischSeries([2, 1])) == "2,1"
 
 
+def test_parse_rejects_empty_runs():
+    for text in ("2^-3,1", "2^0,1"):
+        with pytest.raises(ValueError, match="run length"):
+            parse_series(text)
+
+
 def test_json_round_trip():
     K = parse_series("5,5,4^7,3,2,1")
     assert KupischSeries.from_json(K.to_json()) == K
