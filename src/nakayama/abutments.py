@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List, Set
 
 from .ar import ARQuiver
-from .kupisch import Coord, KupischSeries
+from .kupisch import ZERO, Coord, KupischSeries
 
 
 def left_abutment_heights(K: KupischSeries) -> Set[int]:
@@ -69,12 +69,27 @@ def foundation(K: KupischSeries, side: str, h: int) -> List[Coord]:
 
 def footing_to_ka(K: KupischSeries, side: str, h: int, x: Coord) -> Coord:
     """Identify a foundation coordinate with a module of the hereditary
-    linear-quiver algebra on h vertices (left: identity; right: shift)."""
-    if x not in set(foundation(K, side, h)):
-        raise ValueError(f"{x} not in the {side} foundation of height {h}")
+    linear-quiver algebra on h vertices (left: identity; right: shift).
+
+    Costs O(1): the heights and the foundation triangle are tested by
+    their inequalities, not by building the foundation."""
+    m = K.m
     if side == "left":
-        return x
-    return (x[0] - (K.m - h), x[1])
+        # a tail entry d_{m-h+1} = h forces the staircase below it
+        if not (1 <= h <= m and K.entries[m - h] == h):
+            raise ValueError(f"no left abutment of height {h} on {K!r}")
+        inside = x is not ZERO and x[0] >= 1 and x[1] >= 1 \
+            and x[0] + x[1] <= h + 1
+    elif side == "right":
+        if not 1 <= h <= K.entries[0]:
+            raise ValueError(f"no right abutment of height {h} on {K!r}")
+        inside = x is not ZERO and x[0] >= m - h + 1 and x[1] >= 1 \
+            and x[0] + x[1] <= m + 1
+    else:
+        raise ValueError(f"side must be left/right, got {side!r}")
+    if not inside:
+        raise ValueError(f"{x} not in the {side} foundation of height {h}")
+    return x if side == "left" else (x[0] - (m - h), x[1])
 
 
 def footing_from_ka(K: KupischSeries, side: str, h: int, x: Coord) -> Coord:

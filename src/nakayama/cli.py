@@ -54,7 +54,8 @@ def _coords_from_json(data):
 
 
 def _fracture_from_json(K: KupischSeries, data) -> Fracture:
-    if not isinstance(data, dict) or type(data.get("height")) is not int:
+    if not (isinstance(data, dict) and "side" in data and "coords" in data
+            and type(data.get("height")) is int):
         raise CliError(f"bad fracture {data!r}: expected "
                        '{"side": ..., "height": <int>, "coords": ...}')
     coords = _coords_from_json(data["coords"])
@@ -122,8 +123,8 @@ def cmd_check_fractured(args) -> int:
         if not isinstance(data, dict):
             raise CliError(f"bad fracturing {data!r}: expected "
                            '{"TL": ..., "TR": ...}')
-        F = Fracturing(_fracture_from_json(K, data["TL"]),
-                       _fracture_from_json(K, data["TR"]))
+        F = Fracturing(_fracture_from_json(K, data.get("TL")),
+                       _fracture_from_json(K, data.get("TR")))
     else:
         F = tilting.projective_injective_fracturing(K)
     candidate = (_coords_from_json(json.loads(args.candidate))
@@ -212,11 +213,11 @@ def cmd_fractures(args) -> int:
              f"right heights: {payload['right_heights']}"]
     if args.side and args.height:
         fnd = abutments.foundation(K, args.side, args.height)
-        footed = {x: abutments.footing_to_ka(K, args.side, args.height, x)
-                  for x in fnd}
         fractures = []
         for cand in tilting.enumerate_tilting(args.height):
-            back = sorted(k for k, v in footed.items() if v in set(cand))
+            back = sorted(abutments.footing_from_ka(K, args.side,
+                                                    args.height, c)
+                          for c in cand)
             fractures.append(
                 is_fracture(K, args.side, args.height, back).to_json())
         payload["foundation"] = [list(x) for x in fnd]

@@ -14,7 +14,7 @@ and (co)syzygy chains can saturate without exceptions.
 
 from __future__ import annotations
 
-from functools import reduce
+from itertools import groupby
 from typing import Optional, Tuple
 
 Coord = Tuple[int, int]
@@ -72,14 +72,16 @@ class KupischSeries:
         self.m = m
         # max module length per co-diagonal s = i + j, for s = 2 .. m+1
         self._u = {s: min(entries[m - s + 1], s - 1) for s in range(2, m + 2)}
-        # max module length per diagonal i; existence is downward-closed
-        # in j (Kupisch step), so scan down from the co-diagonal bound
+        # max module length per diagonal i = m - t + 1: the injective with
+        # socle t has as top the least vertex r whose projective reaches t.
+        # The reach r + d_r - 1 never decreases (Kupisch step), so one
+        # pointer moving forward over t finds every top.
         v = {}
-        for i in range(1, m + 1):
-            j = m + 1 - i
-            while j > 1 and entries[m - i - j + 1] < j:
-                j -= 1
-            v[i] = j
+        r = 1
+        for t in range(1, m + 1):
+            while r + entries[r - 1] - 1 < t:
+                r += 1
+            v[m - t + 1] = t - r + 1
         self._v = v
 
     # -- basic protocol ----------------------------------------------------
@@ -274,10 +276,7 @@ def parse_series(text: str) -> KupischSeries:
 
 def format_series(series: KupischSeries) -> str:
     """Run-length form, e.g. '2^6,3^13,2^3,1'."""
-    runs = reduce(
-        lambda acc, d: acc[:-1] + [(d, acc[-1][1] + 1)]
-        if acc and acc[-1][0] == d else acc + [(d, 1)],
-        series.entries, [])
+    runs = ((d, sum(1 for _ in run)) for d, run in groupby(series.entries))
     return ",".join(f"{d}^{k}" if k > 1 else f"{d}" for d, k in runs)
 
 

@@ -71,9 +71,38 @@ def is_tilting(h: int, coords) -> bool:
 
 
 def enumerate_tilting(h: int) -> List[Tuple[Coord, ...]]:
-    """All basic tilting modules; there are Catalan(h) many."""
-    return [cand for cand in combinations(ka_modules(h), h)
-            if is_tilting(h, cand)]
+    """All basic tilting modules, in the lexicographic order of their
+    summand indices in ka_modules(h); there are Catalan(h) many.
+
+    A depth-first search picks summands in index order.  It carries the
+    bitmask of the later modules that are Ext-orthogonal both ways to
+    every summand picked so far, and drops a branch once that mask has
+    fewer modules than are still needed."""
+    if h < 0:
+        raise ValueError(f"height must be >= 0, got {h}")
+    mods = ka_modules(h)
+    later = [0] * len(mods)  # later[a]: bits b > a orthogonal to a
+    for a, b in combinations(range(len(mods)), 2):
+        x, y = mods[a], mods[b]
+        if ext1_dim_ka(h, x, y) == 0 and ext1_dim_ka(h, y, x) == 0:
+            later[a] |= 1 << b
+    out, picked = [], []
+
+    def search(mask):
+        need = h - len(picked)
+        if need == 0:
+            out.append(tuple(mods[a] for a in picked))
+            return
+        while mask.bit_count() >= need:
+            low = mask & -mask
+            mask ^= low
+            a = low.bit_length() - 1
+            picked.append(a)
+            search(mask & later[a])
+            picked.pop()
+
+    search((1 << len(mods)) - 1)
+    return out
 
 
 def is_slice(h: int, coords) -> bool:

@@ -11,8 +11,11 @@ None of it consults the closed-form coordinate arithmetic under test.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
+from nakayama.abutments import foundation
 from nakayama.kupisch import KupischSeries
+from nakayama.tilting import is_tilting, ka_modules
 
 # -- exact linear algebra ---------------------------------------------------
 
@@ -336,6 +339,32 @@ def pushout_matches(glued) -> bool:
     trans = {(glued.phi(x), glued.phi(t)) for x, t in ga.translation.items()}
     trans |= {(glued.psi(x), glued.psi(t)) for x, t in gb.translation.items()}
     return trans == set(gl.translation.items())
+
+
+# -- brute-force forms of the linear-time library paths ----------------------
+
+
+def v_oracle(K: KupischSeries, i: int) -> int:
+    """Injective length on diagonal i by scanning down from the
+    co-diagonal bound until a module exists (O(m) per diagonal)."""
+    j = K.m + 1 - i
+    while j > 1 and not K.exists((i, j)):
+        j -= 1
+    return j
+
+
+def footing_to_ka_oracle(K: KupischSeries, side: str, h: int, x):
+    """The footing by membership in the built foundation."""
+    if x not in set(foundation(K, side, h)):
+        raise ValueError(f"{x} not in the {side} foundation of height {h}")
+    return x if side == "left" else (x[0] - (K.m - h), x[1])
+
+
+def enumerate_tilting_oracle(h: int):
+    """Every h-subset of the indecomposables that is tilting, in the
+    order of itertools.combinations."""
+    return [cand for cand in combinations(ka_modules(h), h)
+            if is_tilting(h, cand)]
 
 
 # -- random series -----------------------------------------------------------

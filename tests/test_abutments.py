@@ -15,7 +15,7 @@ from nakayama.abutments import (
 from nakayama.kupisch import KupischSeries, lambda_mh
 from nakayama.tilting import ka_modules
 
-from oracles import random_series
+from oracles import footing_to_ka_oracle, random_series
 
 
 def test_height_examples():
@@ -73,6 +73,28 @@ def test_footing():
             footed = [footing_to_ka(K, side, h, x) for x in fnd]
             assert sorted(footed) == sorted(ka_modules(h))
             assert [footing_from_ka(K, side, h, y) for y in footed] == fnd
+
+
+def _outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def test_footing_against_membership():
+    rng = random.Random(18)
+    series = [lambda_mh(9, 4), lambda_mh(6, 5), KupischSeries([1]),
+              KupischSeries([2, 2, 1])]
+    series += [random_series(rng, 9) for _ in range(12)]
+    for K in series:
+        points = [(i, j) for i in range(-1, K.m + 3)
+                  for j in range(-1, K.m + 3)] + [None]
+        for side in ("left", "right", "top"):
+            for h in range(0, K.m + 2):
+                for x in points:
+                    assert _outcome(footing_to_ka, K, side, h, x) == \
+                        _outcome(footing_to_ka_oracle, K, side, h, x)
 
 
 def test_footing_conjugates_ar_structure():

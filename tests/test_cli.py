@@ -160,6 +160,28 @@ def test_fracturing_not_an_object(capsys):
     assert code == 2 and err.startswith("error: bad fracture 3")
 
 
+def test_fracture_missing_coords(capsys):
+    code, err = input_error(capsys, "check-fractured", "--kupisch",
+                            "5,5,4^7,3,2,1", "--n", "2", "--fracturing",
+                            '{"TL": {"side": "left", "height": 4}, "TR": 3}')
+    assert code == 2 and err.startswith("error: bad fracture {'side'")
+
+
+def test_fracture_missing_side(capsys):
+    code, err = input_error(capsys, "check-fractured", "--kupisch",
+                            "5,5,4^7,3,2,1", "--n", "2", "--fracturing",
+                            '{"TL": {"height": 4, "coords": []}, "TR": 3}')
+    assert code == 2 and err.startswith("error: bad fracture {'height'")
+
+
+def test_fracturing_missing_side_key(capsys):
+    code, err = input_error(capsys, "check-fractured", "--kupisch",
+                            "5,5,4^7,3,2,1", "--n", "2", "--fracturing",
+                            '{"TR": {"side": "right", "height": 5, '
+                            '"coords": []}}')
+    assert code == 2 and err.startswith("error: bad fracture None")
+
+
 def test_candidate_short_coordinate(capsys):
     code, err = input_error(capsys, "check-fractured", "--kupisch",
                             "5,5,4^7,3,2,1", "--n", "2",

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from nakayama import ar
-from nakayama.abutments import left_abutment_heights, max_left_height, \
-    right_abutment_heights
-from nakayama.gluing import check_glue_invariants, dispatch_check, glue
+from nakayama.abutments import foundation, left_abutment_heights, \
+    max_left_height, right_abutment_heights
+from nakayama.gluing import Glued, check_glue_invariants, dispatch_check, \
+    glue
 from nakayama.kupisch import KupischSeries, lambda_mh, linear_quiver_algebra, \
     parse_series
 
@@ -94,6 +95,56 @@ def test_glue_property_sweep():
         assert pushout_matches(g)
         da, db = ar.gldim(A), ar.gldim(B)
         assert max(da, db) <= ar.gldim(g.result) <= da + db
+
+
+def _dispatch_public(g):
+    """dispatch_check through the validating public kernel."""
+    A, B, L = g.a, g.b, g.result
+    overlap_a = set(foundation(A, "left", g.h))
+    overlap_b = set(foundation(B, "right", g.h))
+    down = (("tau", ar.tau), ("syzygy", ar.syzygy))
+    up = (("tau_inv", ar.tau_inv), ("cosyzygy", ar.cosyzygy))
+    for x in A.all_modules():
+        for name, op in up if x in overlap_a else down + up:
+            if op(L, g.phi(x)) != g.phi(op(A, x)):
+                return f"{name} dispatch fails at phi{x}"
+    for x in B.all_modules():
+        for name, op in down if x in overlap_b else down + up:
+            if op(L, g.psi(x)) != g.psi(op(B, x)):
+                return f"{name} dispatch fails at psi{x}"
+    return None
+
+
+def test_dispatch_failures_on_wrong_results():
+    # a Glued whose result is some other series of the right length: the
+    # failure string, or the error for an image outside it, is the one
+    # the public kernel gives
+    rng = random.Random(19)
+    for _ in range(80):
+        A = random_series(rng, 8)
+        B = random_series(rng, 8)
+        h = rng.choice(sorted(left_abutment_heights(A) &
+                              right_abutment_heights(B)))
+        m = A.m + B.m - h
+        L = random_series(rng, m, min_m=m)
+        g = Glued(L, h, A, B)
+        try:
+            expected = _dispatch_public(g)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                dispatch_check(g)
+            assert str(got.value) == str(exc)
+            continue
+        report = dispatch_check(g)
+        assert report.failure == expected
+        assert report.ok == (expected is None)
+    g = glue(lambda_mh(9, 4), lambda_mh(6, 5), 3)
+    short = Glued(lambda_mh(3, 2), g.h, g.a, g.b)
+    with pytest.raises(ValueError) as exc:
+        _dispatch_public(short)
+    with pytest.raises(ValueError, match="no module at") as got:
+        dispatch_check(short)
+    assert str(got.value) == str(exc.value)
 
 
 def test_glued_json():

@@ -13,7 +13,7 @@ from nakayama.kupisch import (
     validate,
 )
 
-from oracles import classify_oracle, exists_oracle, random_series
+from oracles import classify_oracle, exists_oracle, random_series, v_oracle
 
 
 def violation(entries):
@@ -169,6 +169,39 @@ def test_parse_and_format():
     K = parse_series("2^2,3^2,4^3,5^13,4^4,3^3,2^3,1")
     assert format_series(K) == "2^2,3^2,4^3,5^13,4^4,3^3,2^3,1"
     assert format_series(KupischSeries([2, 1])) == "2,1"
+    rng = random.Random(16)
+    for _ in range(40):
+        K = random_series(rng, 40)
+        text = format_series(K)
+        assert parse_series(text) == K
+        # runs are maximal: no two neighbouring runs share an entry
+        bases = [part.partition("^")[0] for part in text.split(",")]
+        assert all(a != b for a, b in zip(bases, bases[1:]))
+
+
+def test_v_against_scan_down():
+    from nakayama.ndgen import base_family_even, base_family_odd, \
+        chain_algebra
+    rng = random.Random(17)
+    series = [random_series(rng, 30) for _ in range(60)]
+    series += [lambda_mh(m, h) for m in range(1, 16) for h in range(1, m + 1)
+               if h > 1 or m == 1]
+    series += [chain_algebra(n, k) for n in range(1, 6) for k in range(1, 5)]
+    series += [base_family_odd(n, d) for n in (3, 5, 7, 9)
+               for d in range(n + 1, 2 * n)]
+    series += [base_family_even(n, k) for n in (2, 4, 6, 8)
+               for k in range(1, n)]
+    for K in series:
+        assert [K.v(i) for i in range(1, K.m + 1)] == \
+            [v_oracle(K, i) for i in range(1, K.m + 1)], K
+
+
+def test_long_series_builds():
+    # the v table is filled in one forward pass, so a long chain is cheap
+    K = parse_series("2^30000,1")
+    assert K.m == 30001
+    assert K.v(1) == 2 and K.v(K.m) == 1
+    assert format_series(K) == "2^30000,1"
 
 
 def test_parse_rejects_empty_runs():

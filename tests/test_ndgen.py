@@ -116,3 +116,31 @@ def test_construct_small_sweep():
             else:
                 with pytest.raises(ValueError):
                     construct(n, d)
+
+
+def test_construct_matches_repeated_extension():
+    # construct prepends the chains without re-verifying each step; the
+    # result and the trace equal those of extend_by_n, which checks each
+    for n in range(1, 10):
+        for d in range(n, 31):
+            if not supported(n, d):
+                continue
+            r = d % n
+            if r == 0:
+                K, first = chain_algebra(n, d // n), \
+                    {"step": "chain", "k": d // n}
+            elif n % 2 == 1:
+                K, first = base_family_odd(n, n + r), \
+                    {"step": "base-odd", "target": n + r}
+            else:
+                K, first = base_family_even(n, r), \
+                    {"step": "base-even", "k": r}
+            trace = [dict(first, series=K.to_json())]
+            g = ar.gldim(K)
+            while g < d:
+                K = extend_by_n(K, n)
+                g += n
+                trace.append({"step": "extend", "series": K.to_json()})
+            cert = construct(n, d)
+            assert cert.kupisch == K, (n, d)
+            assert list(cert.trace) == trace, (n, d)

@@ -23,7 +23,8 @@ from nakayama.tilting import (
     slice_indices,
 )
 
-from oracles import ext1_dim_oracle, hom_dim_oracle
+from oracles import enumerate_tilting_oracle, ext1_dim_oracle, \
+    hom_dim_oracle
 
 
 def catalan(h):
@@ -66,6 +67,18 @@ def test_tilting_counts():
     assert is_tilting(3, [(1, 1), (1, 2), (1, 3)])
     assert not is_tilting(2, [(1, 1), (2, 1)])
     assert not is_tilting(3, [(1, 1), (1, 2)])  # wrong cardinality
+
+
+def test_enumerate_tilting_matches_filter():
+    for h in range(0, 7):
+        assert enumerate_tilting(h) == enumerate_tilting_oracle(h)
+    with pytest.raises(ValueError, match="height"):
+        enumerate_tilting(-1)
+
+
+def test_enumerate_tilting_catalan():
+    for h in range(1, 11):
+        assert len(enumerate_tilting(h)) == catalan(h)
 
 
 def test_slices():
