@@ -23,7 +23,6 @@ from .ar import (
     tau,
     tau_inv,
     tau_n,
-    tau_n_closed_lambda_mh,
     tau_n_inv,
 )
 from .abutments import (
@@ -32,7 +31,6 @@ from .abutments import (
     footing_to_ka,
     left_abutment_heights,
     right_abutment_heights,
-    verify_foundation_shape,
 )
 from .gluing import Glued, check_glue_invariants, dispatch_check, glue
 from .tilting import (

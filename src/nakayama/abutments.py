@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import List, Set
 
-from .ar import ARQuiver
 from .kupisch import ZERO, Coord, KupischSeries
 
 
@@ -40,14 +39,6 @@ def max_left_height(K: KupischSeries) -> int:
 
 def max_right_height(K: KupischSeries) -> int:
     return K.entries[0]
-
-
-def left_apex(K: KupischSeries, h: int) -> Coord:
-    return (1, h)
-
-
-def right_apex(K: KupischSeries, h: int) -> Coord:
-    return (K.m - h + 1, h)
 
 
 def foundation(K: KupischSeries, side: str, h: int) -> List[Coord]:
@@ -102,29 +93,6 @@ def footing_from_ka(K: KupischSeries, side: str, h: int, x: Coord) -> Coord:
     return x if side == "left" else (i + (K.m - h), j)
 
 
-def verify_foundation_shape(gamma: ARQuiver, side: str, apex: Coord) -> bool:
-    """Check on the AR quiver itself that the triangle below ``apex`` is
-    complete and sealed: no external in-arrows on the left side, no
-    external out-arrows on the right side.
-
-    This is the oracle for the closed-form height rules; production
-    code uses left/right_abutment_heights.
-    """
-    vset = set(gamma.vertices)
-    if apex not in vset:
-        raise ValueError(f"apex {apex} not in the quiver")
-    ia, ja = apex
-    triangle = {(i, j) for j in range(1, ja + 1)
-                for i in range(ia, ia + ja - j + 1)}
-    if not triangle <= vset:
-        return False
-    if side == "left":
-        return all(a in triangle for (a, b) in gamma.arrows if b in triangle)
-    if side == "right":
-        return all(b in triangle for (a, b) in gamma.arrows if a in triangle)
-    raise ValueError(f"side must be left/right, got {side!r}")
-
-
 def abutment_to_json(side: str, h: int, K: KupischSeries) -> dict:
-    apex = left_apex(K, h) if side == "left" else right_apex(K, h)
-    return {"side": side, "height": h, "apex": [apex[0], apex[1]]}
+    apex = [1, h] if side == "left" else [K.m - h + 1, h]
+    return {"side": side, "height": h, "apex": apex}

@@ -16,7 +16,7 @@ The zero module absorbs every operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from .kupisch import ZERO, Coord, KupischSeries, coord_to_json
 
@@ -105,36 +105,6 @@ def tau_n_inv(K: KupischSeries, n: int, x):
     return _tau_inv(K, _walk(K, _cosyzygy, K.check_exists(x), n - 1)[0])
 
 
-def tau_n_closed_lambda_mh(m: int, h: int, n: int, x: Coord,
-                           direction: str) -> Optional[Coord]:
-    """Closed form of the higher translate over the algebra (h^(m-h+1),
-    h-1, ..., 1), bypassing the stepwise (co)syzygy chain.
-
-    direction 'forward' needs x nonprojective, 'backward' noninjective;
-    ZERO is returned when the target coordinate leaves the quiver.
-    """
-    from .kupisch import lambda_mh
-    K = lambda_mh(m, h)
-    i, j = K.check_exists(x)
-    if direction == "forward":
-        if K.is_projective(x):
-            raise ValueError(f"{x} is projective over Lambda_({m},{h})")
-        if n % 2 == 0:
-            target = (i + j - (n // 2) * h - 1, h - j)
-        else:
-            target = (i - ((n - 1) // 2) * h - 1, j)
-    elif direction == "backward":
-        if K.is_injective(x):
-            raise ValueError(f"{x} is injective over Lambda_({m},{h})")
-        if n % 2 == 0:
-            target = (i + j + ((n - 2) // 2) * h + 1, h - j)
-        else:
-            target = (i + ((n - 1) // 2) * h + 1, j)
-    else:
-        raise ValueError(f"direction must be forward/backward, got {direction!r}")
-    return target if K.exists(target) else ZERO
-
-
 def pd(K: KupischSeries, x) -> int:
     """Projective dimension: the largest k with a nonzero k-th syzygy."""
     # an algebra on m vertices has global dimension below m
@@ -169,12 +139,6 @@ class ARQuiver:
     vertices: Tuple[Coord, ...]
     arrows: Tuple[Tuple[Coord, Coord], ...]
     translation: Dict[Coord, Coord]
-
-    def predecessors(self, x: Coord) -> List[Coord]:
-        return [a for (a, b) in self.arrows if b == x]
-
-    def successors(self, x: Coord) -> List[Coord]:
-        return [b for (a, b) in self.arrows if a == x]
 
     def to_json(self) -> dict:
         return {

@@ -214,12 +214,13 @@ def cmd_fractures(args) -> int:
     if args.side and args.height:
         fnd = abutments.foundation(K, args.side, args.height)
         fractures = []
+        # enumerate_tilting yields tilting modules only: no re-validation
         for cand in tilting.enumerate_tilting(args.height):
             back = sorted(abutments.footing_from_ka(K, args.side,
                                                     args.height, c)
                           for c in cand)
-            fractures.append(
-                is_fracture(K, args.side, args.height, back).to_json())
+            fractures.append(tilting._fracture(K, args.side, args.height,
+                                               back).to_json())
         payload["foundation"] = [list(x) for x in fnd]
         payload["fractures"] = fractures
         lines.append(f"foundation:    {fnd}")

@@ -70,19 +70,20 @@ class KupischSeries:
                     f"d_{i} - 1 = {entries[i - 1] - 1} > d_{i + 1} = {entries[i]}")
         self.entries = entries
         self.m = m
-        # max module length per co-diagonal s = i + j, for s = 2 .. m+1
-        self._u = {s: min(entries[m - s + 1], s - 1) for s in range(2, m + 2)}
-        # max module length per diagonal i = m - t + 1: the injective with
-        # socle t has as top the least vertex r whose projective reaches t.
-        # The reach r + d_r - 1 never decreases (Kupisch step), so one
-        # pointer moving forward over t finds every top.
-        v = {}
+        # max module length per co-diagonal s = i + j, indexed by s >= 2
+        self._u = (0, 0) + tuple(min(entries[m - s + 1], s - 1)
+                                 for s in range(2, m + 2))
+        # max module length per diagonal i = m - t + 1, indexed by i >= 1:
+        # the injective with socle t has as top the least vertex r whose
+        # projective reaches t.  The reach r + d_r - 1 never decreases
+        # (Kupisch step), so one pointer moving forward over t finds them.
+        v = [0] * (m + 1)
         r = 1
         for t in range(1, m + 1):
             while r + entries[r - 1] - 1 < t:
                 r += 1
             v[m - t + 1] = t - r + 1
-        self._v = v
+        self._v = tuple(v)
 
     # -- basic protocol ----------------------------------------------------
 
@@ -190,23 +191,20 @@ class KupischSeries:
     def quiver_presentation(self) -> dict:
         """Bound quiver: linear arrows plus minimal monomial zero relations.
 
-        A relation is the zero path from vertex i to vertex i + d_i
-        (defined when i + d_i <= m).  Relations whose path contains a
+        A relation is the zero path from vertex i to vertex e_i = i + d_i
+        (defined when e_i <= m).  Relations whose path contains a
         shorter relation path are dropped, so the returned generators
-        are minimal.
+        are minimal.  The ends e_i never decrease (Kupisch step), so the
+        path of relation i contains another one exactly when
+        e_{i+1} = e_i.
         """
         m = self.m
-        spans = [(i, i + self.entries[i - 1])
-                 for i in range(1, m + 1) if i + self.entries[i - 1] <= m]
-        minimal = [
-            (a, b) for (a, b) in spans
-            if not any((a2, b2) != (a, b) and a <= a2 and b2 <= b
-                       for (a2, b2) in spans)
-        ]
+        e = [i + d for i, d in enumerate(self.entries, 1)]
         return {
             "vertices": m,
             "arrows": [(i, i + 1) for i in range(1, m)],
-            "relations": minimal,
+            "relations": [(i, e[i - 1]) for i in range(1, m)
+                          if e[i - 1] <= m and e[i] != e[i - 1]],
         }
 
     def opposite(self) -> "KupischSeries":
@@ -227,7 +225,12 @@ class KupischSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "KupischSeries":
-        return cls(data["kupisch"])
+        entries = data["kupisch"]
+        if not (isinstance(entries, list)
+                and all(type(d) is int for d in entries)):
+            raise ValueError(f"kupisch must be a list of integers, "
+                             f"got {entries!r}")
+        return cls(entries)
 
 
 def validate(entries) -> KupischSeries:

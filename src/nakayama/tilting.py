@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import List, Tuple
 
 from . import abutments
-from .kupisch import Coord, KupischSeries, coord_to_json
+from .kupisch import ZERO, Coord, KupischSeries, coord_to_json
 
 
 def _check_ka_coord(h: int, x: Coord):
@@ -174,22 +174,32 @@ class Fracture:
         }
 
 
-def fracture_level(K: KupischSeries, side: str, h: int, coords) -> int:
-    """Level: 1 + the largest height whose abutment apex is missing
-    (left: M(1,i); right: M(m-i+1,i)), or 1 if none is missing."""
+def _fracture(K: KupischSeries, side: str, h: int, coords) -> Fracture:
+    """Build the fracture of sorted, distinct coordinates already known
+    to be tilting under the footing.  Its level is 1 + the largest
+    height whose abutment apex is missing (left: M(1,i); right:
+    M(m-i+1,i)), or 1 if none is missing."""
     cset = set(coords)
     if side == "left":
         missing = [i for i in range(1, h + 1) if (1, i) not in cset]
+        maximal = h == abutments.max_left_height(K)
     else:
         missing = [i for i in range(1, h + 1)
                    if (K.m - i + 1, i) not in cset]
-    return (max(missing) if missing else 0) + 1
+        maximal = h == abutments.max_right_height(K)
+    return Fracture(side, h, tuple(coords), max(missing, default=0) + 1,
+                    maximal)
 
 
 def is_fracture(K: KupischSeries, side: str, h: int, coords) -> Fracture:
-    """Validate a fracture: the coordinates must lie in the foundation of
-    the height-h abutment and become a basic tilting module under the
-    footing.  Raises ValueError otherwise."""
+    """Validate a fracture from outside the library: the coordinates must
+    be nonzero, lie in the foundation of the height-h abutment and become
+    a basic tilting module under the footing.  Raises ValueError
+    otherwise."""
+    coords = list(coords)
+    if ZERO in coords:
+        raise ValueError(f"the zero module is not a summand of a {side} "
+                         f"fracture of height {h}")
     coords = sorted(set(coords))
     fnd = set(abutments.foundation(K, side, h))
     outside = [c for c in coords if c not in fnd]
@@ -198,23 +208,23 @@ def is_fracture(K: KupischSeries, side: str, h: int, coords) -> Fracture:
     footed = [abutments.footing_to_ka(K, side, h, c) for c in coords]
     if not is_tilting(h, footed):
         raise ValueError(f"{coords} is not tilting under the {side} footing")
-    maximal = (h == (abutments.max_left_height(K) if side == "left"
-                     else abutments.max_right_height(K)))
-    return Fracture(side, h, tuple(coords),
-                    fracture_level(K, side, h, coords), maximal)
+    return _fracture(K, side, h, coords)
 
+
+# The canonical fractures are the projectives (injectives) of the linear
+# quiver on the foundation: tilting by definition, built without validation.
 
 def projective_fracture(K: KupischSeries) -> Fracture:
     """The unique projective fracture of the maximal left abutment."""
     h = abutments.max_left_height(K)
-    return is_fracture(K, "left", h, [(1, j) for j in range(1, h + 1)])
+    return _fracture(K, "left", h, [(1, j) for j in range(1, h + 1)])
 
 
 def injective_fracture(K: KupischSeries) -> Fracture:
     """The unique injective fracture of the maximal right abutment."""
     h = abutments.max_right_height(K)
-    return is_fracture(K, "right", h,
-                       [(K.m - j + 1, j) for j in range(1, h + 1)])
+    return _fracture(K, "right", h,
+                     [(K.m - j + 1, j) for j in range(h, 0, -1)])
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from nakayama.abutments import foundation
-from nakayama.kupisch import KupischSeries
+from nakayama.kupisch import ZERO, KupischSeries, lambda_mh
 from nakayama.tilting import is_tilting, ka_modules
 
 # -- exact linear algebra ---------------------------------------------------
@@ -118,6 +118,14 @@ def relations(K: KupischSeries):
     """Relation paths (start, end) of the bound quiver, unminimized."""
     return [(i, i + K.entries[i - 1]) for i in range(1, K.m + 1)
             if i + K.entries[i - 1] <= K.m]
+
+
+def minimal_relations_oracle(K: KupischSeries):
+    """Relation paths that contain no other relation path (quadratic)."""
+    spans = relations(K)
+    return [(a, b) for (a, b) in spans
+            if not any((a2, b2) != (a, b) and a <= a2 and b2 <= b
+                       for (a2, b2) in spans)]
 
 
 def is_module(K: KupischSeries, rep: IntervalRep) -> bool:
@@ -318,6 +326,65 @@ def translation_oracle(K: KupischSeries):
     return tau
 
 
+# -- the AR quiver as a graph -------------------------------------------------
+
+
+def predecessors(gamma, x):
+    return [a for (a, b) in gamma.arrows if b == x]
+
+
+def successors(gamma, x):
+    return [b for (a, b) in gamma.arrows if a == x]
+
+
+def verify_foundation_shape(gamma, side: str, apex) -> bool:
+    """Check on the AR quiver itself that the triangle below ``apex`` is
+    complete and sealed: no external in-arrows on the left side, no
+    external out-arrows on the right side.  The oracle for the
+    closed-form abutment height rules."""
+    vset = set(gamma.vertices)
+    if apex not in vset:
+        raise ValueError(f"apex {apex} not in the quiver")
+    ia, ja = apex
+    triangle = {(i, j) for j in range(1, ja + 1)
+                for i in range(ia, ia + ja - j + 1)}
+    if not triangle <= vset:
+        return False
+    if side == "left":
+        return all(a in triangle for (a, b) in gamma.arrows if b in triangle)
+    if side == "right":
+        return all(b in triangle for (a, b) in gamma.arrows if a in triangle)
+    raise ValueError(f"side must be left/right, got {side!r}")
+
+
+def tau_n_closed_lambda_mh(m: int, h: int, n: int, x, direction: str):
+    """Closed form of the higher translate over the algebra (h^(m-h+1),
+    h-1, ..., 1), bypassing the stepwise (co)syzygy chain.
+
+    direction 'forward' needs x nonprojective, 'backward' noninjective;
+    ZERO is returned when the target coordinate leaves the quiver.
+    """
+    K = lambda_mh(m, h)
+    i, j = K.check_exists(x)
+    if direction == "forward":
+        if K.is_projective(x):
+            raise ValueError(f"{x} is projective over Lambda_({m},{h})")
+        if n % 2 == 0:
+            target = (i + j - (n // 2) * h - 1, h - j)
+        else:
+            target = (i - ((n - 1) // 2) * h - 1, j)
+    elif direction == "backward":
+        if K.is_injective(x):
+            raise ValueError(f"{x} is injective over Lambda_({m},{h})")
+        if n % 2 == 0:
+            target = (i + j + ((n - 2) // 2) * h + 1, h - j)
+        else:
+            target = (i + ((n - 1) // 2) * h + 1, j)
+    else:
+        raise ValueError(f"direction must be forward/backward, got {direction!r}")
+    return target if K.exists(target) else ZERO
+
+
 # -- pushout of translation quivers ------------------------------------------
 
 
@@ -367,7 +434,21 @@ def enumerate_tilting_oracle(h: int):
             if is_tilting(h, cand)]
 
 
-# -- random series -----------------------------------------------------------
+# -- series ------------------------------------------------------------------
+
+
+def all_series(m):
+    """Every valid Kupisch series of length exactly m."""
+    out = [[1]]
+    for i in range(m - 1, 0, -1):
+        nxt = []
+        for tail in out:
+            for d in range(2, min(tail[0] + 1, m - i + 1) + 1):
+                nxt.append([d] + tail)
+        out = nxt
+    return [KupischSeries(s) for s in out]
+
+
 
 
 def random_series(rng, max_m, min_m=1) -> KupischSeries:

@@ -10,12 +10,12 @@ from nakayama.abutments import (
     left_abutment_heights,
     max_left_height,
     right_abutment_heights,
-    verify_foundation_shape,
 )
 from nakayama.kupisch import KupischSeries, lambda_mh
 from nakayama.tilting import ka_modules
 
-from oracles import footing_to_ka_oracle, random_series
+from oracles import all_series, footing_to_ka_oracle, random_series, \
+    verify_foundation_shape
 
 
 def test_height_examples():
@@ -150,7 +150,6 @@ def _shape_matches_height_rules(K):
 
 def test_shape_oracle_agrees_with_height_rules():
     # exhaustive at small size, sampled up to m = 12
-    from test_acceptance import all_series
     for m in range(1, 9):
         for K in all_series(m):
             _shape_matches_height_rules(K)

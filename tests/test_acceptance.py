@@ -16,7 +16,7 @@ from nakayama.cluster import (
     complete_slice,
 )
 from nakayama.gluing import check_glue_invariants, dispatch_check, glue
-from nakayama.kupisch import KupischSeries, lambda_mh, parse_series
+from nakayama.kupisch import lambda_mh, parse_series
 from nakayama.ndgen import base_family_even, base_family_odd, construct, \
     source_injective_pd, supported
 from nakayama.tilting import (
@@ -31,6 +31,7 @@ from nakayama.tilting import (
 )
 
 from oracles import (
+    all_series,
     classify_oracle,
     cosyzygy_oracle,
     ext1_dim_oracle,
@@ -39,6 +40,7 @@ from oracles import (
     pushout_matches,
     random_series,
     syzygy_oracle,
+    tau_n_closed_lambda_mh,
 )
 
 
@@ -46,18 +48,6 @@ def _report(num, label, t0, budget):
     elapsed = time.time() - t0
     print(f"criterion {num:2d}: PASS ({label}, {elapsed:.2f}s)")
     assert elapsed < budget, f"criterion {num} exceeded {budget}s"
-
-
-def all_series(m):
-    """Every valid Kupisch series of length exactly m."""
-    out = [[1]]
-    for i in range(m - 1, 0, -1):
-        nxt = []
-        for tail in out:
-            for d in range(2, min(tail[0] + 1, m - i + 1) + 1):
-                nxt.append([d] + tail)
-        out = nxt
-    return [KupischSeries(s) for s in out]
 
 
 def test_criterion_01_table_n9():
@@ -168,11 +158,11 @@ def test_criterion_06_closed_form_vs_stepwise():
             for n in range(1, 7):
                 for x in K.all_modules():
                     if not K.is_projective(x):
-                        assert ar.tau_n_closed_lambda_mh(
+                        assert tau_n_closed_lambda_mh(
                             m, h, n, x, "forward") == ar.tau_n(K, n, x)
                         checked += 1
                     if not K.is_injective(x):
-                        assert ar.tau_n_closed_lambda_mh(
+                        assert tau_n_closed_lambda_mh(
                             m, h, n, x, "backward") == ar.tau_n_inv(K, n, x)
                         checked += 1
     _report(6, f"closed form = stepwise on {checked} instances", t0, 30.0)

@@ -12,13 +12,12 @@ from nakayama.ar import (
     tau,
     tau_inv,
     tau_n,
-    tau_n_closed_lambda_mh,
     tau_n_inv,
 )
 from nakayama.kupisch import ZERO, KupischSeries, lambda_mh, parse_series
 
-from oracles import cosyzygy_oracle, random_series, syzygy_oracle, \
-    translation_oracle
+from oracles import cosyzygy_oracle, predecessors, random_series, \
+    successors, syzygy_oracle, tau_n_closed_lambda_mh, translation_oracle
 
 GLUED = parse_series("5,5,4^7,3,2,1")
 
@@ -187,7 +186,7 @@ def test_ar_quiver():
     assert len(g.vertices) == 30
     # mesh property: predecessors of x = successors of tau(x)
     for x, tx in g.translation.items():
-        assert sorted(g.predecessors(x)) == sorted(g.successors(tx))
+        assert sorted(predecessors(g, x)) == sorted(successors(g, tx))
     data = g.to_json()
     assert len(data["vertices"]) == 30
     assert all(len(pair) == 2 for pair in data["tau"])

@@ -193,3 +193,19 @@ def test_highlight_long_coordinate(capsys):
     code, err = input_error(capsys, "ar-quiver", "--kupisch", "3,3,2,1",
                             "--highlight", "[[1, 2, 3]]")
     assert code == 2 and err.startswith("error: bad coordinate [1, 2, 3]")
+
+
+def test_fracture_zero_coordinate(capsys):
+    code, err = input_error(capsys, "check-fractured", "--kupisch",
+                            "5^8,4,3,2,1", "--n", "4", "--fracturing",
+                            '{"TL": {"side": "left", "height": 4, '
+                            '"coords": [null, [1,1]]}, "TR": {"side": '
+                            '"right", "height": 5, "coords": []}}')
+    assert code == 2 and err.startswith("error: the zero module")
+
+
+def test_json_series_not_reinterpreted(capsys):
+    for text in ('{"kupisch": [2.5, 2, 1]}', '{"kupisch": "21"}',
+                 '{"kupisch": [true, 1]}'):
+        code, err = input_error(capsys, "validate", "--kupisch", text)
+        assert code == 2 and err.startswith("error: bad Kupisch series")

@@ -13,7 +13,8 @@ from nakayama.kupisch import (
     validate,
 )
 
-from oracles import classify_oracle, exists_oracle, random_series, v_oracle
+from oracles import classify_oracle, exists_oracle, \
+    minimal_relations_oracle, random_series, v_oracle
 
 
 def violation(entries):
@@ -134,6 +135,14 @@ def test_quiver_presentation():
     assert lambda_mh(4, 4).quiver_presentation()["relations"] == []
 
 
+def test_quiver_presentation_matches_oracle():
+    rng = random.Random(23)
+    for _ in range(300):
+        K = random_series(rng, 40)
+        assert K.quiver_presentation()["relations"] == \
+            minimal_relations_oracle(K), K
+
+
 def test_opposite():
     for (m, h) in [(6, 5), (9, 4), (12, 5), (7, 2)]:
         assert lambda_mh(m, h).opposite() == lambda_mh(m, h)
@@ -213,3 +222,6 @@ def test_parse_rejects_empty_runs():
 def test_json_round_trip():
     K = parse_series("5,5,4^7,3,2,1")
     assert KupischSeries.from_json(K.to_json()) == K
+    for entries in ([2.5, 2, 1], "21", [True, 1], [2, "1"], {"2": 1}):
+        with pytest.raises(ValueError, match="list of integers"):
+            KupischSeries.from_json({"kupisch": entries})

@@ -23,7 +23,7 @@ from nakayama.tilting import (
     slice_indices,
 )
 
-from oracles import enumerate_tilting_oracle, ext1_dim_oracle, \
+from oracles import all_series, enumerate_tilting_oracle, ext1_dim_oracle, \
     hom_dim_oracle
 
 
@@ -117,6 +117,21 @@ def test_fracture_examples():
         is_fracture(K, "left", 5, [(2, 1), (2, 2), (1, 3), (1, 4), (9, 1)])
     with pytest.raises(ValueError):
         is_fracture(K, "left", 2, [(1, 1), (2, 1)])  # not tilting
+    with pytest.raises(ValueError, match="zero module"):
+        is_fracture(K, "left", 2, [None, (1, 1)])
+
+
+def test_canonical_fractures_validate():
+    # the canonical fractures are built without validation; is_fracture
+    # must accept them and give the same fracture, on every series
+    for m in range(2, 10):
+        series = all_series(m)
+        assert len(series) == catalan(m - 1)
+        for K in series:
+            fr = projective_fracture(K)
+            assert fr == is_fracture(K, "left", fr.height, fr.coords)
+            fr = injective_fracture(K)
+            assert fr == is_fracture(K, "right", fr.height, fr.coords)
 
 
 def test_fracture_level_monotone():
