@@ -49,11 +49,7 @@ def _cosyzygy(K: KupischSeries, x):
 
 def _walk(K: KupischSeries, step, x, limit: int):
     """Apply step to x until it gives ZERO or limit steps are taken;
-    return the last nonzero module and the number of steps taken.
-
-    A (co)syzygy walk that stops early ends at a projective (injective)
-    module, which _tau (_tau_inv) sends to ZERO: tau_n of a module whose
-    chain vanishes is ZERO without a separate check."""
+    return the last nonzero module and the number of steps taken."""
     k = 0
     while k < limit:
         y = step(K, x)
@@ -62,6 +58,17 @@ def _walk(K: KupischSeries, step, x, limit: int):
         x = y
         k += 1
     return x, k
+
+
+def _translate(K: KupischSeries, n: int, step, last, x):
+    """last after up to n-1 steps of step from x, and the number of steps
+    taken: the higher translate of x, and below n-1 iff its chain vanishes.
+
+    A (co)syzygy walk that stops early ends at a projective (injective)
+    module, which _tau (_tau_inv) sends to ZERO: tau_n of a module whose
+    chain vanishes is ZERO without a separate check."""
+    w, k = _walk(K, step, x, n - 1)
+    return last(K, w), k
 
 
 def _check_order(n: int):
@@ -94,7 +101,7 @@ def tau_n(K: KupischSeries, n: int, x):
     _check_order(n)
     if x is ZERO:
         return ZERO
-    return _tau(K, _walk(K, _syzygy, K.check_exists(x), n - 1)[0])
+    return _translate(K, n, _syzygy, _tau, K.check_exists(x))[0]
 
 
 def tau_n_inv(K: KupischSeries, n: int, x):
@@ -102,7 +109,7 @@ def tau_n_inv(K: KupischSeries, n: int, x):
     _check_order(n)
     if x is ZERO:
         return ZERO
-    return _tau_inv(K, _walk(K, _cosyzygy, K.check_exists(x), n - 1)[0])
+    return _translate(K, n, _cosyzygy, _tau_inv, K.check_exists(x))[0]
 
 
 def pd(K: KupischSeries, x) -> int:

@@ -3,7 +3,9 @@
 Exit codes: 0 for a passing check, 1 for a failing check, 2 for usage
 or input errors.  Kupisch series are written in run-length syntax, e.g.
 ``2^6,3^13,2^3,1``; ``--kupisch -`` reads one series per line from
-stdin in batch mode.  ``--json`` switches to machine-readable output.
+stdin in batch mode, where a line that is not a series gets an error
+record and the batch goes on.  ``--json`` switches to machine-readable
+output.
 """
 
 from __future__ import annotations
@@ -69,6 +71,14 @@ def _emit(payload: dict, as_json: bool, text: str = ""):
         print(text)
 
 
+def _emit_error(exc: Exception, as_json: bool):
+    """The error record of an input: on stdout with --json, else on stderr."""
+    if as_json:
+        print(json.dumps({"error": str(exc)}, sort_keys=True))
+    else:
+        print(f"error: {exc}", file=sys.stderr)
+
+
 def cmd_validate(args) -> int:
     worst = 0
     for text in _series_inputs(args.kupisch):
@@ -78,9 +88,10 @@ def cmd_validate(args) -> int:
             if isinstance(exc.__cause__, KupischError):
                 _emit({"ok": False, "violation": exc.__cause__.violation},
                       args.json, f"invalid: {exc.__cause__.violation}")
-                worst = max(worst, 2)
-                continue
-            raise
+            else:  # one bad line of a batch does not end the batch
+                _emit_error(exc, args.json)
+            worst = 2
+            continue
         _emit({"ok": True, "kupisch": list(K.entries)},
               args.json, f"valid: {format_series(K)} (m = {K.m})")
     return worst
@@ -103,7 +114,12 @@ def cmd_ar_quiver(args) -> int:
 def cmd_check_nct(args) -> int:
     worst = 0
     for text in _series_inputs(args.kupisch):
-        K = _series_arg(text)
+        try:
+            K = _series_arg(text)
+        except CliError as exc:  # one bad line does not end the batch
+            _emit_error(exc, args.json)
+            worst = 2
+            continue
         verdict = check_nct(K, args.n)
         payload = verdict.to_json()
         payload["kupisch"] = list(K.entries)
@@ -322,11 +338,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, KupischError, ValueError, KeyError,
             json.JSONDecodeError) as exc:
-        payload = {"error": str(exc)}
-        if getattr(args, "json", False):
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
+        _emit_error(exc, getattr(args, "json", False))
         return 2
 
 

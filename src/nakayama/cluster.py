@@ -9,7 +9,8 @@ intermediate (co)syzygies of those modules must not vanish.  The
 candidate is generated by closing the fractured projectives under the
 inverse higher translate and adjoining the fractured injectives; the
 verdict re-validates all four conditions, so it is sound regardless of
-the generation strategy.
+the generation strategy.  The default verdict reuses the cosyzygy walks
+of the closure; an explicit candidate is walked from scratch.
 """
 
 from __future__ import annotations
@@ -52,22 +53,27 @@ def _fail(condition: int, coord, detail: str) -> dict:
             "detail": detail}
 
 
+def _closure(K: KupischSeries, n: int, seed) -> Dict[Coord, Tuple]:
+    """Close seed under the inverse higher translate (dropping ZERO); map
+    each module of the closure to its _translate result, (tau_n_inv x,
+    length of its cosyzygy walk)."""
+    walks: Dict[Coord, Tuple] = {}
+    frontier = list(seed)
+    while frontier:
+        x = frontier.pop()
+        if x is not ZERO and x not in walks:
+            walks[x] = ar._translate(K, n, ar._cosyzygy, ar._tau_inv, x)
+            frontier.append(walks[x][0])
+    return walks
+
+
 def generate_candidate(K: KupischSeries, n: int,
                        F: Fracturing) -> List[Coord]:
     """Close the fractured projectives under the inverse higher translate
     (dropping ZERO) and adjoin the fractured injectives."""
     ar._check_order(n)
-    seed = tilting.pL_category(K, F)
-    closed = set(seed)
-    frontier = list(seed)
-    while frontier:
-        w = ar._walk(K, ar._cosyzygy, frontier.pop(), n - 1)[0]
-        y = ar._tau_inv(K, w)
-        if y is not ZERO and y not in closed:
-            closed.add(y)
-            frontier.append(y)
-    closed.update(tilting.iR_category(K, F))
-    return sorted(closed)
+    closure = _closure(K, n, tilting.pL_category(K, F))
+    return sorted(closure.keys() | set(tilting.iR_category(K, F)))
 
 
 def check_fractured(K: KupischSeries, n: int, F: Fracturing,
@@ -89,58 +95,41 @@ def check_fractured(K: KupischSeries, n: int, F: Fracturing,
     pl = set(tilting.pL_category(K, F))
     ir = set(tilting.iR_category(K, F))
     if candidate is None:
-        cand = generate_candidate(K, n, F)
+        # every module of C minus I_R is in the closure: reuse its walks
+        walks = _closure(K, n, pl)
+        cand = sorted(walks.keys() | ir)
     else:
-        cand = sorted(set(K.check_exists(x) for x in candidate))
-    cset = set(cand)
-    failures: List[dict] = []
-
-    for x in sorted(pl):
-        if x not in cset:  # only reachable with an explicit candidate
-            failures.append(_fail(1, x, "fractured projective missing"))
-
-    c_minus_p = [x for x in cand if x not in pl]
-    c_minus_i = [x for x in cand if x not in ir]
+        cand = sorted({K.check_exists(x) for x in candidate})
+        walks = {y: ar._translate(K, n, ar._cosyzygy, ar._tau_inv, y)
+                 for y in cand if y not in ir}
 
     # One (co)syzygy walk per module gives its higher translate and, if
-    # the chain vanishes early, the condition 3 (4) witness.
-    vanished: List[dict] = []
-    forward: Dict[Coord, Coord] = {}
-    for x in c_minus_p:
-        w, k = ar._walk(K, ar._syzygy, x, n - 1)
-        y = ar._tau(K, w)
-        if k < n - 1:
-            vanished.append(_fail(
-                3, x, f"syzygy^{k + 1}({x}) vanishes before order {n}"))
-        if y is ZERO or y not in cset or y in ir:
-            failures.append(_fail(
-                2, x, f"tau_n({x}) = {y} not in candidate minus "
-                      f"fractured injectives"))
-        else:
-            forward[x] = y
-    backward: Dict[Coord, Coord] = {}
-    for y in c_minus_i:
-        w, k = ar._walk(K, ar._cosyzygy, y, n - 1)
-        x = ar._tau_inv(K, w)
-        if k < n - 1:
-            vanished.append(_fail(
-                4, y, f"cosyzygy^{k + 1}({y}) vanishes before order {n}"))
-        if x is ZERO or x not in cset or x in pl:
-            failures.append(_fail(
-                2, y, f"tau_n_inv({y}) = {x} not in candidate minus "
-                      f"fractured projectives"))
-        else:
-            backward[y] = x
-    for x, y in forward.items():
-        if backward.get(y) != x:
-            failures.append(_fail(2, x, f"tau_n not inverted at {x}"))
-    for y, x in backward.items():
-        if forward.get(x) != y:
-            failures.append(_fail(2, y, f"tau_n_inv not inverted at {y}"))
-    failures += vanished
+    # the chain vanishes early, the condition 3 (4) witness.  The keys of
+    # down (up) are C minus P_L (C minus I_R), in sorted order.
+    down = {x: ar._translate(K, n, ar._syzygy, ar._tau, x)
+            for x in cand if x not in pl}
+    up = {y: walks[y] for y in cand if y not in ir}
+    failures = (
+        # condition 1 can fail only with an explicit candidate
+        [_fail(1, x, "fractured projective missing")
+         for x in sorted(pl.difference(cand))]
+        + [_fail(2, x, f"tau_n({x}) = {y} not in candidate minus "
+                       f"fractured injectives")
+           for x, (y, _) in down.items() if y not in up]
+        + [_fail(2, y, f"tau_n_inv({y}) = {x} not in candidate minus "
+                       f"fractured projectives")
+           for y, (x, _) in up.items() if x not in down]
+        + [_fail(2, x, f"tau_n not inverted at {x}")
+           for x, (y, _) in down.items() if y in up and up[y][0] != x]
+        + [_fail(2, y, f"tau_n_inv not inverted at {y}")
+           for y, (x, _) in up.items() if x in down and down[x][0] != y]
+        + [_fail(3, x, f"syzygy^{k + 1}({x}) vanishes before order {n}")
+           for x, (_, k) in down.items() if k < n - 1]
+        + [_fail(4, y, f"cosyzygy^{k + 1}({y}) vanishes before order {n}")
+           for y, (_, k) in up.items() if k < n - 1])
 
     # (x, tau_n_inv x) for x in the candidate minus fractured injectives
-    orbit = tuple(sorted(backward.items()))
+    orbit = tuple((y, x) for y, (x, _) in up.items() if x in down)
     return Verdict(not failures, tuple(cand), orbit, tuple(failures))
 
 
@@ -160,8 +149,10 @@ def classify_sides(K: KupischSeries, n: int, F: Fracturing,
         verdict = check_fractured(K, n, F)
     if not verdict.ok:
         raise ValueError("verdict not ok; sides are undefined")
-    left = set(F.TL.coords) == set(tilting.projective_fracture(K).coords)
-    right = set(F.TR.coords) == set(tilting.injective_fracture(K).coords)
+    # a fracture of level 1 has every apex among its h summands, so at the
+    # maximal abutment it is the projective (injective) fracture
+    left = F.TL.maximal and F.TL.level == 1
+    right = F.TR.maximal and F.TR.level == 1
     return {"left_nct": left, "right_nct": right, "nct": left and right}
 
 

@@ -47,7 +47,11 @@ class KupischSeries:
     __slots__ = ("entries", "m", "_u", "_v")
 
     def __init__(self, entries):
-        entries = tuple(int(d) for d in entries)
+        entries = tuple(entries)
+        for i, d in enumerate(entries, start=1):
+            if type(d) is not int:  # not isinstance: bool is rejected too
+                raise KupischError(
+                    "not-an-integer", f"d_{i} = {d!r} is not an integer")
         if not entries:
             raise KupischError("last-entry-not-one", "empty series")
         m = len(entries)
@@ -235,8 +239,8 @@ class KupischSeries:
 
 def validate(entries) -> KupischSeries:
     """Validate a candidate series, raising KupischError with a named
-    violation (last-entry-not-one, entry-below-two, kupisch-step,
-    overflow-past-sink) on failure."""
+    violation (not-an-integer, last-entry-not-one, entry-below-two,
+    kupisch-step, overflow-past-sink) on failure."""
     return KupischSeries(entries)
 
 

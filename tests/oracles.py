@@ -385,6 +385,86 @@ def tau_n_closed_lambda_mh(m: int, h: int, n: int, x, direction: str):
     return target if K.exists(target) else ZERO
 
 
+# -- the fractured checker -------------------------------------------------
+
+
+def _vanishing_order(K: KupischSeries, step, x, n: int):
+    """The k < n-1 at which step^(k+1)(x) is the first to vanish, else None."""
+    for k in range(n - 1):
+        x = step(K, x)
+        if x is ZERO:
+            return k
+    return None
+
+
+def check_fractured_oracle(K: KupischSeries, n: int, F, candidate=None):
+    """The four conditions of cluster.check_fractured as two loops over
+    the public kernel, each translate and chain computed on its own: the
+    candidate by closing the fractured projectives under tau_n_inv, then
+    one loop per direction collecting condition 2 and 3 (4) failures."""
+    from nakayama.ar import cosyzygy, syzygy, tau_n, tau_n_inv
+    from nakayama.cluster import Verdict
+    from nakayama.kupisch import coord_to_json
+    from nakayama.tilting import iR_category, pL_category
+
+    def fail(condition, coord, detail):
+        return {"condition": condition, "coord": coord_to_json(coord),
+                "detail": detail}
+
+    pl = set(pL_category(K, F))
+    ir = set(iR_category(K, F))
+    if candidate is None:
+        cset = set(pl)
+        frontier = list(pl)
+        while frontier:
+            y = tau_n_inv(K, n, frontier.pop())
+            if y is not ZERO and y not in cset:
+                cset.add(y)
+                frontier.append(y)
+        cset |= ir
+    else:
+        cset = {K.check_exists(x) for x in candidate}
+    cand = sorted(cset)
+    failures = [fail(1, x, "fractured projective missing")
+                for x in sorted(pl) if x not in cset]
+    vanished = []
+    forward = {}
+    for x in (x for x in cand if x not in pl):
+        y = tau_n(K, n, x)
+        k = _vanishing_order(K, syzygy, x, n)
+        if k is not None:
+            vanished.append(fail(
+                3, x, f"syzygy^{k + 1}({x}) vanishes before order {n}"))
+        if y is ZERO or y not in cset or y in ir:
+            failures.append(fail(
+                2, x, f"tau_n({x}) = {y} not in candidate minus "
+                      f"fractured injectives"))
+        else:
+            forward[x] = y
+    backward = {}
+    for y in (y for y in cand if y not in ir):
+        x = tau_n_inv(K, n, y)
+        k = _vanishing_order(K, cosyzygy, y, n)
+        if k is not None:
+            vanished.append(fail(
+                4, y, f"cosyzygy^{k + 1}({y}) vanishes before order {n}"))
+        if x is ZERO or x not in cset or x in pl:
+            failures.append(fail(
+                2, y, f"tau_n_inv({y}) = {x} not in candidate minus "
+                      f"fractured projectives"))
+        else:
+            backward[y] = x
+    for x, y in forward.items():
+        if backward.get(y) != x:
+            failures.append(fail(2, x, f"tau_n not inverted at {x}"))
+    for y, x in backward.items():
+        if forward.get(x) != y:
+            failures.append(fail(2, y, f"tau_n_inv not inverted at {y}"))
+    failures += vanished
+    return Verdict(not failures, tuple(cand), tuple(sorted(backward.items())),
+                   tuple(failures))
+
+
 # -- pushout of translation quivers ------------------------------------------
 
 

@@ -46,6 +46,33 @@ def test_check_nct_batch_worst_exit(capsys, monkeypatch):
     assert code == 1  # (2,2,2,1) is not 2-cluster-tilting
 
 
+def test_batch_isolates_bad_lines(capsys, monkeypatch):
+    # a line that does not parse, or names no Kupisch series, gets one
+    # error record; the lines after it still run and the exit code is
+    # the worst one
+    for argv, stdin, good in (
+            (["validate"], "2,2,1\nfoo\n2,1\n", "valid: 2,1 (m = 2)"),
+            (["check-nct", "--n", "2"], "3,1\n5,5,4^7,3,2,1\n",
+             "5^2,4^7,3,2,1 n=2: ok")):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code = main(argv + ["--kupisch", "-"])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out.splitlines()[-1] == good
+        assert out.err.startswith("error: bad Kupisch series")
+        assert len(out.err.splitlines()) == 1
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code = main(argv + ["--kupisch", "-", "--json"])
+        out = capsys.readouterr()
+        records = [json.loads(line) for line in out.out.splitlines()]
+        assert code == 2 and out.err == ""
+        assert len(records) == len(stdin.splitlines())
+        assert [r for r in records if "error" in r][0]["error"].startswith(
+            "bad Kupisch series")
+        assert records[-1].get("ok") is True
+
+
 def test_verdict_round_trip(capsys):
     code, out = run(capsys, "check-fractured", "--kupisch", "5,5,4^7,3,2,1",
                     "--n", "2", "--json")

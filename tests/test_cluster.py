@@ -25,6 +25,8 @@ from nakayama.tilting import (
     Fracturing,
 )
 
+from oracles import all_series, check_fractured_oracle
+
 GLUED = parse_series("5,5,4^7,3,2,1")
 
 
@@ -282,6 +284,70 @@ def test_check_nct_ok_structure():
         c_minus_p = cset - set(K.projectives())
         c_minus_i = cset - set(K.injectives())
         assert len(c_minus_p) == len(c_minus_i) == len(v.orbit)
+
+
+def test_check_fractured_against_oracle():
+    # every series with 2 <= m <= 8, n = 1..m: the default verdict, and
+    # explicit candidates (the default one, one module removed, one
+    # added), equal those of the two-loop checker on the public kernel
+    rng = random.Random(5)
+    for m in range(2, 9):
+        for K in all_series(m):
+            F = projective_injective_fracturing(K)
+            for n in range(1, m + 1):
+                v = check_fractured(K, n, F)
+                expected = check_fractured_oracle(K, n, F).to_json()
+                cand = list(v.candidate)
+                assert v.to_json() == expected
+                assert check_fractured(K, n, F, cand).to_json() == expected
+                rest = [x for x in K.all_modules() if x not in v.candidate]
+                cut = rng.randrange(len(cand))
+                explicit = [cand[:cut] + cand[cut + 1:]]
+                if rest:
+                    explicit.append(cand + [rng.choice(rest)])
+                for c in explicit:
+                    assert check_fractured(K, n, F, c).to_json() == \
+                        check_fractured_oracle(K, n, F, c).to_json()
+
+
+def test_classify_sides_against_canonical_fractures():
+    # every fracture at a maximal abutment of a series with m <= 8: a
+    # side is honest iff its fracture is the projective (injective) one
+    from nakayama.abutments import footing_from_ka
+    from nakayama.cluster import Verdict
+    from nakayama.tilting import _fracture, enumerate_tilting
+    ok = Verdict(True, (), ())  # classify_sides reads only ok from it
+    for m in range(2, 9):
+        for K in all_series(m):
+            P, I = projective_fracture(K), injective_fracture(K)
+            for side, canon in (("left", P), ("right", I)):
+                h = canon.height
+                for t in enumerate_tilting(h):
+                    T = _fracture(K, side, h, sorted(
+                        footing_from_ka(K, side, h, c) for c in t))
+                    F = Fracturing(T, I) if side == "left" \
+                        else Fracturing(P, T)
+                    honest = set(T.coords) == set(canon.coords)
+                    assert classify_sides(K, 1, F, ok)[f"{side}_nct"] \
+                        == honest
+
+
+def test_check_nct_walks_each_module_once(monkeypatch):
+    # generation and verdict share one (co)syzygy walk per module and
+    # direction
+    walk, walked = ar._walk, []
+
+    def record(K, step, x, limit):
+        walked.append((step, x))
+        return walk(K, step, x, limit)
+
+    monkeypatch.setattr(ar, "_walk", record)
+    for m in range(1, 9):
+        for K in all_series(m):
+            for n in range(1, m + 1):
+                walked.clear()
+                check_nct(K, n)
+                assert len(walked) == len(set(walked)), (K, n)
 
 
 def test_complete_slice_worked_chain():

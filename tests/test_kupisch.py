@@ -35,6 +35,9 @@ def test_validate_rejects_named():
     assert violation([4, 2, 2, 1]) == "kupisch-step"
     assert violation([3, 1]) == "overflow-past-sink"
     assert violation([]) == "last-entry-not-one"
+    # not truncated or parsed: 2.5 used to become 2, and "3" to be read
+    for entries in ([2.5, 2, 1], ["3", 2, 1], [2, True], (2, 1.0)):
+        assert violation(entries) == "not-an-integer"
     # entries may jump upward arbitrarily; only drops are bounded
     assert validate([2, 4, 3, 2, 1]).m == 5
 
