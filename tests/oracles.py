@@ -429,7 +429,7 @@ def check_fractured_oracle(K: KupischSeries, n: int, F, candidate=None):
                 for x in sorted(pl) if x not in cset]
     vanished = []
     forward = {}
-    for x in (x for x in cand if x not in pl):
+    for x in [x for x in cand if x not in pl]:
         y = tau_n(K, n, x)
         k = _vanishing_order(K, syzygy, x, n)
         if k is not None:
@@ -442,7 +442,7 @@ def check_fractured_oracle(K: KupischSeries, n: int, F, candidate=None):
         else:
             forward[x] = y
     backward = {}
-    for y in (y for y in cand if y not in ir):
+    for y in [y for y in cand if y not in ir]:
         x = tau_n_inv(K, n, y)
         k = _vanishing_order(K, cosyzygy, y, n)
         if k is not None:
