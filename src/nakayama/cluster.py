@@ -10,7 +10,7 @@ candidate is generated by closing the fractured projectives under the
 inverse higher translate and adjoining the fractured injectives; the
 verdict re-validates all four conditions, so it is sound regardless of
 the generation strategy.  The default verdict reuses the cosyzygy walks
-of the closure; an explicit candidate is walked from scratch.
+of the closure; an explicit candidate is walked afresh.
 """
 
 from __future__ import annotations
