@@ -41,46 +41,42 @@ def max_right_height(K: KupischSeries) -> int:
     return K.entries[0]
 
 
+def _check_abutment(K: KupischSeries, side: str, h: int) -> int:
+    """Raise unless K has a height-h abutment on the given side; return
+    the shift of its foundation from the linear-quiver triangle: 0 on the
+    left, m - h on the right.  Costs O(1)."""
+    m = K.m
+    if side == "left":
+        # a tail entry d_{m-h+1} = h forces the staircase below it
+        if not (1 <= h <= m and K.entries[m - h] == h):
+            raise ValueError(f"no left abutment of height {h} on {K!r}")
+        return 0
+    if side == "right":
+        if not 1 <= h <= K.entries[0]:
+            raise ValueError(f"no right abutment of height {h} on {K!r}")
+        return m - h
+    raise ValueError(f"side must be left/right, got {side!r}")
+
+
 def foundation(K: KupischSeries, side: str, h: int) -> List[Coord]:
     """The triangle of the height-h abutment: left foundations are
     {(i,j) : i+j <= h+1}, right foundations {(i,j) : i >= m-h+1}."""
-    if side == "left":
-        if h not in left_abutment_heights(K):
-            raise ValueError(f"no left abutment of height {h} on {K!r}")
-        return sorted((i, j) for j in range(1, h + 1)
-                      for i in range(1, h - j + 2))
-    if side == "right":
-        if h not in right_abutment_heights(K):
-            raise ValueError(f"no right abutment of height {h} on {K!r}")
-        m = K.m
-        return sorted((i, j) for j in range(1, h + 1)
-                      for i in range(m - h + 1, m - j + 2))
-    raise ValueError(f"side must be left/right, got {side!r}")
+    s = _check_abutment(K, side, h)
+    return sorted((i + s, j) for j in range(1, h + 1)
+                  for i in range(1, h - j + 2))
 
 
 def footing_to_ka(K: KupischSeries, side: str, h: int, x: Coord) -> Coord:
     """Identify a foundation coordinate with a module of the hereditary
     linear-quiver algebra on h vertices (left: identity; right: shift).
 
-    Costs O(1): the heights and the foundation triangle are tested by
-    their inequalities, not by building the foundation."""
-    m = K.m
-    if side == "left":
-        # a tail entry d_{m-h+1} = h forces the staircase below it
-        if not (1 <= h <= m and K.entries[m - h] == h):
-            raise ValueError(f"no left abutment of height {h} on {K!r}")
-        inside = x is not ZERO and x[0] >= 1 and x[1] >= 1 \
-            and x[0] + x[1] <= h + 1
-    elif side == "right":
-        if not 1 <= h <= K.entries[0]:
-            raise ValueError(f"no right abutment of height {h} on {K!r}")
-        inside = x is not ZERO and x[0] >= m - h + 1 and x[1] >= 1 \
-            and x[0] + x[1] <= m + 1
-    else:
-        raise ValueError(f"side must be left/right, got {side!r}")
-    if not inside:
+    Costs O(1): the foundation triangle is tested by its inequalities,
+    not by building the foundation."""
+    s = _check_abutment(K, side, h)
+    if x is ZERO or not (x[0] - s >= 1 and x[1] >= 1
+                         and x[0] - s + x[1] <= h + 1):
         raise ValueError(f"{x} not in the {side} foundation of height {h}")
-    return x if side == "left" else (x[0] - (m - h), x[1])
+    return (x[0] - s, x[1])
 
 
 def footing_from_ka(K: KupischSeries, side: str, h: int, x: Coord) -> Coord:

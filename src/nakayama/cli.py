@@ -11,6 +11,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -47,6 +48,13 @@ def _series_inputs(arg: str):
                 yield line
     else:
         yield arg
+
+
+def _json_arg(option: str, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CliError(f"bad {option} {text!r}: {exc}") from exc
 
 
 def _coords_from_json(data):
@@ -98,17 +106,22 @@ def cmd_validate(args) -> int:
 
 
 def cmd_ar_quiver(args) -> int:
+    highlight = (_coords_from_json(_json_arg("--highlight", args.highlight))
+                 if args.highlight else ())
+    spec = RenderSpec(format="json" if args.json else args.format,
+                      highlight=tuple(highlight), labels=args.labels)
+    worst = 0
     for text in _series_inputs(args.kupisch):
-        K = _series_arg(text)
-        gamma = ar.ar_quiver(K)
-        highlight = (_coords_from_json(json.loads(args.highlight))
-                     if args.highlight else ())
-        spec = RenderSpec(format="json" if args.json else args.format,
-                          highlight=tuple(highlight), labels=args.labels)
-        sys.stdout.write(render(gamma, spec))
+        try:
+            K = _series_arg(text)
+        except CliError as exc:  # one bad line does not end the batch
+            _emit_error(exc, args.json)
+            worst = 2
+            continue
+        sys.stdout.write(render(ar.ar_quiver(K), spec))
         if args.json:
             sys.stdout.write("\n")
-    return 0
+    return worst
 
 
 def cmd_check_nct(args) -> int:
@@ -135,7 +148,7 @@ def cmd_check_nct(args) -> int:
 def cmd_check_fractured(args) -> int:
     K = _series_arg(args.kupisch)
     if args.fracturing:
-        data = json.loads(args.fracturing)
+        data = _json_arg("--fracturing", args.fracturing)
         if not isinstance(data, dict):
             raise CliError(f"bad fracturing {data!r}: expected "
                            '{"TL": ..., "TR": ...}')
@@ -143,7 +156,7 @@ def cmd_check_fractured(args) -> int:
                        _fracture_from_json(K, data.get("TR")))
     else:
         F = tilting.projective_injective_fracturing(K)
-    candidate = (_coords_from_json(json.loads(args.candidate))
+    candidate = (_coords_from_json(_json_arg("--candidate", args.candidate))
                  if args.candidate else None)
     verdict = check_fractured(K, args.n, F, candidate=candidate)
     payload = verdict.to_json()
@@ -198,7 +211,11 @@ def cmd_construct_nd(args) -> int:
 
 
 def cmd_complete_slice(args) -> int:
-    indices = [int(t) for t in args.slice.split(",")]
+    try:
+        indices = [int(t) for t in args.slice.split(",")]
+    except ValueError as exc:
+        raise CliError(f"bad --slice {args.slice!r}: expected integers "
+                       "i_1,...,i_h") from exc
     coords = tilting.slice_from_indices(indices)
     K, F, verdict, trace = complete_slice(args.h, coords, args.n, args.side)
     payload = {
@@ -214,6 +231,10 @@ def cmd_complete_slice(args) -> int:
 
 
 def cmd_fractures(args) -> int:
+    if args.side is not None and args.height is None:
+        raise CliError(f"--side {args.side} needs --height")
+    if args.height is not None and args.side is None:
+        raise CliError(f"--height {args.height} needs --side")
     K = _series_arg(args.kupisch)
     payload = {
         "kupisch": list(K.entries),
@@ -227,7 +248,7 @@ def cmd_fractures(args) -> int:
     }
     lines = [f"left heights:  {payload['left_heights']}",
              f"right heights: {payload['right_heights']}"]
-    if args.side and args.height:
+    if args.side is not None:
         fnd = abutments.foundation(K, args.side, args.height)
         fractures = []
         # enumerate_tilting yields tilting modules only: no re-validation
@@ -247,6 +268,7 @@ def cmd_fractures(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nakayama",
@@ -336,8 +358,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (CliError, KupischError, ValueError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (CliError, ValueError, KeyError) as exc:
         _emit_error(exc, getattr(args, "json", False))
         return 2
 

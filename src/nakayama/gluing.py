@@ -85,12 +85,18 @@ def check_glue_invariants(g: Glued) -> GlueReport:
     """Structural invariants of a gluing:
 
     1. indecomposable count |Ind L| = |Ind A| + |Ind B| - h(h+1)/2,
-    2. phi/psi are injective, jointly surjective, overlap exactly on the
-       identified foundations, and carry arrows and tau to arrows and tau,
-    3. max(gldim A, gldim B) <= gldim L <= gldim A + gldim B,
-    4. simple projective/injective counts add up (all equal 1 here).
+    2. phi/psi are jointly surjective, overlap exactly on the identified
+       foundations, add no arrow and carry tau to tau,
+    3. max(gldim A, gldim B) <= gldim L <= gldim A + gldim B.
 
     Returns the first failed assertion.
+
+    Not checked, since the coordinate encoding makes them true: phi (a
+    shift) and psi (the identity) are injective; both foundations are
+    {(i, j) : i >= m_B - h + 1, j >= 1, i + j <= m_B + 1}; the arrow rule
+    ignores a shift in i, so once every image lies in Ind L each component
+    arrow is an arrow of L; and as d_i >= 2 for i < m, every series has one
+    simple projective, (1, 1), and one simple injective, (m, 1).
     """
     A, B, L, h = g.a, g.b, g.result, g.h
 
@@ -102,27 +108,18 @@ def check_glue_invariants(g: Glued) -> GlueReport:
 
     img_a = {g.phi(x) for x in mods_a}
     img_b = {g.psi(x) for x in mods_b}
-    if len(img_a) != len(mods_a) or len(img_b) != len(mods_b):
-        return GlueReport(False, "phi or psi not injective")
     if img_a | img_b != set(mods_l):
         return GlueReport(False, "phi and psi not jointly surjective")
     expected_overlap = {g.phi(x)
                         for x in abutments.foundation(A, "left", h)}
     if img_a & img_b != expected_overlap:
         return GlueReport(False, "overlap differs from identified foundations")
-    if expected_overlap != set(g.overlap()):
-        return GlueReport(False, "left and right foundations not identified")
 
     ga, gb, gl = ar.ar_quiver(A), ar.ar_quiver(B), ar.ar_quiver(L)
-    arrows_l = set(gl.arrows)
-    for quiv, emb in ((ga, g.phi), (gb, g.psi)):
-        for (x, y) in quiv.arrows:
-            if (emb(x), emb(y)) not in arrows_l:
-                return GlueReport(False, f"arrow {(x, y)} not preserved")
     # arrows of L all come from a component
     lifted = {(g.phi(x), g.phi(y)) for (x, y) in ga.arrows}
     lifted |= {(g.psi(x), g.psi(y)) for (x, y) in gb.arrows}
-    if lifted != arrows_l:
+    if lifted != set(gl.arrows):
         return GlueReport(False, "extra arrows in the glued quiver")
     for quiv, emb in ((ga, g.phi), (gb, g.psi)):
         for x, tx in quiv.translation.items():
@@ -133,19 +130,6 @@ def check_glue_invariants(g: Glued) -> GlueReport:
     if not max(da, db) <= dl <= da + db:
         return GlueReport(
             False, f"gldim bound violated: {da}, {db} vs {dl}")
-
-    def simples(K):
-        proj = sum(1 for x in K.all_modules()
-                   if x[1] == 1 and K.is_projective(x))
-        inj = sum(1 for x in K.all_modules()
-                  if x[1] == 1 and K.is_injective(x))
-        return proj, inj
-
-    sa, ta = simples(A)
-    sb, tb = simples(B)
-    sl, tl = simples(L)
-    if (sl, tl) != (sa + sb - 1, ta + tb - 1):
-        return GlueReport(False, "simple projective/injective count formula")
     return GlueReport(True)
 
 

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from nakayama.cli import main
 
 
@@ -50,10 +52,13 @@ def test_batch_isolates_bad_lines(capsys, monkeypatch):
     # a line that does not parse, or names no Kupisch series, gets one
     # error record; the lines after it still run and the exit code is
     # the worst one
-    for argv, stdin, good in (
-            (["validate"], "2,2,1\nfoo\n2,1\n", "valid: 2,1 (m = 2)"),
+    for argv, stdin, good, last_ok in (
+            (["validate"], "2,2,1\nfoo\n2,1\n", "valid: 2,1 (m = 2)",
+             lambda r: r.get("ok") is True),
             (["check-nct", "--n", "2"], "3,1\n5,5,4^7,3,2,1\n",
-             "5^2,4^7,3,2,1 n=2: ok")):
+             "5^2,4^7,3,2,1 n=2: ok", lambda r: r.get("ok") is True),
+            (["ar-quiver"], "foo\n2,1\n", "   (1,1) (2,1)",
+             lambda r: len(r["vertices"]) == 3)):
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         code = main(argv + ["--kupisch", "-"])
         out = capsys.readouterr()
@@ -70,7 +75,7 @@ def test_batch_isolates_bad_lines(capsys, monkeypatch):
         assert len(records) == len(stdin.splitlines())
         assert [r for r in records if "error" in r][0]["error"].startswith(
             "bad Kupisch series")
-        assert records[-1].get("ok") is True
+        assert last_ok(records[-1])
 
 
 def test_verdict_round_trip(capsys):
@@ -236,3 +241,28 @@ def test_json_series_not_reinterpreted(capsys):
                  '{"kupisch": [true, 1]}'):
         code, err = input_error(capsys, "validate", "--kupisch", text)
         assert code == 2 and err.startswith("error: bad Kupisch series")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-fractured", "--kupisch", "2,1", "--n", "1",
+      "--candidate", "foo"], "bad --candidate 'foo': "),
+    (["check-fractured", "--kupisch", "2,1", "--n", "1",
+      "--fracturing", "x"], "bad --fracturing 'x': "),
+    (["ar-quiver", "--kupisch", "2,1", "--highlight", "{"],
+     "bad --highlight '{': "),
+    (["complete-slice", "--h", "3", "--slice", "1,,1", "--n", "2",
+      "--side", "right"], "bad --slice '1,,1': "),
+    (["fractures", "--kupisch", "3,2,1", "--side", "left"],
+     "--side left needs --height"),
+    (["fractures", "--kupisch", "3,2,1", "--height", "0"],
+     "--height 0 needs --side"),
+    (["fractures", "--kupisch", "3,2,1", "--side", "left", "--height", "0"],
+     "no left abutment of height 0"),
+])
+def test_malformed_option_named(capsys, argv, message):
+    # a malformed option value exits 2 with an error naming the option
+    # and the value it got
+    code = main(argv)
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: " + message)

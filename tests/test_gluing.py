@@ -10,7 +10,7 @@ from nakayama.gluing import Glued, check_glue_invariants, dispatch_check, \
 from nakayama.kupisch import KupischSeries, lambda_mh, linear_quiver_algebra, \
     parse_series
 
-from oracles import pushout_matches, random_series
+from oracles import all_series, pushout_matches, random_series
 
 
 def test_glue_motivating():
@@ -95,6 +95,47 @@ def test_glue_property_sweep():
         assert pushout_matches(g)
         da, db = ar.gldim(A), ar.gldim(B)
         assert max(da, db) <= ar.gldim(g.result) <= da + db
+
+
+def test_one_simple_projective_and_injective():
+    # every series has exactly one simple projective, at the sink, and one
+    # simple injective, at the source, so their counts add up in a gluing
+    for m in range(1, 11):
+        for K in all_series(m):
+            simples = [(i, 1) for i in range(1, m + 1)]
+            assert [x for x in simples if K.is_projective(x)] == [(1, 1)]
+            assert [x for x in simples if K.is_injective(x)] == [(m, 1)]
+
+
+def test_embeddings_injective_foundations_identified_arrows_kept():
+    # what the coordinate encoding guarantees, so check_glue_invariants
+    # does not test it: on every gluing of series with m <= 6, phi and psi
+    # are injective, both foundations give the overlap, and every
+    # component arrow is an arrow of the result
+    series = [K for m in range(1, 7) for K in all_series(m)]
+    arrows = {K: ar.ar_quiver(K).arrows for K in series}
+    for A in series:
+        for B in series:
+            for h in left_abutment_heights(A) & right_abutment_heights(B):
+                g = glue(B, A, h)
+                arrows_l = set(ar.ar_quiver(g.result).arrows)
+                for K, emb in ((A, g.phi), (B, g.psi)):
+                    img = {x: emb(x) for x in K.all_modules()}
+                    assert len(set(img.values())) == len(img)
+                    assert all((img[x], img[y]) in arrows_l
+                               for x, y in arrows[K])
+                assert {g.phi(x) for x in foundation(A, "left", h)} == \
+                    set(g.overlap())
+
+
+def test_invariant_failures_on_wrong_results():
+    g = glue(lambda_mh(9, 4), lambda_mh(6, 5), 3)  # 5^2,4^7,3,2,1
+    for L, failure in (
+            (lambda_mh(12, 4), "indecomposable count formula"),
+            (parse_series("4,5^2,4^6,3,2,1"),  # same count, other modules
+             "phi and psi not jointly surjective")):
+        report = check_glue_invariants(Glued(L, g.h, g.a, g.b))
+        assert not report.ok and report.failure == failure
 
 
 def _dispatch_public(g):

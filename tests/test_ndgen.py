@@ -107,6 +107,15 @@ def test_certificate_contents():
     assert data["verdict"]["ok"] is True
 
 
+def test_construct_rejects_a_wrong_base(monkeypatch):
+    # a base whose gldim misses d mod n is caught by the final certificate
+    monkeypatch.setattr("nakayama.ndgen.base_family_odd",
+                        lambda n, d: chain_algebra(n, 1))
+    with pytest.raises(RuntimeError, match=r"certificate for \(3, 4\) "
+                       "failed verification: .*gldim=3"):
+        construct(3, 4)
+
+
 def test_construct_small_sweep():
     for n in range(1, 7):
         for d in range(n, 16):
