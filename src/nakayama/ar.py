@@ -10,7 +10,9 @@ Everything reduces to coordinate arithmetic:
   v(i) is the length of the injective on diagonal i,
 * the higher translations compose n-1 (co)syzygies with tau.
 
-The zero module absorbs every operation.
+One loop per direction walks a (co)syzygy chain; the single
+(co)syzygy, the higher translates, pd, idim and the checker of
+nakayama.cluster all use it.  The zero module absorbs every operation.
 """
 
 from __future__ import annotations
@@ -21,54 +23,53 @@ from typing import Dict, Tuple
 from .kupisch import ZERO, Coord, KupischSeries, coord_to_json
 
 
-# The private steps and the walk trust their argument: a nonzero coordinate
+# The private steps and walks trust their argument: a nonzero coordinate
 # of a module over K.  The public functions validate it once.
 
 def _tau(K: KupischSeries, x):
     i, j = x
-    return ZERO if j == K.u(i + j) else (i - 1, j)
+    return ZERO if j == K._u[i + j] else (i - 1, j)
 
 
 def _tau_inv(K: KupischSeries, x):
     i, j = x
-    return ZERO if j == K.v(i) else (i + 1, j)
+    return ZERO if j == K._v[i] else (i + 1, j)
+
+
+def _syzygies(K: KupischSeries, x, limit: int):
+    """The end of a walk of up to limit syzygies from x, and its length.
+    Stopping early, it ends at a projective, which _tau sends to ZERO."""
+    u = K._u
+    i, j = x
+    for k in range(limit):
+        s = i + j
+        us = u[s]
+        if j == us:
+            return (i, j), k
+        i, j = s - us, us - j
+    return (i, j), limit
+
+
+def _cosyzygies(K: KupischSeries, x, limit: int):
+    """The end of a walk of up to limit cosyzygies from x, and its length."""
+    v = K._v
+    i, j = x
+    for k in range(limit):
+        vi = v[i]
+        if j == vi:
+            return (i, j), k
+        i, j = i + j, vi - j
+    return (i, j), limit
 
 
 def _syzygy(K: KupischSeries, x):
-    i, j = x
-    s = i + j
-    u = K.u(s)
-    return ZERO if j == u else (s - u, u - j)
+    y, k = _syzygies(K, x, 1)
+    return y if k else ZERO
 
 
 def _cosyzygy(K: KupischSeries, x):
-    i, j = x
-    v = K.v(i)
-    return ZERO if j == v else (i + j, v - j)
-
-
-def _walk(K: KupischSeries, step, x, limit: int):
-    """Apply step to x until it gives ZERO or limit steps are taken;
-    return the last nonzero module and the number of steps taken."""
-    k = 0
-    while k < limit:
-        y = step(K, x)
-        if y is ZERO:
-            break
-        x = y
-        k += 1
-    return x, k
-
-
-def _translate(K: KupischSeries, n: int, step, last, x):
-    """last after up to n-1 steps of step from x, and the number of steps
-    taken: the higher translate of x, and below n-1 iff its chain vanishes.
-
-    A (co)syzygy walk that stops early ends at a projective (injective)
-    module, which _tau (_tau_inv) sends to ZERO: tau_n of a module whose
-    chain vanishes is ZERO without a separate check."""
-    w, k = _walk(K, step, x, n - 1)
-    return last(K, w), k
+    y, k = _cosyzygies(K, x, 1)
+    return y if k else ZERO
 
 
 def _check_order(n: int):
@@ -99,43 +100,38 @@ def cosyzygy(K: KupischSeries, x):
 def tau_n(K: KupischSeries, n: int, x):
     """Higher translate: tau after n-1 syzygies."""
     _check_order(n)
-    if x is ZERO:
-        return ZERO
-    return _translate(K, n, _syzygy, _tau, K.check_exists(x))[0]
+    return ZERO if x is ZERO else \
+        _tau(K, _syzygies(K, K.check_exists(x), n - 1)[0])
 
 
 def tau_n_inv(K: KupischSeries, n: int, x):
     """Higher inverse translate: tau_inv after n-1 cosyzygies."""
     _check_order(n)
-    if x is ZERO:
-        return ZERO
-    return _translate(K, n, _cosyzygy, _tau_inv, K.check_exists(x))[0]
+    return ZERO if x is ZERO else \
+        _tau_inv(K, _cosyzygies(K, K.check_exists(x), n - 1)[0])
 
 
 def pd(K: KupischSeries, x) -> int:
     """Projective dimension: the largest k with a nonzero k-th syzygy."""
     # an algebra on m vertices has global dimension below m
-    return _walk(K, _syzygy, K.check_exists(x), K.m)[1]
+    return _syzygies(K, K.check_exists(x), K.m)[1]
 
 
 def idim(K: KupischSeries, x) -> int:
     """Injective dimension, via cosyzygies."""
-    return _walk(K, _cosyzygy, K.check_exists(x), K.m)[1]
+    return _cosyzygies(K, K.check_exists(x), K.m)[1]
 
 
 def gldim(K: KupischSeries) -> int:
-    """Global dimension: maximal projective dimension (always finite)."""
-    memo: Dict[Coord, int] = {}
-    for x in K.all_modules():
-        chain = []
-        while x is not ZERO and x not in memo:
-            chain.append(x)
-            x = _syzygy(K, x)
-        k = -1 if x is ZERO else memo[x]
-        for y in reversed(chain):
-            k += 1
-            memo[y] = k
-    return max(memo.values())
+    """Global dimension: maximal projective dimension (always finite).
+    The syzygy of (s - j, j) lies on co-diagonal s - j < s, so one pass
+    over the co-diagonals fills in every projective dimension."""
+    u = K._u
+    pds = [[0], [0]]  # pds[s][j - 1]: pd of (s - j, j), 0 at j = u(s)
+    for s in range(2, K.m + 2):
+        us = u[s]
+        pds.append([pds[s - j][us - j - 1] + 1 for j in range(1, us)] + [0])
+    return max(map(max, pds))
 
 
 @dataclass(frozen=True)

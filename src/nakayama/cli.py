@@ -3,9 +3,9 @@
 Exit codes: 0 for a passing check, 1 for a failing check, 2 for usage
 or input errors.  Kupisch series are written in run-length syntax, e.g.
 ``2^6,3^13,2^3,1``; ``--kupisch -`` reads one series per line from
-stdin in batch mode, where a line that is not a series gets an error
-record and the batch goes on.  ``--json`` switches to machine-readable
-output.
+stdin in batch mode, where a line that is not a series, or whose
+``ar-quiver`` lacks a ``--highlight`` vertex, gets an error record and
+the batch goes on.  ``--json`` switches to machine-readable output.
 """
 
 from __future__ import annotations
@@ -114,13 +114,12 @@ def cmd_ar_quiver(args) -> int:
     for text in _series_inputs(args.kupisch):
         try:
             K = _series_arg(text)
-        except CliError as exc:  # one bad line does not end the batch
+            out = render(ar.ar_quiver(K), spec)
+        except (CliError, ValueError) as exc:  # the batch goes on
             _emit_error(exc, args.json)
             worst = 2
             continue
-        sys.stdout.write(render(ar.ar_quiver(K), spec))
-        if args.json:
-            sys.stdout.write("\n")
+        sys.stdout.write(out + ("\n" if args.json else ""))
     return worst
 
 

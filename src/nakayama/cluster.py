@@ -8,9 +8,9 @@ C minus fractured projectives and C minus fractured injectives, and the
 intermediate (co)syzygies of those modules must not vanish.  The
 candidate is generated by closing the fractured projectives under the
 inverse higher translate and adjoining the fractured injectives; the
-verdict re-validates all four conditions, so it is sound regardless of
-the generation strategy.  The default verdict reuses the cosyzygy walks
-of the closure; an explicit candidate is walked afresh.
+verdict re-validates all four conditions, so it is sound for any
+generation; it walks each module once per direction.  check_nct checks
+against the projectives and injectives directly.
 """
 
 from __future__ import annotations
@@ -55,15 +55,15 @@ def _fail(condition: int, coord, detail: str) -> dict:
 
 def _closure(K: KupischSeries, n: int, seed) -> Dict[Coord, Tuple]:
     """Close seed under the inverse higher translate (dropping ZERO); map
-    each module of the closure to its _translate result, (tau_n_inv x,
-    length of its cosyzygy walk)."""
+    each module x of the closure to (tau_n_inv x, its cosyzygy count)."""
     walks: Dict[Coord, Tuple] = {}
     frontier = list(seed)
     while frontier:
         x = frontier.pop()
         if x is not ZERO and x not in walks:
-            walks[x] = ar._translate(K, n, ar._cosyzygy, ar._tau_inv, x)
-            frontier.append(walks[x][0])
+            w, k = ar._cosyzygies(K, x, n - 1)
+            walks[x] = (y := ar._tau_inv(K, w), k)
+            frontier.append(y)
     return walks
 
 
@@ -76,38 +76,23 @@ def generate_candidate(K: KupischSeries, n: int,
     return sorted(closure.keys() | set(tilting.iR_category(K, F)))
 
 
-def check_fractured(K: KupischSeries, n: int, F: Fracturing,
-                    candidate=None) -> Verdict:
-    """Check whether the candidate is a fractured subcategory for the
-    given fracturing.  By default the candidate is generated by
-    closure; an explicit candidate may be passed to re-verify an emitted
-    one.  Conditions:
-
-    1. fractured projectives are contained in the candidate,
-    2. tau_n / tau_n_inv are mutually inverse bijections between the
-       candidate minus fractured projectives and minus fractured
-       injectives,
-    3. syzygies of candidate-minus-fractured-projective modules stay
-       nonzero up to order n-1,
-    4. cosyzygies dually.
-    """
+def _check(K: KupischSeries, n: int, pl, ir, candidate) -> Verdict:
+    """check_fractured, given the sets P_L (pl) and I_R (ir)."""
     ar._check_order(n)
-    pl = set(tilting.pL_category(K, F))
-    ir = set(tilting.iR_category(K, F))
     if candidate is None:
         # every module of C minus I_R is in the closure: reuse its walks
         walks = _closure(K, n, pl)
         cand = sorted(walks.keys() | ir)
     else:
         cand = sorted({K.check_exists(x) for x in candidate})
-        walks = {y: ar._translate(K, n, ar._cosyzygy, ar._tau_inv, y)
-                 for y in cand if y not in ir}
+        walks = {y: (ar._tau_inv(K, w), k) for y in cand if y not in ir
+                 for w, k in [ar._cosyzygies(K, y, n - 1)]}
 
     # One (co)syzygy walk per module gives its higher translate and, if
     # the chain vanishes early, the condition 3 (4) witness.  The keys of
     # down (up) are C minus P_L (C minus I_R), in sorted order.
-    down = {x: ar._translate(K, n, ar._syzygy, ar._tau, x)
-            for x in cand if x not in pl}
+    down = {x: (ar._tau(K, w), k) for x in cand if x not in pl
+            for w, k in [ar._syzygies(K, x, n - 1)]}
     up = {y: walks[y] for y in cand if y not in ir}
     failures = (
         # condition 1 can fail only with an explicit candidate
@@ -133,11 +118,30 @@ def check_fractured(K: KupischSeries, n: int, F: Fracturing,
     return Verdict(not failures, tuple(cand), orbit, tuple(failures))
 
 
+def check_fractured(K: KupischSeries, n: int, F: Fracturing,
+                    candidate=None) -> Verdict:
+    """Check whether the candidate is a fractured subcategory for the
+    given fracturing.  By default the candidate is generated by
+    closure; an explicit candidate may be passed to re-verify an emitted
+    one.  Conditions:
+
+    1. fractured projectives are contained in the candidate,
+    2. tau_n / tau_n_inv are mutually inverse bijections between the
+       candidate minus fractured projectives and minus fractured
+       injectives,
+    3. syzygies of candidate-minus-fractured-projective modules stay
+       nonzero up to order n-1,
+    4. cosyzygies dually.
+    """
+    return _check(K, n, set(tilting.pL_category(K, F)),
+                  set(tilting.iR_category(K, F)), candidate)
+
+
 def check_nct(K: KupischSeries, n: int) -> Verdict:
     """Cluster-tilting check: the fractured check with the projective
-    left and injective right fracturing."""
-    return check_fractured(K, n,
-                           tilting.projective_injective_fracturing(K))
+    left and injective right fracturing, whose P_L and I_R are exactly
+    the projectives and the injectives."""
+    return _check(K, n, set(K.projectives()), set(K.injectives()), None)
 
 
 def classify_sides(K: KupischSeries, n: int, F: Fracturing,

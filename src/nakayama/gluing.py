@@ -106,24 +106,25 @@ def check_glue_invariants(g: Glued) -> GlueReport:
     if len(mods_l) != len(mods_a) + len(mods_b) - h * (h + 1) // 2:
         return GlueReport(False, "indecomposable count formula")
 
-    img_a = {g.phi(x) for x in mods_a}
-    img_b = {g.psi(x) for x in mods_b}
+    # each component module is embedded, and so validated, once
+    phi = {x: g.phi(x) for x in mods_a}
+    psi = {x: g.psi(x) for x in mods_b}
+    img_a, img_b = set(phi.values()), set(psi.values())
     if img_a | img_b != set(mods_l):
         return GlueReport(False, "phi and psi not jointly surjective")
-    expected_overlap = {g.phi(x)
-                        for x in abutments.foundation(A, "left", h)}
+    expected_overlap = {phi[x] for x in abutments.foundation(A, "left", h)}
     if img_a & img_b != expected_overlap:
         return GlueReport(False, "overlap differs from identified foundations")
 
     ga, gb, gl = ar.ar_quiver(A), ar.ar_quiver(B), ar.ar_quiver(L)
     # arrows of L all come from a component
-    lifted = {(g.phi(x), g.phi(y)) for (x, y) in ga.arrows}
-    lifted |= {(g.psi(x), g.psi(y)) for (x, y) in gb.arrows}
+    lifted = {(phi[x], phi[y]) for (x, y) in ga.arrows}
+    lifted |= {(psi[x], psi[y]) for (x, y) in gb.arrows}
     if lifted != set(gl.arrows):
         return GlueReport(False, "extra arrows in the glued quiver")
-    for quiv, emb in ((ga, g.phi), (gb, g.psi)):
+    for quiv, emb in ((ga, phi), (gb, psi)):
         for x, tx in quiv.translation.items():
-            if gl.translation.get(emb(x)) != emb(tx):
+            if gl.translation.get(emb[x]) != emb[tx]:
                 return GlueReport(False, f"tau not preserved at {x}")
 
     da, db, dl = ar.gldim(A), ar.gldim(B), ar.gldim(L)

@@ -185,10 +185,13 @@ class KupischSeries:
         return (i, self.v(i))
 
     def projectives(self):
-        return sorted(self.projective_at(t) for t in range(1, self.m + 1))
+        """The projectives, one on each co-diagonal, in sorted order."""
+        u = self._u
+        return sorted((s - u[s], u[s]) for s in range(2, self.m + 2))
 
     def injectives(self):
-        return sorted(self.injective_at(t) for t in range(1, self.m + 1))
+        """The injectives, one on each diagonal, in sorted order."""
+        return [(i, self._v[i]) for i in range(1, self.m + 1)]
 
     # -- presentation and duality -------------------------------------------
 

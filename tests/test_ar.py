@@ -15,9 +15,11 @@ from nakayama.ar import (
     tau_n_inv,
 )
 from nakayama.kupisch import ZERO, KupischSeries, lambda_mh, parse_series
+from nakayama.ndgen import base_family_even, base_family_odd, chain_algebra
 
-from oracles import cosyzygy_oracle, predecessors, random_series, \
-    successors, syzygy_oracle, tau_n_closed_lambda_mh, translation_oracle
+from oracles import all_series, cosyzygy_oracle, predecessors, \
+    random_series, successors, syzygy_oracle, tau_n_closed_lambda_mh, \
+    translation_oracle
 
 GLUED = parse_series("5,5,4^7,3,2,1")
 
@@ -160,6 +162,37 @@ def test_dimensions():
             assert pd(K, x) == 0
     row = parse_series("2,3^11,2^2,1")
     assert gldim(row) == 10 and pd(row, (15, 1)) == 10
+
+
+def test_gldim_against_oracle():
+    # every series with m <= 9: the longest chain of oracle syzygies
+    for m in range(1, 10):
+        for K in all_series(m):
+            lengths = {}
+
+            def chain(x):
+                if x not in lengths:
+                    y = syzygy_oracle(K, x)
+                    lengths[x] = 0 if y is None else chain(y) + 1
+                return lengths[x]
+
+            assert gldim(K) == max(map(chain, K.all_modules())), K
+
+
+def test_gldim_on_construct_families():
+    # the series construct(n, d) certifies for n <= 8 and d <= 240: a
+    # chain algebra or a base family member with chains prepended, whose
+    # source injective attains the global dimension
+    for n in range(2, 9):
+        if n % 2:
+            bases = [base_family_odd(n, d) for d in range(n + 1, 2 * n)]
+        else:
+            bases = [base_family_even(n, k) for k in range(1, n)]
+        for base in [chain_algebra(n, 1)] + bases:
+            g = gldim(base)
+            for k in range((240 - g) // n + 1):
+                K = KupischSeries([2] * (k * n) + list(base.entries))
+                assert gldim(K) == pd(K, (K.m, 1)) == g + k * n, K
 
 
 def test_gldim_duality():

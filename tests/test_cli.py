@@ -42,6 +42,22 @@ def test_batch_stdin(capsys, monkeypatch):
     assert code == 1
 
 
+def test_ar_quiver_batch_goes_on_past_missing_highlight(capsys, monkeypatch):
+    # a highlighted vertex missing from one line's quiver gets that line
+    # an error record; the next line, whose quiver has it, still renders
+    argv = ["ar-quiver", "--kupisch", "-", "--highlight", "[[3,1]]"]
+    monkeypatch.setattr("sys.stdin", io.StringIO("2,1\n3,2,1\n"))
+    code, out = run(capsys, *argv)
+    assert code == 2 and "(3,1)" in out
+    monkeypatch.setattr("sys.stdin", io.StringIO("2,1\n3,2,1\n"))
+    code, out = run(capsys, *argv, "--json")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 2 and len(records) == 2
+    assert records[0] == {"error": "highlighted vertices not in the "
+                                   "quiver: [(3, 1)]"}
+    assert records[1]["highlight"] == [[3, 1]]
+
+
 def test_check_nct_batch_worst_exit(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("2,2,1\n2,2,2,1\n"))
     code, out = run(capsys, "check-nct", "--kupisch", "-", "--n", "2")

@@ -310,6 +310,17 @@ def test_check_fractured_against_oracle():
                         check_fractured_oracle(K, n, F, c).to_json()
 
 
+def test_check_nct_equals_fractured_check():
+    # check_nct passes the projectives and injectives in place of the
+    # projective/injective fracturing: the same verdict, byte for byte
+    for m in range(1, 9):
+        for K in all_series(m):
+            F = projective_injective_fracturing(K)
+            for n in range(1, m + 1):
+                assert check_nct(K, n).to_json() == \
+                    check_fractured(K, n, F).to_json()
+
+
 def test_classify_sides_against_canonical_fractures():
     # every fracture at a maximal abutment of a series with m <= 8: a
     # side is honest iff its fracture is the projective (injective) one
@@ -335,18 +346,24 @@ def test_classify_sides_against_canonical_fractures():
 def test_check_nct_walks_each_module_once(monkeypatch):
     # generation and verdict share one (co)syzygy walk per module and
     # direction
-    walk, walked = ar._walk, []
+    walked = []
 
-    def record(K, step, x, limit):
-        walked.append((step, x))
-        return walk(K, step, x, limit)
+    def recording(name):
+        walk = getattr(ar, name)
 
-    monkeypatch.setattr(ar, "_walk", record)
+        def record(K, x, limit):
+            walked.append((name, x))
+            return walk(K, x, limit)
+        return record
+
+    for name in ("_syzygies", "_cosyzygies"):
+        monkeypatch.setattr(ar, name, recording(name))
     for m in range(1, 9):
         for K in all_series(m):
             for n in range(1, m + 1):
                 walked.clear()
                 check_nct(K, n)
+                assert walked, (K, n)
                 assert len(walked) == len(set(walked)), (K, n)
 
 

@@ -138,6 +138,21 @@ def test_invariant_failures_on_wrong_results():
         assert not report.ok and report.failure == failure
 
 
+def test_check_glue_invariants_validates_each_module_once(monkeypatch):
+    g = glue(lambda_mh(9, 4), lambda_mh(6, 5), 3)
+    calls = []
+    check_exists = KupischSeries.check_exists
+
+    def record(K, x):
+        calls.append(x)
+        return check_exists(K, x)
+
+    monkeypatch.setattr(KupischSeries, "check_exists", record)
+    assert check_glue_invariants(g).ok
+    assert calls
+    assert len(calls) <= len(g.a.all_modules()) + len(g.b.all_modules())
+
+
 def _dispatch_public(g):
     """dispatch_check through the validating public kernel."""
     A, B, L = g.a, g.b, g.result

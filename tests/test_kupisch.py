@@ -106,6 +106,8 @@ def test_projective_injective_maps():
         injs = [K.injective_at(t) for t in range(1, K.m + 1)]
         assert len(set(injs)) == K.m
         assert {p for p in K.all_modules() if K.is_injective(p)} == set(injs)
+        assert K.projectives() == sorted(projs)
+        assert K.injectives() == sorted(injs)
         # top of projective_at(t) is t; socle of injective_at(t) is t
         for t in range(1, K.m + 1):
             assert K.top_vertex(K.projective_at(t)) == t
