@@ -87,6 +87,12 @@ def _emit_error(exc: Exception, as_json: bool):
         print(f"error: {exc}", file=sys.stderr)
 
 
+def _verdict_line(K: KupischSeries, n: int, verdict) -> str:
+    """The text line of a check: the first failure record only."""
+    return f"{format_series(K)} n={n}: " + ("ok" if verdict.ok else
+        f"not ok ({next(verdict.stream())['detail']})")
+
+
 def cmd_validate(args) -> int:
     worst = 0
     for text in _series_inputs(args.kupisch):
@@ -133,13 +139,11 @@ def cmd_check_nct(args) -> int:
             worst = 2
             continue
         verdict = check_nct(K, args.n)
-        payload = verdict.to_json()
-        payload["kupisch"] = list(K.entries)
-        payload["n"] = args.n
-        _emit(payload, args.json,
-              f"{format_series(K)} n={args.n}: "
-              f"{'ok' if verdict.ok else 'not ok'}"
-              + ("" if verdict.ok else f" ({verdict.failures[0]['detail']})"))
+        if args.json:  # only --json reads every failure record
+            _emit({**verdict.to_json(), "kupisch": list(K.entries),
+                   "n": args.n}, True)
+        else:
+            print(_verdict_line(K, args.n, verdict))
         worst = max(worst, 0 if verdict.ok else 1)
     return worst
 
@@ -158,14 +162,14 @@ def cmd_check_fractured(args) -> int:
     candidate = (_coords_from_json(_json_arg("--candidate", args.candidate))
                  if args.candidate else None)
     verdict = check_fractured(K, args.n, F, candidate=candidate)
-    payload = verdict.to_json()
-    payload["fracturing"] = F.to_json()
-    if verdict.ok:
-        payload["sides"] = classify_sides(K, args.n, F, verdict)
-    _emit(payload, args.json,
-          f"{format_series(K)} n={args.n}: "
-          f"{'ok' if verdict.ok else 'not ok'}"
-          + ("" if verdict.ok else f" ({verdict.failures[0]['detail']})"))
+    if args.json:
+        payload = verdict.to_json()
+        payload["fracturing"] = F.to_json()
+        if verdict.ok:
+            payload["sides"] = classify_sides(K, args.n, F, verdict)
+        _emit(payload, True)
+    else:
+        print(_verdict_line(K, args.n, verdict))
     return 0 if verdict.ok else 1
 
 

@@ -9,14 +9,16 @@ intermediate (co)syzygies of those modules must not vanish.  The
 candidate is generated by closing the fractured projectives under the
 inverse higher translate and adjoining the fractured injectives; the
 verdict re-validates all four conditions, so it is sound for any
-generation; it walks each module once per direction.  check_nct checks
-against the projectives and injectives directly.
+generation; it walks each module once per direction up to the first
+failure and lists the failures only when they are read.  check_nct
+checks against the projectives and injectives directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+import functools
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import abutments, ar, tilting
 from .gluing import Glued, glue
@@ -27,12 +29,18 @@ from .tilting import Fracture, Fracturing
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a fractured / cluster-tilting check."""
+    """Outcome of a check.  stream() yields the failure records afresh;
+    failures collects them on first read.  == compares ok, candidate, orbit."""
 
     ok: bool
     candidate: Tuple[Coord, ...]
     orbit: Tuple[Tuple[Coord, Coord], ...]  # (x, tau_n_inv x) pairs
-    failures: Tuple[dict, ...] = ()
+    stream: Callable[[], Iterator[dict]] = field(
+        default=tuple, repr=False, compare=False)
+
+    @functools.cached_property
+    def failures(self) -> Tuple[dict, ...]:
+        return tuple(self.stream())
 
     def __bool__(self):
         return self.ok
@@ -48,8 +56,7 @@ class Verdict:
 
 
 def _fail(condition: int, coord, detail: str) -> dict:
-    return {"condition": condition,
-            "coord": coord_to_json(coord),
+    return {"condition": condition, "coord": coord_to_json(coord),
             "detail": detail}
 
 
@@ -57,13 +64,11 @@ def _closure(K: KupischSeries, n: int, seed) -> Dict[Coord, Tuple]:
     """Close seed under the inverse higher translate (dropping ZERO); map
     each module x of the closure to (tau_n_inv x, its cosyzygy count)."""
     walks: Dict[Coord, Tuple] = {}
-    frontier = list(seed)
-    while frontier:
-        x = frontier.pop()
-        if x is not ZERO and x not in walks:
+    for x in seed:  # follow the tau_n^- orbit of x until it is known
+        while x is not ZERO and x not in walks:
             w, k = ar._cosyzygies(K, x, n - 1)
             walks[x] = (y := ar._tau_inv(K, w), k)
-            frontier.append(y)
+            x = y
     return walks
 
 
@@ -76,46 +81,52 @@ def generate_candidate(K: KupischSeries, n: int,
     return sorted(closure.keys() | set(tilting.iR_category(K, F)))
 
 
+def _stream(K: KupischSeries, n: int, pl, cand, up) -> Iterator[dict]:
+    """The failure records in order 1; 2 forward, backward, inverted; 3; 4.
+    Condition 2 forward walks C minus P_L into down: x -> (tau_n x, k)."""
+    # condition 1 can fail only with an explicit candidate
+    for x in sorted(pl.difference(cand)):
+        yield _fail(1, x, "fractured projective missing")
+    down = {}
+    for x in (x for x in cand if x not in pl):
+        w, k = ar._syzygies(K, x, n - 1)
+        down[x] = (y := ar._tau(K, w), k)
+        if y not in up:
+            yield _fail(2, x, f"tau_n({x}) = {y} not in candidate minus "
+                              f"fractured injectives")
+    yield from (_fail(2, y, f"tau_n_inv({y}) = {x} not in candidate minus "
+                            f"fractured projectives")
+                for y, (x, _) in up.items() if x not in down)
+    yield from (_fail(2, x, f"tau_n not inverted at {x}")
+                for x, (y, _) in down.items() if y in up and up[y][0] != x)
+    yield from (_fail(2, y, f"tau_n_inv not inverted at {y}")
+                for y, (x, _) in up.items() if x in down and down[x][0] != y)
+    yield from (_fail(3, x, f"syzygy^{k + 1}({x}) vanishes before order {n}")
+                for x, (_, k) in down.items() if k < n - 1)
+    yield from (_fail(4, y, f"cosyzygy^{k + 1}({y}) vanishes before order {n}")
+                for y, (_, k) in up.items() if k < n - 1)
+
+
 def _check(K: KupischSeries, n: int, pl, ir, candidate) -> Verdict:
     """check_fractured, given the sets P_L (pl) and I_R (ir)."""
     ar._check_order(n)
     if candidate is None:
         # every module of C minus I_R is in the closure: reuse its walks
         walks = _closure(K, n, pl)
-        cand = sorted(walks.keys() | ir)
+        cset = walks.keys() | ir
     else:
-        cand = sorted({K.check_exists(x) for x in candidate})
-        walks = {y: (ar._tau_inv(K, w), k) for y in cand if y not in ir
+        cset = {K.check_exists(x) for x in candidate}
+        walks = {y: (ar._tau_inv(K, w), k) for y in cset if y not in ir
                  for w, k in [ar._cosyzygies(K, y, n - 1)]}
-
-    # One (co)syzygy walk per module gives its higher translate and, if
-    # the chain vanishes early, the condition 3 (4) witness.  The keys of
-    # down (up) are C minus P_L (C minus I_R), in sorted order.
-    down = {x: (ar._tau(K, w), k) for x in cand if x not in pl
-            for w, k in [ar._syzygies(K, x, n - 1)]}
+    cand = tuple(sorted(cset))
+    # the keys of up are C minus I_R, in sorted order
     up = {y: walks[y] for y in cand if y not in ir}
-    failures = (
-        # condition 1 can fail only with an explicit candidate
-        [_fail(1, x, "fractured projective missing")
-         for x in sorted(pl.difference(cand))]
-        + [_fail(2, x, f"tau_n({x}) = {y} not in candidate minus "
-                       f"fractured injectives")
-           for x, (y, _) in down.items() if y not in up]
-        + [_fail(2, y, f"tau_n_inv({y}) = {x} not in candidate minus "
-                       f"fractured projectives")
-           for y, (x, _) in up.items() if x not in down]
-        + [_fail(2, x, f"tau_n not inverted at {x}")
-           for x, (y, _) in down.items() if y in up and up[y][0] != x]
-        + [_fail(2, y, f"tau_n_inv not inverted at {y}")
-           for y, (x, _) in up.items() if x in down and down[x][0] != y]
-        + [_fail(3, x, f"syzygy^{k + 1}({x}) vanishes before order {n}")
-           for x, (_, k) in down.items() if k < n - 1]
-        + [_fail(4, y, f"cosyzygy^{k + 1}({y}) vanishes before order {n}")
-           for y, (_, k) in up.items() if k < n - 1])
-
-    # (x, tau_n_inv x) for x in the candidate minus fractured injectives
-    orbit = tuple((y, x) for y, (x, _) in up.items() if x in down)
-    return Verdict(not failures, tuple(cand), orbit, tuple(failures))
+    # (x, tau_n_inv x) for x in C minus I_R with tau_n_inv x in C minus P_L
+    orbit = tuple((y, x) for y, (x, _) in up.items()
+                  if x in cset and x not in pl)
+    stream = functools.partial(_stream, K, n, pl, cand, up)
+    ok = next(stream(), None) is None  # builds the first record only
+    return Verdict(ok, cand, orbit, tuple if ok else stream)
 
 
 def check_fractured(K: KupischSeries, n: int, F: Fracturing,
@@ -220,12 +231,11 @@ def glue_fractured(b_side: Tuple[KupischSeries, Fracturing],
     """
     KB, FB = b_side
     KA, FA = a_side
-    va = check_fractured(KA, n, FA)
-    if not va.ok:
-        raise ValueError(f"A-side fractured check failed: {va.failures[0]}")
-    vb = check_fractured(KB, n, FB)
-    if not vb.ok:
-        raise ValueError(f"B-side fractured check failed: {vb.failures[0]}")
+    va, vb = check_fractured(KA, n, FA), check_fractured(KB, n, FB)
+    for side, v in (("A", va), ("B", vb)):
+        if not v.ok:
+            raise ValueError(f"{side}-side fractured check failed: "
+                             f"{next(v.stream())}")
     compat = compatibility_check((KA, FA.TL), (KB, FB.TR), h)
     if not compat.compatible:
         raise ValueError("fractures do not agree on the glued foundation")
@@ -363,7 +373,7 @@ def complete_slice(h: int, slice_coords, n: int, side: str):
     verdict = check_fractured(K, n, F)
     if not verdict.ok:
         raise RuntimeError(
-            f"slice completion failed verification: {verdict.failures[0]}")
+            f"slice completion failed verification: {next(verdict.stream())}")
     sides = classify_sides(K, n, F, verdict)
     if not sides[f"{side}_nct"]:
         raise RuntimeError(f"completed subcategory is not {side} honest")

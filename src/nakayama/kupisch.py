@@ -131,12 +131,9 @@ class KupischSeries:
 
     def all_modules(self):
         """All coordinates in row-major order; the count is sum(d_i)."""
-        out = []
-        for j in range(1, max(self.entries) + 1):
-            for i in range(1, self.m - j + 2):
-                if self.exists((i, j)):
-                    out.append((i, j))
-        return out
+        u = self._u  # (i, j) exists iff j <= u(i + j)
+        return [(i, j) for j in range(1, max(self.entries) + 1)
+                for i in range(1, self.m - j + 2) if j <= u[i + j]]
 
     # -- structure of a single module --------------------------------------
 

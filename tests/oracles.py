@@ -462,7 +462,7 @@ def check_fractured_oracle(K: KupischSeries, n: int, F, candidate=None):
             failures.append(fail(2, y, f"tau_n_inv not inverted at {y}"))
     failures += vanished
     return Verdict(not failures, tuple(cand), tuple(sorted(backward.items())),
-                   tuple(failures))
+                   lambda: iter(failures))
 
 
 # -- pushout of translation quivers ------------------------------------------

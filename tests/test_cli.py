@@ -282,3 +282,19 @@ def test_malformed_option_named(capsys, argv, message):
     out = capsys.readouterr()
     assert code == 2 and out.out == ""
     assert out.err.startswith("error: " + message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-nct", "--kupisch", "4^6,3,2,1", "--n", "3"],
+    ["check-fractured", "--kupisch", "4^6,3,2,1", "--n", "3"]])
+def test_text_line_reads_first_failure_only(capsys, monkeypatch, argv):
+    # the text line takes the first record from the stream; only --json
+    # reads every failure
+    from nakayama.cluster import Verdict
+
+    def unread(self):
+        raise AssertionError("text mode read every failure")
+
+    monkeypatch.setattr(Verdict, "failures", property(unread))
+    code, out = run(capsys, *argv)
+    assert code == 1 and out.startswith("4^6,3,2,1 n=3: not ok (tau_n(")

@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import combinations
 
@@ -422,3 +423,54 @@ def test_complete_slice_errors():
         complete_slice(3, [(3, 1), (1, 2), (1, 3)], 2, "right")
     with pytest.raises(ValueError):
         complete_slice(2, [(1, 1), (1, 2)], 2, "sideways")
+
+
+# -- the failure stream ------------------------------------------------------
+
+FAILING = parse_series("4^6,3,2,1")  # fails at n = 3, condition 2 first
+
+
+def test_check_nct_stops_at_first_failure(monkeypatch):
+    # ok is decided by the first failure: C minus P is walked only up to
+    # it, and reading failures runs the stream again, in full
+    calls = []
+    walk = ar._syzygies
+    monkeypatch.setattr(ar, "_syzygies",
+                        lambda *a: calls.append(a) or walk(*a))
+    v = check_nct(FAILING, 3)
+    assert not v.ok
+    rest = len(set(v.candidate) - set(FAILING.projectives()))
+    early = len(calls)
+    assert 0 < early < rest
+    assert v.failures
+    assert len(calls) == early + rest
+
+
+def test_failures_read_once():
+    v = check_nct(FAILING, 3)
+    first = v.failures
+    assert first and v.failures is first
+    assert first == tuple(v.stream())
+
+
+def test_unread_verdict_pickles():
+    v = check_nct(FAILING, 3)
+    w = pickle.loads(pickle.dumps(v))
+    assert w == v and w.to_json() == v.to_json()
+    assert w.failures and w.to_json() == check_nct(FAILING, 3).to_json()
+
+
+def test_check_errors_raise_at_call():
+    F = projective_injective_fracturing(FAILING)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        check_nct(FAILING, 0)
+    with pytest.raises(ValueError, match="no module"):
+        check_fractured(FAILING, 2, F, [(1, 1), (1, 99)])
+
+
+def test_verdict_equality_ignores_the_stream():
+    from nakayama.cluster import Verdict
+    assert Verdict(True, (), ()).failures == ()
+    v = check_nct(FAILING, 3)
+    same = Verdict(v.ok, v.candidate, v.orbit)
+    assert same == v and hash(same) == hash(v) and not same.failures

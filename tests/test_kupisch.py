@@ -13,7 +13,7 @@ from nakayama.kupisch import (
     validate,
 )
 
-from oracles import classify_oracle, exists_oracle, \
+from oracles import all_series, classify_oracle, exists_oracle, \
     minimal_relations_oracle, random_series, v_oracle
 
 
@@ -75,6 +75,15 @@ def test_all_modules():
     K = KupischSeries([2, 2, 2, 3, 2, 1])
     assert (1, 3) in K.all_modules()
     assert len(K.all_modules()) == sum(K.entries)
+
+
+def test_all_modules_matches_exists():
+    # all_modules reads the u table; exists reads the entries
+    for m in range(1, 10):
+        for K in all_series(m):
+            assert K.all_modules() == [
+                (i, j) for j in range(1, m + 1) for i in range(1, m + 2 - j)
+                if K.exists((i, j))], K
 
 
 def test_classify():
