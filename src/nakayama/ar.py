@@ -10,9 +10,10 @@ Everything reduces to coordinate arithmetic:
   v(i) is the length of the injective on diagonal i,
 * the higher translations compose n-1 (co)syzygies with tau.
 
-One loop per direction walks a (co)syzygy chain; the single
-(co)syzygy, the higher translates, pd, idim and the checker of
-nakayama.cluster all use it.  The zero module absorbs every operation.
+One fused loop per direction walks a (co)syzygy chain and applies the
+translate to its end in the same call; the higher translates, pd, idim
+and the checker of nakayama.cluster all use it.  The single steps are
+one-line formulas.  The zero module absorbs every operation.
 """
 
 from __future__ import annotations
@@ -36,40 +37,44 @@ def _tau_inv(K: KupischSeries, x):
     return ZERO if j == K._v[i] else (i + 1, j)
 
 
-def _syzygies(K: KupischSeries, x, limit: int):
-    """The end of a walk of up to limit syzygies from x, and its length.
-    Stopping early, it ends at a projective, which _tau sends to ZERO."""
+def _syzygy(K: KupischSeries, x):
+    i, j = x
+    s = i + j
+    us = K._u[s]
+    return ZERO if j == us else (s - us, us - j)
+
+
+def _cosyzygy(K: KupischSeries, x):
+    i, j = x
+    vi = K._v[i]
+    return ZERO if j == vi else (i + j, vi - j)
+
+
+def _down(K: KupischSeries, x, limit: int):
+    """tau of the end of a walk of up to limit syzygies from x, and the
+    walk's length.  A walk that stops early ends at a projective: ZERO."""
     u = K._u
     i, j = x
     for k in range(limit):
         s = i + j
         us = u[s]
         if j == us:
-            return (i, j), k
+            return ZERO, k
         i, j = s - us, us - j
-    return (i, j), limit
+    return (ZERO if j == u[i + j] else (i - 1, j)), limit
 
 
-def _cosyzygies(K: KupischSeries, x, limit: int):
-    """The end of a walk of up to limit cosyzygies from x, and its length."""
+def _up(K: KupischSeries, x, limit: int):
+    """tau_inv of the end of a walk of up to limit cosyzygies from x, and
+    the walk's length.  A walk that stops early ends at an injective."""
     v = K._v
     i, j = x
     for k in range(limit):
         vi = v[i]
         if j == vi:
-            return (i, j), k
+            return ZERO, k
         i, j = i + j, vi - j
-    return (i, j), limit
-
-
-def _syzygy(K: KupischSeries, x):
-    y, k = _syzygies(K, x, 1)
-    return y if k else ZERO
-
-
-def _cosyzygy(K: KupischSeries, x):
-    y, k = _cosyzygies(K, x, 1)
-    return y if k else ZERO
+    return (ZERO if j == v[i] else (i + 1, j)), limit
 
 
 def _check_order(n: int):
@@ -100,26 +105,24 @@ def cosyzygy(K: KupischSeries, x):
 def tau_n(K: KupischSeries, n: int, x):
     """Higher translate: tau after n-1 syzygies."""
     _check_order(n)
-    return ZERO if x is ZERO else \
-        _tau(K, _syzygies(K, K.check_exists(x), n - 1)[0])
+    return ZERO if x is ZERO else _down(K, K.check_exists(x), n - 1)[0]
 
 
 def tau_n_inv(K: KupischSeries, n: int, x):
     """Higher inverse translate: tau_inv after n-1 cosyzygies."""
     _check_order(n)
-    return ZERO if x is ZERO else \
-        _tau_inv(K, _cosyzygies(K, K.check_exists(x), n - 1)[0])
+    return ZERO if x is ZERO else _up(K, K.check_exists(x), n - 1)[0]
 
 
 def pd(K: KupischSeries, x) -> int:
     """Projective dimension: the largest k with a nonzero k-th syzygy."""
     # an algebra on m vertices has global dimension below m
-    return _syzygies(K, K.check_exists(x), K.m)[1]
+    return _down(K, K.check_exists(x), K.m)[1]
 
 
 def idim(K: KupischSeries, x) -> int:
     """Injective dimension, via cosyzygies."""
-    return _cosyzygies(K, K.check_exists(x), K.m)[1]
+    return _up(K, K.check_exists(x), K.m)[1]
 
 
 def gldim(K: KupischSeries) -> int:

@@ -9,9 +9,10 @@ intermediate (co)syzygies of those modules must not vanish.  The
 candidate is generated by closing the fractured projectives under the
 inverse higher translate and adjoining the fractured injectives; the
 verdict re-validates all four conditions, so it is sound for any
-generation; it walks each module once per direction up to the first
-failure and lists the failures only when they are read.  check_nct
-checks against the projectives and injectives directly.
+generation; it walks each module once per direction, one kernel call
+giving the translate and the walk length, up to the first failure, and
+lists the failures only when they are read.  check_nct checks against
+the sets of projectives and injectives that the series built.
 """
 
 from __future__ import annotations
@@ -66,9 +67,8 @@ def _closure(K: KupischSeries, n: int, seed) -> Dict[Coord, Tuple]:
     walks: Dict[Coord, Tuple] = {}
     for x in seed:  # follow the tau_n^- orbit of x until it is known
         while x is not ZERO and x not in walks:
-            w, k = ar._cosyzygies(K, x, n - 1)
-            walks[x] = (y := ar._tau_inv(K, w), k)
-            x = y
+            walks[x] = w = ar._up(K, x, n - 1)
+            x = w[0]
     return walks
 
 
@@ -81,17 +81,18 @@ def generate_candidate(K: KupischSeries, n: int,
     return sorted(closure.keys() | set(tilting.iR_category(K, F)))
 
 
-def _stream(K: KupischSeries, n: int, pl, cand, up) -> Iterator[dict]:
+def _stream(K: KupischSeries, n: int, pl, cand, up,
+            missing) -> Iterator[dict]:
     """The failure records in order 1; 2 forward, backward, inverted; 3; 4.
-    Condition 2 forward walks C minus P_L into down: x -> (tau_n x, k)."""
-    # condition 1 can fail only with an explicit candidate
-    for x in sorted(pl.difference(cand)):
+    missing lists the fractured projectives outside an explicit
+    candidate.  Condition 2 forward walks C minus P_L into down:
+    x -> (tau_n x, k)."""
+    for x in missing:
         yield _fail(1, x, "fractured projective missing")
     down = {}
     for x in (x for x in cand if x not in pl):
-        w, k = ar._syzygies(K, x, n - 1)
-        down[x] = (y := ar._tau(K, w), k)
-        if y not in up:
+        down[x] = w = ar._down(K, x, n - 1)
+        if (y := w[0]) not in up:
             yield _fail(2, x, f"tau_n({x}) = {y} not in candidate minus "
                               f"fractured injectives")
     yield from (_fail(2, y, f"tau_n_inv({y}) = {x} not in candidate minus "
@@ -111,20 +112,22 @@ def _check(K: KupischSeries, n: int, pl, ir, candidate) -> Verdict:
     """check_fractured, given the sets P_L (pl) and I_R (ir)."""
     ar._check_order(n)
     if candidate is None:
-        # every module of C minus I_R is in the closure: reuse its walks
+        # every module of C minus I_R is in the closure: reuse its walks;
+        # the closure contains its seed P_L, so condition 1 cannot fail
         walks = _closure(K, n, pl)
         cset = walks.keys() | ir
+        missing = ()
     else:
         cset = {K.check_exists(x) for x in candidate}
-        walks = {y: (ar._tau_inv(K, w), k) for y in cset if y not in ir
-                 for w, k in [ar._cosyzygies(K, y, n - 1)]}
+        walks = {y: ar._up(K, y, n - 1) for y in cset if y not in ir}
+        missing = sorted(pl.difference(cset))
     cand = tuple(sorted(cset))
     # the keys of up are C minus I_R, in sorted order
     up = {y: walks[y] for y in cand if y not in ir}
     # (x, tau_n_inv x) for x in C minus I_R with tau_n_inv x in C minus P_L
     orbit = tuple((y, x) for y, (x, _) in up.items()
                   if x in cset and x not in pl)
-    stream = functools.partial(_stream, K, n, pl, cand, up)
+    stream = functools.partial(_stream, K, n, pl, cand, up, missing)
     ok = next(stream(), None) is None  # builds the first record only
     return Verdict(ok, cand, orbit, tuple if ok else stream)
 
@@ -152,7 +155,7 @@ def check_nct(K: KupischSeries, n: int) -> Verdict:
     """Cluster-tilting check: the fractured check with the projective
     left and injective right fracturing, whose P_L and I_R are exactly
     the projectives and the injectives."""
-    return _check(K, n, set(K.projectives()), set(K.injectives()), None)
+    return _check(K, n, K._p, K._i, None)
 
 
 def classify_sides(K: KupischSeries, n: int, F: Fracturing,
@@ -174,7 +177,7 @@ def classify_sides(K: KupischSeries, n: int, F: Fracturing,
 @dataclass(frozen=True)
 class CompatReport:
     compatible: bool
-    level_ok: bool  # whether the glue height dominates the fracture level
+    level_ok: bool  # whether the glue height dominates both fracture levels
 
     def __bool__(self):
         return self.compatible
@@ -184,9 +187,9 @@ def compatibility_check(a_side: Tuple[KupischSeries, Fracture],
                         b_side: Tuple[KupischSeries, Fracture],
                         h: int) -> CompatReport:
     """Compare both fractures inside the height-h sub-foundations: the
-    footed coordinate sets must coincide.  Also reports whether
-    h >= level of the left fracture, which the gluing construction
-    implicitly uses."""
+    footed coordinate sets must coincide.  Also reports whether h is at
+    least the level of both fractures, A's left and B's right, which
+    glue_fractured states as its sufficient hypothesis."""
     KA, TA = a_side
     KB, TB = b_side
     if TA.side != "left" or TB.side != "right":
@@ -199,7 +202,7 @@ def compatibility_check(a_side: Tuple[KupischSeries, Fracture],
              for x in TA.coords if x in fnd_a}
     set_b = {abutments.footing_to_ka(KB, "right", h, x)
              for x in TB.coords if x in fnd_b}
-    return CompatReport(set_a == set_b, h >= TA.level)
+    return CompatReport(set_a == set_b, h >= TA.level and h >= TB.level)
 
 
 def glue_fracturings(g: Glued, FB: Fracturing, FA: Fracturing) -> Fracturing:
@@ -226,8 +229,15 @@ def glue_fractured(b_side: Tuple[KupischSeries, Fracturing],
     the glued fracturing from scratch.
 
     Preconditions: both component checks ok and the fractures compatible
-    at height h.  The candidate of the result must coincide with the
+    at height h.  The candidate of an ok result must coincide with the
     union of the embedded component candidates.
+
+    Sufficient hypothesis: h is at least the level of A's left fracture
+    and of B's right fracture (compatibility_check's level_ok).  Every
+    such gluing of fractured algebras on at most 6 vertices, n = 2..4,
+    comes out ok.  It is not necessary: some gluings with h below both
+    levels are ok too, so the levels are not checked here and the
+    re-checked verdict is returned as it comes.
     """
     KB, FB = b_side
     KA, FA = a_side

@@ -19,6 +19,10 @@ from typing import Optional, Tuple
 
 Coord = Tuple[int, int]
 
+#: The most vertices parse_series accepts, checked before a run is
+#: expanded, so that a short run-length text cannot claim unbounded memory.
+MAX_VERTICES = 10**6
+
 #: The zero module.  Serialized as JSON null.
 ZERO: Optional[Coord] = None
 
@@ -44,7 +48,7 @@ class KupischSeries:
     Instances are immutable and hashable.
     """
 
-    __slots__ = ("entries", "m", "_u", "_v")
+    __slots__ = ("entries", "m", "_u", "_v", "_p", "_i")
 
     def __init__(self, entries):
         entries = tuple(entries)
@@ -75,8 +79,8 @@ class KupischSeries:
         self.entries = entries
         self.m = m
         # max module length per co-diagonal s = i + j, indexed by s >= 2
-        self._u = (0, 0) + tuple(min(entries[m - s + 1], s - 1)
-                                 for s in range(2, m + 2))
+        self._u = u = (0, 0) + tuple(min(entries[m - s + 1], s - 1)
+                                     for s in range(2, m + 2))
         # max module length per diagonal i = m - t + 1, indexed by i >= 1:
         # the injective with socle t has as top the least vertex r whose
         # projective reaches t.  The reach r + d_r - 1 never decreases
@@ -88,6 +92,10 @@ class KupischSeries:
                 r += 1
             v[m - t + 1] = t - r + 1
         self._v = tuple(v)
+        # the projectives, one per co-diagonal; the injectives, one per
+        # diagonal
+        self._p = frozenset((s - u[s], u[s]) for s in range(2, m + 2))
+        self._i = frozenset((i, v[i]) for i in range(1, m + 1))
 
     # -- basic protocol ----------------------------------------------------
 
@@ -183,12 +191,11 @@ class KupischSeries:
 
     def projectives(self):
         """The projectives, one on each co-diagonal, in sorted order."""
-        u = self._u
-        return sorted((s - u[s], u[s]) for s in range(2, self.m + 2))
+        return sorted(self._p)
 
     def injectives(self):
         """The injectives, one on each diagonal, in sorted order."""
-        return [(i, self._v[i]) for i in range(1, self.m + 1)]
+        return sorted(self._i)
 
     # -- presentation and duality -------------------------------------------
 
@@ -275,9 +282,12 @@ def parse_series(text: str) -> KupischSeries:
             k = int(count)
             if k < 1:
                 raise ValueError(f"run length {k} < 1 in {part!r}")
-            entries.extend([int(base)] * k)
         else:
-            entries.append(int(part))
+            base, k = part, 1
+        if len(entries) + k > MAX_VERTICES:
+            raise ValueError(f"series of more than MAX_VERTICES = "
+                             f"{MAX_VERTICES} vertices at {part!r}")
+        entries.extend([int(base)] * k)
     return KupischSeries(entries)
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nakayama import ar
 from nakayama.ar import (
     ar_quiver,
     cosyzygy,
@@ -151,6 +152,26 @@ def test_closed_form_vs_stepwise_small():
                 if not K.is_projective(x):
                     assert tau_n_closed_lambda_mh(m, h, n, x, "forward") \
                         == tau_n(K, n, x)
+
+
+def test_fused_walks_against_oracle():
+    # every series with m <= 8, every module and n = 1..m: _down (_up) is
+    # tau (tau_inv) after n-1 oracle syzygies (cosyzygies), ZERO once a
+    # step vanishes, and the walk's length is the vanishing order
+    for m in range(1, 9):
+        for K in all_series(m):
+            for walk, step, last in ((ar._down, syzygy_oracle, tau),
+                                     (ar._up, cosyzygy_oracle, tau_inv)):
+                steps = {x: step(K, x) for x in K.all_modules()}
+                for x in steps:
+                    chain = [x]  # x, step(x), step(step(x)), ... up to ZERO
+                    while (y := steps[chain[-1]]) is not ZERO:
+                        chain.append(y)
+                    for n in range(1, m + 1):
+                        want = last(K, chain[n - 1]) if n <= len(chain) \
+                            else ZERO
+                        assert walk(K, x, n - 1) == \
+                            (want, min(n, len(chain)) - 1), (K, x, n)
 
 
 def test_dimensions():

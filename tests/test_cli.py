@@ -201,6 +201,12 @@ def test_run_length_below_one(capsys):
         assert code == 2 and err.startswith("error: bad Kupisch series")
 
 
+def test_vertex_cap(capsys):
+    code, err = input_error(capsys, "validate", "--kupisch", "2^1000001,1")
+    assert code == 2 and err.startswith("error: bad Kupisch series")
+    assert "MAX_VERTICES" in err
+
+
 def test_fracturing_not_an_object(capsys):
     code, err = input_error(capsys, "check-fractured", "--kupisch",
                             "5,5,4^7,3,2,1", "--n", "2",

@@ -26,7 +26,7 @@ from nakayama.tilting import (
     Fracturing,
 )
 
-from oracles import all_series, check_fractured_oracle
+from oracles import all_series, check_fractured_oracle, random_series
 
 GLUED = parse_series("5,5,4^7,3,2,1")
 
@@ -272,6 +272,68 @@ def test_glue_fractured_slice_grid():
                 assert classify_sides(g.result, n, F, v)["nct"]
 
 
+def _fractured_algebras(max_m, n):
+    """Every (K, F, verdict) with K on at most max_m vertices, F a pair of
+    tilting fractures at the maximal abutments, and the verdict of
+    check_fractured at n ok."""
+    from nakayama.abutments import footing_from_ka, max_left_height, \
+        max_right_height
+    from nakayama.tilting import enumerate_tilting
+    for m in range(1, max_m + 1):
+        for K in all_series(m):
+            hl, hr = max_left_height(K), max_right_height(K)
+            for tl in enumerate_tilting(hl):
+                for tr in enumerate_tilting(hr):
+                    F = make_fracturing(
+                        K, [footing_from_ka(K, "left", hl, c) for c in tl],
+                        [footing_from_ka(K, "right", hr, c) for c in tr])
+                    v = check_fractured(K, n, F)
+                    if v.ok:
+                        yield K, F, v
+
+
+def test_glue_fractured_level_hypothesis():
+    # every compatible gluing of fractured algebras on at most 4 vertices,
+    # n = 2..4, with h at least both fracture levels: the glued verdict is
+    # ok and its candidate is the union of the embedded components'
+    glued = 0
+    for n in (2, 3, 4):
+        algebras = list(_fractured_algebras(4, n))
+        for (KB, FB, vb), (KA, FA, va) in ((b, a) for b in algebras
+                                           for a in algebras):
+            for h in range(1, min(FA.TL.height, FB.TR.height) + 1):
+                rep = compatibility_check((KA, FA.TL), (KB, FB.TR), h)
+                if not (rep.compatible and rep.level_ok):
+                    continue
+                g, F, v = glue_fractured((KB, FB), (KA, FA), h, n)
+                assert v.ok, (KB, KA, h, n)
+                assert set(v.candidate) == {g.phi(x) for x in va.candidate} \
+                    | {g.psi(x) for x in vb.candidate}
+                glued += 1
+    assert glued == 436
+
+
+def test_check_nct_duality_and_orbits():
+    # seeded random series with m <= 30: check_nct agrees on K and its
+    # opposite, an ok candidate goes to the opposite's under dual_coord,
+    # and every ok orbit pair (y, x) has tau_n x = y and tau_n_inv y = x
+    rng = random.Random(11)
+    oks = 0
+    for _ in range(300):
+        K = random_series(rng, 30)
+        Kop = K.opposite()
+        for n in range(1, ar.gldim(K) + 2):
+            v, w = check_nct(K, n), check_nct(Kop, n)
+            assert v.ok == w.ok, (K, n)
+            if not v.ok:
+                continue
+            oks += n > 1
+            assert sorted(map(K.dual_coord, v.candidate)) == list(w.candidate)
+            for y, x in v.orbit:
+                assert ar.tau_n(K, n, x) == y and ar.tau_n_inv(K, n, y) == x
+    assert oks
+
+
 def test_check_nct_ok_structure():
     # an ok verdict contains all projectives and injectives and pairs
     # the complements bijectively
@@ -357,7 +419,7 @@ def test_check_nct_walks_each_module_once(monkeypatch):
             return walk(K, x, limit)
         return record
 
-    for name in ("_syzygies", "_cosyzygies"):
+    for name in ("_down", "_up"):
         monkeypatch.setattr(ar, name, recording(name))
     for m in range(1, 9):
         for K in all_series(m):
@@ -434,8 +496,8 @@ def test_check_nct_stops_at_first_failure(monkeypatch):
     # ok is decided by the first failure: C minus P is walked only up to
     # it, and reading failures runs the stream again, in full
     calls = []
-    walk = ar._syzygies
-    monkeypatch.setattr(ar, "_syzygies",
+    walk = ar._down
+    monkeypatch.setattr(ar, "_down",
                         lambda *a: calls.append(a) or walk(*a))
     v = check_nct(FAILING, 3)
     assert not v.ok

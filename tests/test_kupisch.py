@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
+from nakayama import kupisch
 from nakayama.kupisch import (
     ZERO,
     KupischError,
@@ -123,6 +125,13 @@ def test_projective_injective_maps():
             assert K.socle_vertex(K.injective_at(t)) == t
 
 
+def test_projective_injective_sets():
+    for m in range(1, 10):
+        for K in all_series(m):
+            assert K._p == {K.projective_at(t) for t in range(1, m + 1)}
+            assert K._i == {K.injective_at(t) for t in range(1, m + 1)}
+
+
 def test_downward_closure_invariant():
     rng = random.Random(1)
     for _ in range(25):
@@ -230,6 +239,24 @@ def test_long_series_builds():
 def test_parse_rejects_empty_runs():
     for text in ("2^-3,1", "2^0,1"):
         with pytest.raises(ValueError, match="run length"):
+            parse_series(text)
+
+
+def test_parse_caps_vertices(monkeypatch):
+    # the cap is checked before a run is expanded, so rejecting a huge
+    # run allocates next to nothing
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_VERTICES"):
+            parse_series("2^1000001,1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    monkeypatch.setattr(kupisch, "MAX_VERTICES", 5)
+    assert parse_series("2^4,1").m == 5
+    for text in ("2^5,1", "2,2,2,2,2,1", "2^3,2^3,1"):
+        with pytest.raises(ValueError, match="MAX_VERTICES = 5"):
             parse_series(text)
 
 
