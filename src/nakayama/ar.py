@@ -128,13 +128,17 @@ def idim(K: KupischSeries, x) -> int:
 def gldim(K: KupischSeries) -> int:
     """Global dimension: maximal projective dimension (always finite).
     The syzygy of (s - j, j) lies on co-diagonal s - j < s, so one pass
-    over the co-diagonals fills in every projective dimension."""
+    over the co-diagonals fills in every projective dimension.  The
+    value is memoized on the series, which is immutable."""
+    if K._gldim is not None:
+        return K._gldim
     u = K._u
     pds = [[0], [0]]  # pds[s][j - 1]: pd of (s - j, j), 0 at j = u(s)
     for s in range(2, K.m + 2):
         us = u[s]
         pds.append([pds[s - j][us - j - 1] + 1 for j in range(1, us)] + [0])
-    return max(map(max, pds))
+    K._gldim = g = max(map(max, pds))
+    return g
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import abutments, ar, tilting
@@ -24,6 +25,11 @@ from .kupisch import KupischError, KupischSeries, coord_from_json, \
 from .ndgen import construct, supported
 from .render import RenderSpec, render
 from .tilting import Fracture, Fracturing, is_fracture
+
+
+#: The most fractures `fractures --height` lists.  There are Catalan(h)
+#: fractures of height h, so a larger h is refused before any is built.
+MAX_FRACTURES = 10**5
 
 
 class CliError(Exception):
@@ -253,6 +259,10 @@ def cmd_fractures(args) -> int:
              f"right heights: {payload['right_heights']}"]
     if args.side is not None:
         fnd = abutments.foundation(K, args.side, args.height)
+        h = args.height
+        if math.comb(2 * h, h) // (h + 1) > MAX_FRACTURES:
+            raise CliError(f"--height {h} has Catalan({h}) fractures, more "
+                           f"than MAX_FRACTURES = {MAX_FRACTURES}")
         fractures = []
         # enumerate_tilting yields tilting modules only: no re-validation
         for cand in tilting.enumerate_tilting(args.height):

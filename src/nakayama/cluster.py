@@ -12,7 +12,8 @@ verdict re-validates all four conditions, so it is sound for any
 generation; it walks each module once per direction, one kernel call
 giving the translate and the walk length, up to the first failure, and
 lists the failures only when they are read.  check_nct checks against
-the sets of projectives and injectives that the series built.
+the sets of projectives and injectives that the series built, and
+answers in closed form for n above a memoized global dimension.
 """
 
 from __future__ import annotations
@@ -151,10 +152,27 @@ def check_fractured(K: KupischSeries, n: int, F: Fracturing,
                   set(tilting.iR_category(K, F)), candidate)
 
 
+def _nct_stream(K: KupischSeries, n: int) -> Iterator[dict]:
+    """The failure records of check_nct, from the general check."""
+    return _check(K, n, K._p, K._i, None).stream()
+
+
 def check_nct(K: KupischSeries, n: int) -> Verdict:
     """Cluster-tilting check: the fractured check with the projective
     left and injective right fracturing, whose P_L and I_R are exactly
-    the projectives and the injectives."""
+    the projectives and the injectives.
+
+    When the series has its global dimension memoized (ar.gldim) and n
+    exceeds it, the verdict needs no walk.  gldim is id of the algebra,
+    so tau_n_inv sends every projective to ZERO: the candidate is P and
+    I, the orbit is empty, and a projective that is not injective fails
+    condition 2, which only m = 1 escapes.  The failures are read from
+    the general check.  check_nct never computes gldim itself."""
+    g = K._gldim
+    if g is not None and n > g:
+        ok = K.m == 1
+        return Verdict(ok, tuple(sorted(K._p | K._i)), (),
+                       tuple if ok else functools.partial(_nct_stream, K, n))
     return _check(K, n, K._p, K._i, None)
 
 

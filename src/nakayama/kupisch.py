@@ -45,10 +45,12 @@ class KupischSeries:
     * d_{i-1} - 1 <= d_i for 2 <= i <= m,
     * d_i <= m - i + 1 (a projective cannot overshoot the sink).
 
-    Instances are immutable and hashable.
+    Instances are immutable and hashable.  ``_gldim`` memoizes
+    ``ar.gldim``; it is None until that is first called, and equality
+    and hashing ignore it.
     """
 
-    __slots__ = ("entries", "m", "_u", "_v", "_p", "_i")
+    __slots__ = ("entries", "m", "_u", "_v", "_p", "_i", "_gldim")
 
     def __init__(self, entries):
         entries = tuple(entries)
@@ -96,6 +98,7 @@ class KupischSeries:
         # diagonal
         self._p = frozenset((s - u[s], u[s]) for s in range(2, m + 2))
         self._i = frozenset((i, v[i]) for i in range(1, m + 1))
+        self._gldim = None
 
     # -- basic protocol ----------------------------------------------------
 

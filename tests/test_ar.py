@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -228,6 +229,27 @@ def test_gldim_duality():
         assert all(pd(K, x) <= g for x in K.all_modules())
         assert any(K.is_injective(x) and pd(K, x) == g
                    for x in K.all_modules())
+
+
+def test_gldim_is_injective_dimension_of_the_algebra():
+    # gldim = id of the regular module: check_nct's closed form for n
+    # above gldim rests on it
+    rng = random.Random(12)
+    series = [K for m in range(1, 10) for K in all_series(m)]
+    series += [random_series(rng, 40) for _ in range(300)]
+    for K in series:
+        assert gldim(K) == max(idim(K, p) for p in K.projectives()), K
+
+
+def test_gldim_memo_is_invisible():
+    for entries in ([1], [3, 2, 1], GLUED.entries):
+        K, fresh = KupischSeries(entries), KupischSeries(entries)
+        assert pickle.loads(pickle.dumps(K))._gldim is None
+        g = gldim(K)
+        assert gldim(K) == g == gldim(KupischSeries(entries))
+        assert K == fresh and hash(K) == hash(fresh)
+        back = pickle.loads(pickle.dumps(K))
+        assert back == K and back._gldim == g and gldim(back) == g
 
 
 def test_ar_quiver():

@@ -207,6 +207,20 @@ def test_vertex_cap(capsys):
     assert "MAX_VERTICES" in err
 
 
+def test_fracture_cap(capsys, monkeypatch):
+    # Catalan(h) fractures of height h: a height whose count exceeds
+    # MAX_FRACTURES exits 2 before any fracture is built
+    from nakayama import cli
+    monkeypatch.setattr(cli, "MAX_FRACTURES", 100)
+    argv = ("fractures", "--kupisch", "6,5,4,3,2,1", "--side", "left")
+    code, err = input_error(capsys, *argv, "--height", "6")  # Catalan 132
+    assert code == 2
+    assert err.startswith("error: --height 6 has Catalan(6) fractures")
+    assert "MAX_FRACTURES = 100" in err
+    code, out = run(capsys, *argv, "--height", "5", "--json")  # Catalan 42
+    assert code == 0 and len(json.loads(out)["fractures"]) == 42
+
+
 def test_fracturing_not_an_object(capsys):
     code, err = input_error(capsys, "check-fractured", "--kupisch",
                             "5,5,4^7,3,2,1", "--n", "2",

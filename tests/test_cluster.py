@@ -375,13 +375,17 @@ def test_check_fractured_against_oracle():
 
 def test_check_nct_equals_fractured_check():
     # check_nct passes the projectives and injectives in place of the
-    # projective/injective fracturing: the same verdict, byte for byte
+    # projective/injective fracturing: the same verdict, byte for byte,
+    # also in closed form on a series whose gldim is memoized
     for m in range(1, 9):
         for K in all_series(m):
             F = projective_injective_fracturing(K)
-            for n in range(1, m + 1):
-                assert check_nct(K, n).to_json() == \
-                    check_fractured(K, n, F).to_json()
+            known = KupischSeries(K.entries)
+            ar.gldim(known)
+            for n in range(1, m + 2):
+                v, w = check_nct(K, n), check_nct(known, n)
+                assert v == w and v.to_json() == w.to_json() == \
+                    check_fractured(K, n, F).to_json(), (K, n)
 
 
 def test_classify_sides_against_canonical_fractures():
@@ -406,9 +410,8 @@ def test_classify_sides_against_canonical_fractures():
                         == honest
 
 
-def test_check_nct_walks_each_module_once(monkeypatch):
-    # generation and verdict share one (co)syzygy walk per module and
-    # direction
+def record_walks(monkeypatch):
+    """A list that gets (name, x) for each call of ar._down and ar._up."""
     walked = []
 
     def recording(name):
@@ -421,6 +424,13 @@ def test_check_nct_walks_each_module_once(monkeypatch):
 
     for name in ("_down", "_up"):
         monkeypatch.setattr(ar, name, recording(name))
+    return walked
+
+
+def test_check_nct_walks_each_module_once(monkeypatch):
+    # generation and verdict share one (co)syzygy walk per module and
+    # direction
+    walked = record_walks(monkeypatch)
     for m in range(1, 9):
         for K in all_series(m):
             for n in range(1, m + 1):
@@ -428,6 +438,23 @@ def test_check_nct_walks_each_module_once(monkeypatch):
                 check_nct(K, n)
                 assert walked, (K, n)
                 assert len(walked) == len(set(walked)), (K, n)
+
+
+def test_check_nct_closed_form_walks_nothing(monkeypatch):
+    # above a memoized gldim the verdict takes no walk; its failures
+    # come from the general check when they are read
+    walked = record_walks(monkeypatch)
+    for m in range(1, 8):
+        for K in all_series(m):
+            g = ar.gldim(K)
+            for n in range(g + 1, m + 2):
+                walked.clear()
+                v = check_nct(K, n)
+                assert not walked and v.ok == (m == 1) and not v.orbit
+                back = pickle.loads(pickle.dumps(v))
+                assert not walked
+                assert (v.failures == ()) == (m == 1) == (not walked)
+                assert back == v and back.to_json() == v.to_json()
 
 
 def test_complete_slice_worked_chain():

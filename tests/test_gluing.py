@@ -60,6 +60,25 @@ def test_glue_associative():
     assert lhs == rhs == parse_series("5^8,4,3^6,2^4,1")
 
 
+def test_glue_associative_random_triples():
+    rng = random.Random(16)
+    compared = 0
+    for _ in range(200):
+        C, B, A = (random_series(rng, 9) for _ in range(3))
+        h1 = rng.choice(sorted(left_abutment_heights(B) &
+                               right_abutment_heights(C)))
+        h2 = rng.choice(sorted(left_abutment_heights(A) &
+                               right_abutment_heights(B)))
+        try:
+            lhs = glue(C, glue(B, A, h2).result, h1).result
+            rhs = glue(glue(C, B, h1).result, A, h2).result
+        except ValueError:
+            continue
+        assert lhs == rhs, (C, B, A, h1, h2)
+        compared += 1
+    assert compared >= 100
+
+
 def test_remaining_abutment_heights():
     # left heights of the gluing contain those of the suffix algebra
     rng = random.Random(14)
