@@ -11,9 +11,11 @@ inverse higher translate and adjoining the fractured injectives; the
 verdict re-validates all four conditions, so it is sound for any
 generation; it walks each module once per direction, one kernel call
 giving the translate and the walk length, up to the first failure, and
-lists the failures only when they are read.  check_nct checks against
-the sets of projectives and injectives that the series built, and
-answers in closed form for n above a memoized global dimension.
+lists the failures only when they are read.  A check merges its
+candidate from two sorted runs instead of sorting a set.  check_nct
+checks against the sorted projectives and injectives, and their sets,
+that the series built, and answers in closed form for n above a
+memoized global dimension.
 """
 
 from __future__ import annotations
@@ -62,15 +64,29 @@ def _fail(condition: int, coord, detail: str) -> dict:
             "detail": detail}
 
 
+_NO_WALK = (ZERO, 0)
+
+
 def _closure(K: KupischSeries, n: int, seed) -> Dict[Coord, Tuple]:
     """Close seed under the inverse higher translate (dropping ZERO); map
-    each module x of the closure to (tau_n_inv x, its cosyzygy count)."""
+    each module x of the closure to (tau_n_inv x, its cosyzygy count).
+    An injective's walk is (ZERO, 0) for every n, so it takes no call."""
     walks: Dict[Coord, Tuple] = {}
+    inj, up = K._i, ar._up
     for x in seed:  # follow the tau_n^- orbit of x until it is known
         while x is not ZERO and x not in walks:
-            walks[x] = w = ar._up(K, x, n - 1)
+            if x in inj:
+                walks[x] = _NO_WALK
+                break
+            walks[x] = w = up(K, x, n - 1)
             x = w[0]
     return walks
+
+
+def _merged(rest: List[Coord], ir) -> Tuple[Coord, ...]:
+    """The union of the disjoint sorted sequences rest and ir, sorted:
+    timsort finds the two runs and merges them."""
+    return tuple(sorted(rest + list(ir)))
 
 
 def generate_candidate(K: KupischSeries, n: int,
@@ -109,26 +125,31 @@ def _stream(K: KupischSeries, n: int, pl, cand, up,
                 for y, (_, k) in up.items() if k < n - 1)
 
 
-def _check(K: KupischSeries, n: int, pl, ir, candidate) -> Verdict:
-    """check_fractured, given the sets P_L (pl) and I_R (ir)."""
+def _check(K: KupischSeries, n: int, pl, pls, ir, irs,
+           candidate) -> Verdict:
+    """check_fractured, given P_L and I_R as sorted sequences (pl, ir)
+    and as sets (pls, irs)."""
     ar._check_order(n)
     if candidate is None:
         # every module of C minus I_R is in the closure: reuse its walks;
-        # the closure contains its seed P_L, so condition 1 cannot fail
-        walks = _closure(K, n, pl)
-        cset = walks.keys() | ir
+        # the closure contains its seed P_L, so condition 1 cannot fail.
+        # The closure is closed under tau_n^-, so an image is in C
+        # exactly when it is in the closure.
+        cset = walks = _closure(K, n, pl)
+        rest = sorted([y for y in walks if y not in irs])
+        cand = _merged(rest, ir)
+        up = {y: walks[y] for y in rest}
         missing = ()
     else:
         cset = {K.check_exists(x) for x in candidate}
-        walks = {y: ar._up(K, y, n - 1) for y in cset if y not in ir}
-        missing = sorted(pl.difference(cset))
-    cand = tuple(sorted(cset))
-    # the keys of up are C minus I_R, in sorted order
-    up = {y: walks[y] for y in cand if y not in ir}
+        cand = tuple(sorted(cset))
+        up = {y: ar._up(K, y, n - 1) for y in cand if y not in irs}
+        missing = sorted(pls.difference(cset))
+    # the keys of up are C minus I_R, in sorted order; the orbit is
     # (x, tau_n_inv x) for x in C minus I_R with tau_n_inv x in C minus P_L
     orbit = tuple((y, x) for y, (x, _) in up.items()
-                  if x in cset and x not in pl)
-    stream = functools.partial(_stream, K, n, pl, cand, up, missing)
+                  if x in cset and x not in pls)
+    stream = functools.partial(_stream, K, n, pls, cand, up, missing)
     ok = next(stream(), None) is None  # builds the first record only
     return Verdict(ok, cand, orbit, tuple if ok else stream)
 
@@ -148,13 +169,13 @@ def check_fractured(K: KupischSeries, n: int, F: Fracturing,
        nonzero up to order n-1,
     4. cosyzygies dually.
     """
-    return _check(K, n, set(tilting.pL_category(K, F)),
-                  set(tilting.iR_category(K, F)), candidate)
+    pl, ir = tilting.pL_category(K, F), tilting.iR_category(K, F)
+    return _check(K, n, pl, set(pl), ir, set(ir), candidate)
 
 
 def _nct_stream(K: KupischSeries, n: int) -> Iterator[dict]:
     """The failure records of check_nct, from the general check."""
-    return _check(K, n, K._p, K._i, None).stream()
+    return _check(K, n, K._pseq, K._p, K._iseq, K._i, None).stream()
 
 
 def check_nct(K: KupischSeries, n: int) -> Verdict:
@@ -171,9 +192,10 @@ def check_nct(K: KupischSeries, n: int) -> Verdict:
     g = K._gldim
     if g is not None and n > g:
         ok = K.m == 1
-        return Verdict(ok, tuple(sorted(K._p | K._i)), (),
+        cand = _merged([x for x in K._pseq if x not in K._i], K._iseq)
+        return Verdict(ok, cand, (),
                        tuple if ok else functools.partial(_nct_stream, K, n))
-    return _check(K, n, K._p, K._i, None)
+    return _check(K, n, K._pseq, K._p, K._iseq, K._i, None)
 
 
 def classify_sides(K: KupischSeries, n: int, F: Fracturing,

@@ -15,6 +15,7 @@ and (co)syzygy chains can saturate without exceptions.
 from __future__ import annotations
 
 from itertools import groupby
+from operator import sub
 from typing import Optional, Tuple
 
 Coord = Tuple[int, int]
@@ -50,7 +51,8 @@ class KupischSeries:
     and hashing ignore it.
     """
 
-    __slots__ = ("entries", "m", "_u", "_v", "_p", "_i", "_gldim")
+    __slots__ = ("entries", "m", "_u", "_v", "_pseq", "_iseq", "_p", "_i",
+                 "_gldim")
 
     def __init__(self, entries):
         entries = tuple(entries)
@@ -80,9 +82,11 @@ class KupischSeries:
                     f"d_{i} - 1 = {entries[i - 1] - 1} > d_{i + 1} = {entries[i]}")
         self.entries = entries
         self.m = m
-        # max module length per co-diagonal s = i + j, indexed by s >= 2
-        self._u = u = (0, 0) + tuple(min(entries[m - s + 1], s - 1)
-                                     for s in range(2, m + 2))
+        # max module length per co-diagonal s = i + j, indexed by s >= 2:
+        # the projective with top m - s + 2, whose length d <= s - 1 by
+        # the overflow check
+        rev = entries[::-1]
+        self._u = (0, 0) + rev
         # max module length per diagonal i = m - t + 1, indexed by i >= 1:
         # the injective with socle t has as top the least vertex r whose
         # projective reaches t.  The reach r + d_r - 1 never decreases
@@ -94,10 +98,14 @@ class KupischSeries:
                 r += 1
             v[m - t + 1] = t - r + 1
         self._v = tuple(v)
-        # the projectives, one per co-diagonal; the injectives, one per
-        # diagonal
-        self._p = frozenset((s - u[s], u[s]) for s in range(2, m + 2))
-        self._i = frozenset((i, v[i]) for i in range(1, m + 1))
+        # the projectives, one per co-diagonal, and the injectives, one
+        # per diagonal, in sorted order and as sets.  The diagonal
+        # s - u(s) of the projective on co-diagonal s never decreases
+        # (Kupisch step), and where it stays, u(s) grows by one.
+        self._pseq = tuple(zip(map(sub, range(2, m + 2), rev), rev))
+        self._iseq = tuple(zip(range(1, m + 1), v[1:]))
+        self._p = frozenset(self._pseq)
+        self._i = frozenset(self._iseq)
         self._gldim = None
 
     # -- basic protocol ----------------------------------------------------
@@ -194,11 +202,11 @@ class KupischSeries:
 
     def projectives(self):
         """The projectives, one on each co-diagonal, in sorted order."""
-        return sorted(self._p)
+        return list(self._pseq)
 
     def injectives(self):
         """The injectives, one on each diagonal, in sorted order."""
-        return sorted(self._i)
+        return list(self._iseq)
 
     # -- presentation and duality -------------------------------------------
 

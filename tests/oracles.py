@@ -10,6 +10,7 @@ maps by factoring composites, and the translation by the mesh property.
 None of it consults the closed-form coordinate arithmetic under test.
 """
 
+import functools
 from fractions import Fraction
 from itertools import combinations
 
@@ -130,6 +131,13 @@ def minimal_relations_oracle(K: KupischSeries):
 
 def is_module(K: KupischSeries, rep: IntervalRep) -> bool:
     """All relation paths act as zero on the representation."""
+    return _is_module(K, rep.lo, rep.hi)
+
+
+@functools.lru_cache(maxsize=None)
+def _is_module(K: KupischSeries, lo, hi) -> bool:
+    # memoized per (series, interval): the sweeps ask again and again
+    rep = IntervalRep(K.m, lo, hi)
     for (a, b) in relations(K):
         mat = rep.path_map(a, b)
         if any(any(x != 0 for x in row) for row in mat):

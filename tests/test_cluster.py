@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from nakayama import ar
+from nakayama import ar, cluster
 from nakayama.cluster import (
     check_fractured,
     check_nct,
@@ -429,15 +429,30 @@ def record_walks(monkeypatch):
 
 def test_check_nct_walks_each_module_once(monkeypatch):
     # generation and verdict share one (co)syzygy walk per module and
-    # direction
+    # direction, and an injective takes no cosyzygy walk
     walked = record_walks(monkeypatch)
     for m in range(1, 9):
         for K in all_series(m):
             for n in range(1, m + 1):
                 walked.clear()
                 check_nct(K, n)
-                assert walked, (K, n)
+                assert not any(name == "_up" and x in K._i
+                               for name, x in walked), (K, n)
                 assert len(walked) == len(set(walked)), (K, n)
+
+
+def test_closure_skips_injectives_with_their_walks():
+    # the closure stores (ZERO, 0) for an injective without walking it:
+    # that is the walk the kernel gives, for every n
+    for m in range(1, 8):
+        for K in all_series(m):
+            for n in range(1, m + 2):
+                walks = cluster._closure(K, n, K.all_modules())
+                assert walks.keys() == set(K.all_modules())
+                for x, w in walks.items():
+                    assert w == ar._up(K, x, n - 1), (K, n, x)
+                for x in K._iseq:
+                    assert walks[x] == (None, 0), (K, n, x)
 
 
 def test_check_nct_closed_form_walks_nothing(monkeypatch):

@@ -132,6 +132,21 @@ def test_projective_injective_sets():
             assert K._i == {K.injective_at(t) for t in range(1, m + 1)}
 
 
+def test_tables_against_formulas():
+    # u(s) is min(d_{m-s+2}, s - 1); the projectives and injectives are
+    # kept sorted, as the sorted sets
+    rng = random.Random(13)
+    series = [K for m in range(1, 10) for K in all_series(m)]
+    series += [random_series(rng, 40) for _ in range(300)]
+    for K in series:
+        e, m = K.entries, K.m
+        assert K._u == (0, 0) + tuple(min(e[m - s + 1], s - 1)
+                                      for s in range(2, m + 2)), K
+        assert K._pseq == tuple(sorted(K._p)), K
+        assert K._iseq == tuple(sorted(K._i)), K
+        assert len(K._pseq) == len(K._iseq) == m, K
+
+
 def test_downward_closure_invariant():
     rng = random.Random(1)
     for _ in range(25):
