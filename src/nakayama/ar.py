@@ -18,8 +18,7 @@ one-line formulas.  The zero module absorbs every operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .kupisch import ZERO, Coord, KupischSeries, coord_to_json
 
@@ -141,8 +140,7 @@ def gldim(K: KupischSeries) -> int:
     return g
 
 
-@dataclass(frozen=True)
-class ARQuiver:
+class ARQuiver(NamedTuple):
     """The Auslander-Reiten quiver: vertices, irreducible-map arrows and
     the translation as a partial map on coordinates."""
 

@@ -2,10 +2,12 @@
 
 Exit codes: 0 for a passing check, 1 for a failing check, 2 for usage
 or input errors.  Kupisch series are written in run-length syntax, e.g.
-``2^6,3^13,2^3,1``; ``--kupisch -`` reads one series per line from
-stdin in batch mode, where a line that is not a series, or whose
-``ar-quiver`` lacks a ``--highlight`` vertex, gets an error record and
-the batch goes on.  ``--json`` switches to machine-readable output.
+``2^6,3^13,2^3,1``.  For ``validate``, ``ar-quiver`` and
+``check-nct``, ``--kupisch -`` reads one series per line from stdin in
+batch mode, where a line that is not a series, or whose ``ar-quiver``
+lacks a ``--highlight`` vertex, gets an error record and the batch goes
+on; the other commands refuse ``-`` by name.  ``--json`` switches to
+machine-readable output.
 """
 
 from __future__ import annotations
@@ -44,6 +46,14 @@ def _series_arg(text: str) -> KupischSeries:
         return parse_series(text)
     except (ValueError, KeyError) as exc:
         raise CliError(f"bad Kupisch series {text!r}: {exc}") from exc
+
+
+def _one_series(text: str) -> KupischSeries:
+    """The series of a command that takes one: `-` is refused by name."""
+    if text.strip() == "-":
+        raise CliError("--kupisch - reads a batch from stdin only for "
+                       "validate, ar-quiver and check-nct")
+    return _series_arg(text)
 
 
 def _series_inputs(arg: str):
@@ -155,7 +165,7 @@ def cmd_check_nct(args) -> int:
 
 
 def cmd_check_fractured(args) -> int:
-    K = _series_arg(args.kupisch)
+    K = _one_series(args.kupisch)
     if args.fracturing:
         data = _json_arg("--fracturing", args.fracturing)
         if not isinstance(data, dict):
@@ -244,7 +254,7 @@ def cmd_fractures(args) -> int:
         raise CliError(f"--side {args.side} needs --height")
     if args.height is not None and args.side is None:
         raise CliError(f"--height {args.height} needs --side")
-    K = _series_arg(args.kupisch)
+    K = _one_series(args.kupisch)
     payload = {
         "kupisch": list(K.entries),
         "left_heights": sorted(abutments.left_abutment_heights(K)),
@@ -289,18 +299,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "AR quivers, gluing, fractures and n-cluster-tilting.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def series_opt(sp, required=True):
-        sp.add_argument("--kupisch", required=required,
-                        help="series like 2,3,3,1 or 2^6,3^13,1; - for stdin")
+    def series_opt(sp, batch):
+        sp.add_argument("--kupisch", required=True,
+                        help="series like 2,3,3,1 or 2^6,3^13,1"
+                             + ("; - for stdin" if batch else ""))
         sp.add_argument("--json", action="store_true",
                         help="machine-readable output")
 
     sp = sub.add_parser("validate", help="validate a Kupisch series")
-    series_opt(sp)
+    series_opt(sp, batch=True)
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("ar-quiver", help="render the AR quiver")
-    series_opt(sp)
+    series_opt(sp, batch=True)
     sp.add_argument("--format", default="ascii",
                     choices=["ascii", "dot", "tikz", "json"])
     sp.add_argument("--labels", default="coords",
@@ -309,12 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_ar_quiver)
 
     sp = sub.add_parser("check-nct", help="n-cluster-tilting check")
-    series_opt(sp)
+    series_opt(sp, batch=True)
     sp.add_argument("--n", type=int, required=True)
     sp.set_defaults(func=cmd_check_nct)
 
     sp = sub.add_parser("check-fractured", help="fractured subcategory check")
-    series_opt(sp)
+    series_opt(sp, batch=False)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--fracturing",
                     help='JSON {"TL": {...}, "TR": {...}}; defaults to the '
@@ -355,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fractures",
                         help="list abutment heights and enumerate fractures")
-    series_opt(sp)
+    series_opt(sp, batch=False)
     sp.add_argument("--side", choices=["left", "right"])
     sp.add_argument("--height", type=int)
     sp.set_defaults(func=cmd_fractures)

@@ -21,8 +21,9 @@ memoized global dimension.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, \
+    Tuple
 
 from . import abutments, ar, tilting
 from .gluing import Glued, glue
@@ -31,23 +32,52 @@ from .kupisch import ZERO, Coord, KupischSeries, coord_to_json, lambda_mh, \
 from .tilting import Fracture, Fracturing
 
 
-@dataclass(frozen=True)
 class Verdict:
     """Outcome of a check.  stream() yields the failure records afresh;
-    failures collects them on first read.  == compares ok, candidate, orbit."""
+    failures collects them on first read.  == compares ok, candidate, orbit.
+    The fields are read-only."""
 
-    ok: bool
-    candidate: Tuple[Coord, ...]
-    orbit: Tuple[Tuple[Coord, Coord], ...]  # (x, tau_n_inv x) pairs
-    stream: Callable[[], Iterator[dict]] = field(
-        default=tuple, repr=False, compare=False)
+    __slots__ = ("_ok", "_candidate", "_orbit", "_stream", "_failures")
 
-    @functools.cached_property
+    def __init__(self, ok: bool, candidate: Tuple[Coord, ...],
+                 orbit: Tuple[Tuple[Coord, Coord], ...],  # (x, tau_n_inv x)
+                 stream: Callable[[], Iterator[dict]] = tuple):
+        self._ok = ok
+        self._candidate = candidate
+        self._orbit = orbit
+        self._stream = stream
+
+    ok = property(attrgetter("_ok"))
+    candidate = property(attrgetter("_candidate"))
+    orbit = property(attrgetter("_orbit"))
+    stream = property(attrgetter("_stream"))
+
+    @property
     def failures(self) -> Tuple[dict, ...]:
-        return tuple(self.stream())
+        try:
+            return self._failures
+        except AttributeError:
+            self._failures = failures = tuple(self._stream())
+            return failures
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._ok, self._candidate, self._orbit) == \
+            (other._ok, other._candidate, other._orbit)
+
+    def __hash__(self):
+        return hash((self._ok, self._candidate, self._orbit))
+
+    def __repr__(self):
+        return (f"Verdict(ok={self._ok!r}, candidate={self._candidate!r}, "
+                f"orbit={self._orbit!r})")
+
+    def __reduce__(self):  # any protocol; failures are read again
+        return Verdict, (self._ok, self._candidate, self._orbit, self._stream)
 
     def __bool__(self):
-        return self.ok
+        return self._ok
 
     def to_json(self) -> dict:
         return {
@@ -214,8 +244,7 @@ def classify_sides(K: KupischSeries, n: int, F: Fracturing,
     return {"left_nct": left, "right_nct": right, "nct": left and right}
 
 
-@dataclass(frozen=True)
-class CompatReport:
+class CompatReport(NamedTuple):
     compatible: bool
     level_ok: bool  # whether the glue height dominates both fracture levels
 
@@ -304,8 +333,7 @@ def glue_fractured(b_side: Tuple[KupischSeries, Fracturing],
 
 # -- slice completion ------------------------------------------------------
 
-@dataclass
-class CompletionStep:
+class CompletionStep(NamedTuple):
     kind: str  # "base", "staircase", "glue"
     a: Optional[KupischSeries] = None
     b: Optional[KupischSeries] = None

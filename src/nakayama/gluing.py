@@ -11,15 +11,13 @@ identified foundations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import abutments, ar
 from .kupisch import ZERO, KupischSeries, coord_to_json
 
 
-@dataclass(frozen=True)
-class Glued:
+class Glued(NamedTuple):
     """A glued algebra with its coordinate embeddings."""
 
     result: KupischSeries
@@ -72,8 +70,7 @@ def glue(B: KupischSeries, A: KupischSeries, h: int) -> Glued:
     return Glued(KupischSeries(entries), h, A, B)
 
 
-@dataclass(frozen=True)
-class GlueReport:
+class GlueReport(NamedTuple):
     ok: bool
     failure: Optional[str] = None
 

@@ -15,10 +15,9 @@ family parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
-from . import ar
+from . import ar, kupisch
 from .cluster import Verdict, check_nct
 from .gluing import glue
 from .kupisch import KupischSeries, lambda_mh
@@ -100,6 +99,39 @@ def extend_by_n(K: KupischSeries, n: int) -> KupischSeries:
     return result
 
 
+def _base_size(n: int, r: int) -> Tuple[int, int]:
+    """Length and global dimension of the base family member that
+    construct starts from for a residue 0 < r < n, in closed form, so
+    that nothing is built."""
+    if n % 2 == 1:
+        d = n + r
+        if d % 2 == 0:
+            m = 2 * r + 3 * (n - d // 2) + 1
+        elif d == 2 * n - 1:
+            m = n - 1 + 3 * (n + 1) // 2
+        else:  # both runs 3^2..h^(h-1), h^h..3^3 hold h^2 - 4; 2^3,1 four
+            h = n - (d - 1) // 2
+            m = r + h * h + (r // 2) * (h + 1) + 2 * h
+        return m, d
+    if r % 2 == 0:
+        return 2 * r + 3 * (n - r) // 2 + 1, n + r
+    if r != n - 1:
+        return 2 * r + 3 * (n - (r + 1) // 2) + 2, 2 * n + r
+    return 9 * n // 2, 2 * n + r
+
+
+def _held(n: int, d: int) -> int:
+    """Entries that construct(n, d) holds in its final series and its
+    trace, which keeps the start series and a copy after each of the k
+    extensions."""
+    r = d % n
+    if r == 0:
+        return 2 * (d + 1)
+    m, g = _base_size(n, r)
+    k = (d - g) // n
+    return m * (k + 2) + n * k * (k + 3) // 2
+
+
 def supported(n: int, d: int) -> bool:
     """Pairs covered by the construction: every d >= n for odd n; for
     even n the even d >= n and every d >= 2n."""
@@ -110,8 +142,7 @@ def supported(n: int, d: int) -> bool:
     return d % 2 == 0 or d >= 2 * n
 
 
-@dataclass(frozen=True)
-class NdCertificate:
+class NdCertificate(NamedTuple):
     n: int
     d: int
     kupisch: KupischSeries
@@ -135,9 +166,15 @@ class NdCertificate:
 def construct(n: int, d: int) -> NdCertificate:
     """Build and fully verify an algebra of global dimension d with an
     n-cluster-tilting subcategory.  Raises ValueError on unsupported
-    pairs."""
+    pairs, and before building anything if the series and its trace
+    would hold more than MAX_VERTICES entries."""
     if not supported(n, d):
         raise ValueError(f"pair (n, d) = ({n}, {d}) is not supported")
+    held = _held(n, d)
+    if held > kupisch.MAX_VERTICES:
+        raise ValueError(f"construct({n}, {d}) would hold {held} entries in "
+                         f"its series and trace, more than MAX_VERTICES = "
+                         f"{kupisch.MAX_VERTICES}")
     trace: List[dict] = []
     residue = d % n
     if residue == 0:

@@ -8,15 +8,13 @@ ones; the translation is drawn dotted.  Output is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .ar import ARQuiver
 from .kupisch import Coord
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(NamedTuple):
     format: str = "ascii"  # ascii | dot | tikz | json
     highlight: Sequence[Coord] = ()
     labels: str = "coords"  # coords | dims | none

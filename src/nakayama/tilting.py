@@ -17,9 +17,8 @@ fracture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from . import abutments
 from .kupisch import ZERO, Coord, KupischSeries, coord_to_json
@@ -155,8 +154,7 @@ def dual_slice_indices(h: int, indices) -> Tuple[int, ...]:
     return tuple(h + 2 - i - k for k, i in enumerate(indices, 1))
 
 
-@dataclass(frozen=True)
-class Fracture:
+class Fracture(NamedTuple):
     """A tilting replacement for the (co)composition series of an abutment."""
 
     side: str  # "left" or "right"
@@ -227,8 +225,7 @@ def injective_fracture(K: KupischSeries) -> Fracture:
                      [(K.m - j + 1, j) for j in range(h, 0, -1)])
 
 
-@dataclass(frozen=True)
-class Fracturing:
+class Fracturing(NamedTuple):
     """One fracture per maximal abutment; over a Kupisch series there is
     exactly one on each side, so a pair."""
 

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 
@@ -219,6 +220,40 @@ def test_fracture_cap(capsys, monkeypatch):
     assert "MAX_FRACTURES = 100" in err
     code, out = run(capsys, *argv, "--height", "5", "--json")  # Catalan 42
     assert code == 0 and len(json.loads(out)["fractures"]) == 42
+
+
+def test_construct_nd_cap(capsys):
+    # 3*10^6 + 1 vertices: exit 2 with a named error, before any is built
+    argv = ("construct-nd", "--n", "3", "--d", "3000000")
+    code, err = input_error(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: construct(3, 3000000) would hold 6000002 ")
+    assert "MAX_VERTICES = 1000000" in err
+    code, out = run(capsys, *argv, "--json")
+    assert code == 2 and "MAX_VERTICES" in json.loads(out)["error"]
+
+
+SINGLE = (("check-fractured", "--n", "2"), ("fractures",))
+BATCH = ("validate", "ar-quiver", "check-nct")
+
+
+def test_single_input_commands_refuse_stdin(capsys, monkeypatch):
+    for argv in SINGLE:
+        monkeypatch.setattr("sys.stdin", io.StringIO("2,2,1\n"))
+        code, err = input_error(capsys, argv[0], "--kupisch", "-", *argv[1:])
+        assert code == 2
+        assert err == ("error: --kupisch - reads a batch from stdin only "
+                       "for validate, ar-quiver and check-nct\n")
+        assert sys.stdin.read() == "2,2,1\n"  # stdin is left unread
+        code, out = run(capsys, argv[0], "--kupisch", "-", *argv[1:], "--json")
+        assert code == 2 and json.loads(out)["error"].startswith("--kupisch -")
+
+
+def test_help_names_stdin_for_batch_commands_only(capsys):
+    for command in BATCH + tuple(argv[0] for argv in SINGLE):
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("- for stdin" in text) == (command in BATCH), command
 
 
 def test_fracturing_not_an_object(capsys):

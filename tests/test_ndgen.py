@@ -1,6 +1,6 @@
 import pytest
 
-from nakayama import ar
+from nakayama import ar, kupisch
 from nakayama.cluster import check_nct
 from nakayama.kupisch import lambda_mh, parse_series
 from nakayama.ndgen import (
@@ -153,3 +153,30 @@ def test_construct_matches_repeated_extension():
             cert = construct(n, d)
             assert cert.kupisch == K, (n, d)
             assert list(cert.trace) == trace, (n, d)
+
+
+def test_construct_cap_counts_series_and_trace(monkeypatch):
+    # the cap is exact: a cap one below the entries that the final series
+    # and its trace hold is refused before anything is built
+    for n in range(1, 8):
+        for d in range(n, 31):
+            if not supported(n, d):
+                continue
+            cert = construct(n, d)
+            held = cert.kupisch.m + sum(len(step["series"]["kupisch"])
+                                        for step in cert.trace)
+            monkeypatch.setattr(kupisch, "MAX_VERTICES", held - 1)
+            with pytest.raises(ValueError,
+                               match=f"would hold {held} entries .* "
+                                     f"MAX_VERTICES = {held - 1}$"):
+                construct(n, d)
+            monkeypatch.undo()
+
+
+def test_construct_refuses_a_large_d_at_once():
+    # a chain of 3*10^6 + 1 vertices, and the quadratic trace of many
+    # extensions (n = 2, d odd; n = 3, d = 10^4), are refused by the cap
+    for n, d in ((3, 3 * 10**6), (2, 2 * 10**5 + 1), (3, 10**4)):
+        with pytest.raises(ValueError, match="MAX_VERTICES = 1000000"):
+            construct(n, d)
+    assert construct(2, 239).gldim == 239  # the benchmark's d <= 240 passes
