@@ -48,11 +48,11 @@ def _series_arg(text: str) -> KupischSeries:
         raise CliError(f"bad Kupisch series {text!r}: {exc}") from exc
 
 
-def _one_series(text: str) -> KupischSeries:
+def _one_series(text: str, option: str = "--kupisch") -> KupischSeries:
     """The series of a command that takes one: `-` is refused by name."""
     if text.strip() == "-":
-        raise CliError("--kupisch - reads a batch from stdin only for "
-                       "validate, ar-quiver and check-nct")
+        raise CliError(f"{option} - reads a batch from stdin only for "
+                       f"validate, ar-quiver and check-nct")
     return _series_arg(text)
 
 
@@ -190,8 +190,8 @@ def cmd_check_fractured(args) -> int:
 
 
 def cmd_glue(args) -> int:
-    B = _series_arg(args.b)
-    A = _series_arg(args.a)
+    B = _one_series(args.b, "--b")
+    A = _one_series(args.a, "--a")
     g = glue(B, A, args.height)
     payload = g.to_json()
     if args.check:

@@ -20,8 +20,9 @@ from typing import Optional, Tuple
 
 Coord = Tuple[int, int]
 
-#: The most vertices parse_series accepts, checked before a run is
-#: expanded, so that a short run-length text cannot claim unbounded memory.
+#: The most vertices parse_series and lambda_mh accept, checked before a
+#: run is expanded, so that a short text or a pair of integers cannot
+#: claim unbounded memory.
 MAX_VERTICES = 10**6
 
 #: The zero module.  Serialized as JSON null.
@@ -48,7 +49,8 @@ class KupischSeries:
 
     Instances are immutable and hashable.  ``_gldim`` memoizes
     ``ar.gldim``; it is None until that is first called, and equality
-    and hashing ignore it.
+    and hashing ignore it.  A pickle holds the entries and ``_gldim``
+    only; unpickling builds the tables again.
     """
 
     __slots__ = ("entries", "m", "_u", "_v", "_pseq", "_iseq", "_p", "_i",
@@ -121,6 +123,12 @@ class KupischSeries:
 
     def __len__(self):
         return self.m
+
+    def __reduce__(self):
+        return KupischSeries, (self.entries,), self._gldim
+
+    def __setstate__(self, gldim):
+        self._gldim = gldim
 
     # -- depth profiles ----------------------------------------------------
 
@@ -273,6 +281,9 @@ def lambda_mh(m: int, h: int) -> KupischSeries:
         raise ValueError(f"need 1 <= h <= m, got (m, h) = ({m}, {h})")
     if h == 1 and m > 1:
         raise ValueError("radical-square-zero with h = 1 forces m = 1")
+    if m > MAX_VERTICES:
+        raise ValueError(f"lambda_mh({m}, {h}) has more than MAX_VERTICES = "
+                         f"{MAX_VERTICES} vertices")
     return KupischSeries([h] * (m - h + 1) + list(range(h - 1, 0, -1)))
 
 

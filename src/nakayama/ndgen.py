@@ -9,8 +9,10 @@ from a base family member with gldim congruent to d mod n and are
 extended by gluing radical-square-zero chains below the source
 injective, which adds exactly n to the global dimension.
 
-All claimed dimensions are recomputed; nothing is trusted from the
-family parameters.
+Each base family row is written once, as (entry, count) runs with its
+global dimension, which only sets the number of extensions.  All claimed
+dimensions are recomputed on the final series; nothing is trusted from
+the table.
 """
 
 from __future__ import annotations
@@ -30,6 +32,42 @@ def chain_algebra(n: int, k: int) -> KupischSeries:
     return lambda_mh(k * n + 1, 2)
 
 
+def _row(n: int, r: int) -> Tuple[List[Tuple[int, int]], int]:
+    """The base family member that construct starts from for a residue
+    0 < r < n, base_family_odd(n, n + r) for odd n and
+    base_family_even(n, r) for even n, as its runs of (entry, count)
+    with its global dimension.  The runs are O(n), whatever the length."""
+    if n % 2 == 1:
+        d = n + r
+        if d % 2 == 0:
+            return [(2, r), (3, 3 * (n - d // 2) - 1), (2, r + 1), (1, 1)], d
+        if d == 2 * n - 1:
+            return [(2, r), (3, 3 * (n + 1) // 2 - 2), (2, 1), (1, 1)], d
+        h = n - (d - 1) // 2
+        return [(2, r)] + [(k, k - 1) for k in range(3, h + 1)] \
+            + [(h + 1, (r // 2) * (h + 1) + 2 * h)] \
+            + [(k, k) for k in range(h, 2, -1)] + [(2, 3), (1, 1)], d
+    if r % 2 == 0:
+        return [(2, r), (3, 3 * (n - r) // 2 - 1), (2, r + 1), (1, 1)], n + r
+    if r != n - 1:
+        return [(2, r), (3, 3 * (n - (r + 1) // 2)), (2, r + 1), (1, 1)], \
+            2 * n + r
+    return [(3, 9 * n // 2 - 2), (2, 1), (1, 1)], 2 * n + r
+
+
+def _build(name: str, n: int, r: int) -> KupischSeries:
+    """Expand the row's runs, refusing more than MAX_VERTICES first."""
+    runs = _row(n, r)[0]
+    m = sum(count for _, count in runs)
+    if m > kupisch.MAX_VERTICES:
+        raise ValueError(f"{name} would have {m} vertices, more than "
+                         f"MAX_VERTICES = {kupisch.MAX_VERTICES}")
+    entries: List[int] = []
+    for entry, count in runs:
+        entries += [entry] * count
+    return KupischSeries(entries)
+
+
 def base_family_odd(n: int, d: int) -> KupischSeries:
     """Base members for odd n and n < d < 2n.
 
@@ -41,19 +79,7 @@ def base_family_odd(n: int, d: int) -> KupischSeries:
     """
     if n % 2 == 0 or not n < d < 2 * n:
         raise ValueError(f"need n odd and n < d < 2n, got ({n}, {d})")
-    if d % 2 == 0:
-        entries = [2] * (d - n) + [3] * (3 * (n - d // 2) - 1) \
-            + [2] * (d - n + 1) + [1]
-    elif d == 2 * n - 1:
-        entries = [2] * (n - 1) + [3] * (3 * (n + 1) // 2 - 2) + [2, 1]
-    else:
-        h = n - (d - 1) // 2
-        s = ((d - n) // 2) * (h + 1) + 2 * h
-        ascending = [k for k in range(3, h + 1) for _ in range(k - 1)]
-        descending = [k for k in range(h, 2, -1) for _ in range(k)]
-        entries = [2] * (d - n) + ascending + [h + 1] * s \
-            + descending + [2, 2, 2, 1]
-    return KupischSeries(entries)
+    return _build(f"base_family_odd({n}, {d})", n, d - n)
 
 
 def base_family_even(n: int, k: int) -> KupischSeries:
@@ -66,14 +92,7 @@ def base_family_even(n: int, k: int) -> KupischSeries:
     """
     if n % 2 == 1 or not 0 < k < n:
         raise ValueError(f"need n even and 0 < k < n, got ({n}, {k})")
-    if k % 2 == 0:
-        entries = [2] * k + [3] * (3 * (n - k) // 2 - 1) + [2] * (k + 1) + [1]
-    elif k != n - 1:
-        entries = [2] * k + [3] * (3 * (n - (k + 1) // 2)) \
-            + [2] * (k + 1) + [1]
-    else:
-        entries = [3] * (9 * n // 2 - 2) + [2, 1]
-    return KupischSeries(entries)
+    return _build(f"base_family_even({n}, {k})", n, k)
 
 
 def source_injective_pd(K: KupischSeries) -> int:
@@ -97,39 +116,6 @@ def extend_by_n(K: KupischSeries, n: int) -> KupischSeries:
     if ar.gldim(result) != g + n or source_injective_pd(result) != g + n:
         raise RuntimeError(f"extension of {K!r} did not add {n} to gldim")
     return result
-
-
-def _base_size(n: int, r: int) -> Tuple[int, int]:
-    """Length and global dimension of the base family member that
-    construct starts from for a residue 0 < r < n, in closed form, so
-    that nothing is built."""
-    if n % 2 == 1:
-        d = n + r
-        if d % 2 == 0:
-            m = 2 * r + 3 * (n - d // 2) + 1
-        elif d == 2 * n - 1:
-            m = n - 1 + 3 * (n + 1) // 2
-        else:  # both runs 3^2..h^(h-1), h^h..3^3 hold h^2 - 4; 2^3,1 four
-            h = n - (d - 1) // 2
-            m = r + h * h + (r // 2) * (h + 1) + 2 * h
-        return m, d
-    if r % 2 == 0:
-        return 2 * r + 3 * (n - r) // 2 + 1, n + r
-    if r != n - 1:
-        return 2 * r + 3 * (n - (r + 1) // 2) + 2, 2 * n + r
-    return 9 * n // 2, 2 * n + r
-
-
-def _held(n: int, d: int) -> int:
-    """Entries that construct(n, d) holds in its final series and its
-    trace, which keeps the start series and a copy after each of the k
-    extensions."""
-    r = d % n
-    if r == 0:
-        return 2 * (d + 1)
-    m, g = _base_size(n, r)
-    k = (d - g) // n
-    return m * (k + 2) + n * k * (k + 3) // 2
 
 
 def supported(n: int, d: int) -> bool:
@@ -170,13 +156,20 @@ def construct(n: int, d: int) -> NdCertificate:
     would hold more than MAX_VERTICES entries."""
     if not supported(n, d):
         raise ValueError(f"pair (n, d) = ({n}, {d}) is not supported")
-    held = _held(n, d)
+    residue = d % n
+    if residue == 0:
+        m, k = d + 1, 0
+    else:
+        runs, g = _row(n, residue)
+        m, k = sum(count for _, count in runs), (d - g) // n
+    # the final series and the trace, which keeps the start series and a
+    # copy after each of the k extensions of n entries
+    held = m * (k + 2) + n * k * (k + 3) // 2
     if held > kupisch.MAX_VERTICES:
         raise ValueError(f"construct({n}, {d}) would hold {held} entries in "
                          f"its series and trace, more than MAX_VERTICES = "
                          f"{kupisch.MAX_VERTICES}")
     trace: List[dict] = []
-    residue = d % n
     if residue == 0:
         K = chain_algebra(n, d // n)
         trace.append({"step": "chain", "k": d // n,
@@ -190,11 +183,10 @@ def construct(n: int, d: int) -> NdCertificate:
             K = base_family_even(n, residue)
             trace.append({"step": "base-even", "k": residue,
                           "series": K.to_json()})
-        g = ar.gldim(K)
         # Each extension prepends n entries of 2, as extend_by_n does; the
         # certificate below verifies the final series, and nothing before.
         entries = list(K.entries)
-        for _ in range((d - g) // n):
+        for _ in range(k):
             entries[:0] = [2] * n
             trace.append({"step": "extend", "series": {"kupisch": entries[:]}})
         K = KupischSeries(entries)

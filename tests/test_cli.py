@@ -231,6 +231,13 @@ def test_construct_nd_cap(capsys):
     assert "MAX_VERTICES = 1000000" in err
     code, out = run(capsys, *argv, "--json")
     assert code == 2 and "MAX_VERTICES" in json.loads(out)["error"]
+    # the boundary for n = 2 on the base family path: 994 extensions of
+    # the 9-vertex base are accepted, 995 (1,001,983 entries) are not
+    code, out = run(capsys, "construct-nd", "--n", "2", "--d", "1993")
+    assert code == 0
+    code, err = input_error(capsys, "construct-nd", "--n", "2", "--d", "1995")
+    assert code == 2
+    assert err.startswith("error: construct(2, 1995) would hold 1001983 ")
 
 
 SINGLE = (("check-fractured", "--n", "2"), ("fractures",))
@@ -247,6 +254,17 @@ def test_single_input_commands_refuse_stdin(capsys, monkeypatch):
         assert sys.stdin.read() == "2,2,1\n"  # stdin is left unread
         code, out = run(capsys, argv[0], "--kupisch", "-", *argv[1:], "--json")
         assert code == 2 and json.loads(out)["error"].startswith("--kupisch -")
+
+
+def test_glue_refuses_stdin(capsys, monkeypatch):
+    for option, other in (("--b", "--a"), ("--a", "--b")):
+        monkeypatch.setattr("sys.stdin", io.StringIO("2,2,1\n"))
+        code, err = input_error(capsys, "glue", option, "-", other, "2,1",
+                                "--height", "1")
+        assert code == 2
+        assert err == (f"error: {option} - reads a batch from stdin only "
+                       f"for validate, ar-quiver and check-nct\n")
+        assert sys.stdin.read() == "2,2,1\n"
 
 
 def test_help_names_stdin_for_batch_commands_only(capsys):

@@ -1,3 +1,4 @@
+import pickle
 import random
 import tracemalloc
 
@@ -273,6 +274,40 @@ def test_parse_caps_vertices(monkeypatch):
     for text in ("2^5,1", "2,2,2,2,2,1", "2^3,2^3,1"):
         with pytest.raises(ValueError, match="MAX_VERTICES = 5"):
             parse_series(text)
+
+
+def test_lambda_mh_caps_vertices(monkeypatch):
+    # the cap is checked before the entries are built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_VERTICES = 1000000"):
+            lambda_mh(kupisch.MAX_VERTICES + 1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    monkeypatch.setattr(kupisch, "MAX_VERTICES", 5)
+    assert lambda_mh(5, 2).m == 5
+    for m, h in ((6, 2), (6, 6)):
+        with pytest.raises(ValueError, match="MAX_VERTICES = 5"):
+            lambda_mh(m, h)
+
+
+def test_series_pickles_its_entries():
+    # at every protocol a pickle holds the entries and the gldim memo,
+    # not the derived tables, which unpickling builds again
+    from nakayama.ar import gldim
+    K = parse_series("3^500,2,1")
+    for memo in (None, 334):
+        if memo:
+            assert gldim(K) == memo
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(K, protocol)
+            assert len(data) < len(pickle.dumps(K.entries, protocol)) + 64
+            back = pickle.loads(data)
+            assert back == K and back._gldim == memo
+            assert (back._u, back._v, back._pseq, back._iseq, back._p,
+                    back._i) == (K._u, K._v, K._pseq, K._iseq, K._p, K._i)
 
 
 def test_json_round_trip():

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import pytest
 
 from nakayama import ar, kupisch
 from nakayama.cluster import check_nct
 from nakayama.kupisch import lambda_mh, parse_series
 from nakayama.ndgen import (
+    _row,
     base_family_even,
     base_family_odd,
     chain_algebra,
@@ -39,6 +42,39 @@ def test_base_family_even_rows():
         base_family_even(5, 2)
     with pytest.raises(ValueError):
         base_family_even(6, 6)
+
+
+def test_base_family_table_against_the_engine():
+    # every row that construct starts from for n <= 40: the built series
+    # has the table's length, and its global dimension and the projective
+    # dimension of its source injective are the table's dimension
+    for n in range(2, 41):
+        for r in range(1, n):
+            runs, g = _row(n, r)
+            K = base_family_odd(n, n + r) if n % 2 else base_family_even(n, r)
+            assert K.m == sum(count for _, count in runs), (n, r)
+            assert ar.gldim(K) == source_injective_pd(K) == g, (n, r)
+            assert check_nct(K, n).ok, (n, r)
+
+
+def test_base_family_caps_vertices(monkeypatch):
+    # the row is sized from its runs and refused before it is expanded:
+    # base_family_odd(20001, 20003) has 100,030,003 entries
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^base_family_odd\(20001, "
+                           r"20003\) would have 100030003 vertices, more "
+                           r"than MAX_VERTICES = 1000000$"):
+            base_family_odd(20001, 20003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    monkeypatch.setattr(kupisch, "MAX_VERTICES", 11)
+    assert base_family_even(6, 2).m == 11
+    with pytest.raises(ValueError, match=r"^base_family_even\(6, 1\) would "
+                       r"have 19 vertices, more than MAX_VERTICES = 11$"):
+        base_family_even(6, 1)
 
 
 def test_base_family_odd_top_is_a_gluing():
@@ -114,6 +150,22 @@ def test_construct_rejects_a_wrong_base(monkeypatch):
     with pytest.raises(RuntimeError, match=r"certificate for \(3, 4\) "
                        "failed verification: .*gldim=3"):
         construct(3, 4)
+
+
+def test_construct_computes_gldim_once(monkeypatch):
+    # the base's dimension is read from the table; only the certificate
+    # computes the global dimension
+    calls, gldim = [], ar.gldim
+
+    def counting(K):
+        calls.append(K)
+        return gldim(K)
+
+    monkeypatch.setattr(ar, "gldim", counting)
+    for n, d in ((3, 4), (9, 14), (6, 8), (6, 19), (2, 8), (4, 8)):
+        calls.clear()
+        cert = construct(n, d)
+        assert calls == [cert.kupisch], (n, d)
 
 
 def test_construct_small_sweep():

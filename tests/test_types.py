@@ -125,10 +125,7 @@ def test_fields_are_read_only(cls, fields, text, hashable):
 @pytest.mark.parametrize("cls, fields, text, hashable", CASES, ids=IDS)
 def test_pickle_round_trip(cls, fields, text, hashable):
     obj = cls(**fields)
-    # a KupischSeries pickles from protocol 2 on, as it always has
-    holds_series = cls in (Glued, CompletionStep, NdCertificate)
-    for protocol in range(2 if holds_series else 0,
-                          pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(obj, protocol))
         assert type(back) is cls and back == obj and repr(back) == text
 
