@@ -125,18 +125,25 @@ def idim(K: KupischSeries, x) -> int:
 
 
 def gldim(K: KupischSeries) -> int:
-    """Global dimension: maximal projective dimension (always finite).
-    The syzygy of (s - j, j) lies on co-diagonal s - j < s, so one pass
-    over the co-diagonals fills in every projective dimension.  The
-    value is memoized on the series, which is immutable."""
+    """Global dimension: the largest projective dimension of a simple
+    module (always finite).  The syzygy of (s - j, j) lies on co-diagonal
+    s - j < s, so one pass over the co-diagonals fills in every
+    projective dimension, and the simple (s - 1, 1) on co-diagonal s is
+    the first of its row.  The value is memoized on the series, which
+    is immutable."""
     if K._gldim is not None:
         return K._gldim
     u = K._u
     pds = [[0], [0]]  # pds[s][j - 1]: pd of (s - j, j), 0 at j = u(s)
+    g = 0
     for s in range(2, K.m + 2):
         us = u[s]
-        pds.append([pds[s - j][us - j - 1] + 1 for j in range(1, us)] + [0])
-    K._gldim = g = max(map(max, pds))
+        row = [pds[s - j][us - j - 1] + 1 for j in range(1, us)]
+        row.append(0)
+        if row[0] > g:
+            g = row[0]
+        pds.append(row)
+    K._gldim = g
     return g
 
 

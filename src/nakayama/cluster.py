@@ -11,11 +11,14 @@ inverse higher translate and adjoining the fractured injectives; the
 verdict re-validates all four conditions, so it is sound for any
 generation; it walks each module once per direction, one kernel call
 giving the translate and the walk length, up to the first failure, and
-lists the failures only when they are read.  A check merges its
-candidate from two sorted runs instead of sorting a set.  check_nct
-checks against the sorted projectives and injectives, and their sets,
-that the series built, and answers in closed form for n above a
-memoized global dimension.
+lists the failures only when they are read.  The closure records only
+modules outside the fractured injectives, so its walks are exactly the
+candidate minus them, and a check merges its candidate from those and
+the fractured injectives, two sorted runs, instead of sorting a set.
+check_nct checks against the sorted projectives and injectives, and
+their sets, that the series built, and answers in closed form for n
+above a memoized global dimension, with a candidate memoized on the
+series.
 """
 
 from __future__ import annotations
@@ -94,22 +97,25 @@ def _fail(condition: int, coord, detail: str) -> dict:
             "detail": detail}
 
 
-_NO_WALK = (ZERO, 0)
-
-
-def _closure(K: KupischSeries, n: int, seed) -> Dict[Coord, Tuple]:
+def _closure(K: KupischSeries, n: int, seed, stop) -> Dict[Coord, Tuple]:
     """Close seed under the inverse higher translate (dropping ZERO); map
-    each module x of the closure to (tau_n_inv x, its cosyzygy count).
-    An injective's walk is (ZERO, 0) for every n, so it takes no call."""
+    each module x of the closure outside stop to (tau_n_inv x, its
+    cosyzygy count).  A module of stop is not recorded: an injective
+    there ends its orbit without a walk, as tau_n_inv sends it to ZERO,
+    and any other is walked once, only to follow its orbit on."""
     walks: Dict[Coord, Tuple] = {}
+    passed = set()  # the modules of stop walked so far
     inj, up = K._i, ar._up
     for x in seed:  # follow the tau_n^- orbit of x until it is known
         while x is not ZERO and x not in walks:
-            if x in inj:
-                walks[x] = _NO_WALK
-                break
-            walks[x] = w = up(K, x, n - 1)
-            x = w[0]
+            if x in stop:
+                if x in inj or x in passed:
+                    break
+                passed.add(x)
+                x = up(K, x, n - 1)[0]
+            else:
+                walks[x] = w = up(K, x, n - 1)
+                x = w[0]
     return walks
 
 
@@ -124,8 +130,8 @@ def generate_candidate(K: KupischSeries, n: int,
     """Close the fractured projectives under the inverse higher translate
     (dropping ZERO) and adjoin the fractured injectives."""
     ar._check_order(n)
-    closure = _closure(K, n, tilting.pL_category(K, F))
-    return sorted(closure.keys() | set(tilting.iR_category(K, F)))
+    ir = tilting.iR_category(K, F)
+    return sorted([*_closure(K, n, tilting.pL_category(K, F), set(ir)), *ir])
 
 
 def _stream(K: KupischSeries, n: int, pl, cand, up,
@@ -161,24 +167,26 @@ def _check(K: KupischSeries, n: int, pl, pls, ir, irs,
     and as sets (pls, irs)."""
     ar._check_order(n)
     if candidate is None:
-        # every module of C minus I_R is in the closure: reuse its walks;
-        # the closure contains its seed P_L, so condition 1 cannot fail.
-        # The closure is closed under tau_n^-, so an image is in C
-        # exactly when it is in the closure.
-        cset = walks = _closure(K, n, pl)
-        rest = sorted([y for y in walks if y not in irs])
+        # the closure holds exactly C minus I_R, with its walks; it
+        # contains the part of its seed P_L outside I_R, so condition 1
+        # cannot fail.  The closure is closed under tau_n^-, up to I_R,
+        # so every nonzero image of one of its modules is in C.
+        walks = _closure(K, n, pl, irs)
+        rest = sorted(walks)
         cand = _merged(rest, ir)
         up = {y: walks[y] for y in rest}
+        orbit = tuple((y, x) for y, (x, _) in up.items()
+                      if x is not ZERO and x not in pls)
         missing = ()
     else:
         cset = {K.check_exists(x) for x in candidate}
         cand = tuple(sorted(cset))
         up = {y: ar._up(K, y, n - 1) for y in cand if y not in irs}
+        orbit = tuple((y, x) for y, (x, _) in up.items()
+                      if x in cset and x not in pls)
         missing = sorted(pls.difference(cset))
     # the keys of up are C minus I_R, in sorted order; the orbit is
     # (x, tau_n_inv x) for x in C minus I_R with tau_n_inv x in C minus P_L
-    orbit = tuple((y, x) for y, (x, _) in up.items()
-                  if x in cset and x not in pls)
     stream = functools.partial(_stream, K, n, pls, cand, up, missing)
     ok = next(stream(), None) is None  # builds the first record only
     return Verdict(ok, cand, orbit, tuple if ok else stream)
@@ -217,12 +225,17 @@ def check_nct(K: KupischSeries, n: int) -> Verdict:
     exceeds it, the verdict needs no walk.  gldim is id of the algebra,
     so tau_n_inv sends every projective to ZERO: the candidate is P and
     I, the orbit is empty, and a projective that is not injective fails
-    condition 2, which only m = 1 escapes.  The failures are read from
-    the general check.  check_nct never computes gldim itself."""
+    condition 2, which only m = 1 escapes.  The sorted P ∪ I is built on
+    the first such answer and memoized on the series.  The failures are
+    read from the general check.  check_nct never computes gldim
+    itself."""
     g = K._gldim
     if g is not None and n > g:
         ok = K.m == 1
-        cand = _merged([x for x in K._pseq if x not in K._i], K._iseq)
+        cand = K._pi
+        if cand is None:
+            K._pi = cand = _merged([x for x in K._pseq if x not in K._i],
+                                   K._iseq)
         return Verdict(ok, cand, (),
                        tuple if ok else functools.partial(_nct_stream, K, n))
     return _check(K, n, K._pseq, K._p, K._iseq, K._i, None)
@@ -333,6 +346,12 @@ def glue_fractured(b_side: Tuple[KupischSeries, Fracturing],
 
 # -- slice completion ------------------------------------------------------
 
+#: The tallest slice complete_slice accepts.  Its cost grows as h^2 (the
+#: completed fracture is re-validated pairwise; h = 1000 takes seconds),
+#: so a taller slice is refused before any work.
+MAX_SLICE_HEIGHT = 1000
+
+
 class CompletionStep(NamedTuple):
     kind: str  # "base", "staircase", "glue"
     a: Optional[KupischSeries] = None
@@ -359,58 +378,69 @@ def _complete_right_series(h: int, indices: Tuple[int, ...], n: int,
     """Build an algebra whose maximal left abutment (height h) carries the
     slice and whose right fracturing is injective; verified by the caller.
 
-    Two recursive cases, driven by the next-to-top slice index:
+    Two cases, driven by the next-to-top slice index, each reduce the
+    slice to a lower one:
 
     * index 2: the apex splits off; complete the down-shifted truncation
       at height h-1 and extend its staircase tail by one vertex;
     * index 1: seed the slice into the wide algebra whose inverse higher
       translate pushes it against the injective boundary, read off the
-      leftover slice at the boundary, complete it recursively and glue.
+      leftover slice at the boundary, complete it and glue.
+
+    The reductions run down to height 1, a single vertex, in a loop;
+    a second loop then extends and glues back up, so a tall slice needs
+    no deep stack.
     """
-    if h == 1:
-        K = KupischSeries([1])
-        trace.append(CompletionStep("base", result=K, note="single vertex"))
-        return K
-
-    if indices[h - 2] == 2:
-        sub = _complete_right_series(
-            h - 1, tuple(i - 1 for i in indices[:h - 1]), n, trace)
-        g = glue(linear_quiver_algebra(h), sub, h - 1)
-        trace.append(CompletionStep(
-            "staircase", a=sub, b=linear_quiver_algebra(h), height=h - 1,
-            result=g.result, note="extend staircase tail by one vertex"))
-        return g.result
-
-    # next-to-top index 1: push through the wide algebra
-    m = (n * h) // 2 + indices[0] if n % 2 == 0 else ((n + 1) * h) // 2
-    base = lambda_mh(m, h)
-    images = []
-    for k in range(1, h):
-        y = ar.tau_n_inv(base, n, (indices[k - 1], k))
-        if y is ZERO:
+    pending = []  # (height, wide algebra or None for a staircase step)
+    while h > 1:
+        if indices[h - 2] == 2:
+            pending.append((h, None))
+            h, indices = h - 1, tuple(i - 1 for i in indices[:h - 1])
+            continue
+        # next-to-top index 1: push through the wide algebra
+        m = (n * h) // 2 + indices[0] if n % 2 == 0 else ((n + 1) * h) // 2
+        base = lambda_mh(m, h)
+        images = []
+        for k in range(1, h):
+            y = ar.tau_n_inv(base, n, (indices[k - 1], k))
+            if y is ZERO:
+                raise RuntimeError(
+                    f"slice image vanished at length {k} over {base!r}")
+            images.append(y)
+        fracture = images + [(m - h + 1, h)]
+        by_length = sorted(fracture, key=lambda c: -c[1])
+        boundary = None
+        for c in by_length:
+            if not base.is_injective(c):
+                break
+            boundary = c
+        if boundary is None or boundary[1] == h:  # no lower slice
             raise RuntimeError(
-                f"slice image vanished at length {k} over {base!r}")
-        images.append(y)
-    fracture = images + [(m - h + 1, h)]
-    by_length = sorted(fracture, key=lambda c: -c[1])
-    boundary = None
-    for c in by_length:
-        if not base.is_injective(c):
-            break
-        boundary = c
-    if boundary is None:
-        raise RuntimeError(f"no injective run at the top over {base!r}")
-    hh = boundary[1]
-    leftover = [c for c in fracture if c[1] <= hh]
-    footed = [abutments.footing_to_ka(base, "right", hh, c)
-              for c in leftover]
-    sub_indices = tilting.slice_indices(hh, footed)
-    sub = _complete_right_series(hh, sub_indices, n, trace)
-    g = glue(base, sub, hh)
-    trace.append(CompletionStep(
-        "glue", a=sub, b=base, height=hh, result=g.result,
-        note=f"glue completed height-{hh} slice below the wide algebra"))
-    return g.result
+                f"no injective run below the top over {base!r}")
+        hh = boundary[1]
+        leftover = [c for c in fracture if c[1] <= hh]
+        footed = [abutments.footing_to_ka(base, "right", hh, c)
+                  for c in leftover]
+        pending.append((hh, base))
+        h, indices = hh, tilting.slice_indices(hh, footed)
+
+    K = KupischSeries([1])
+    trace.append(CompletionStep("base", result=K, note="single vertex"))
+    for hh, base in reversed(pending):
+        sub = K
+        if base is None:
+            line = linear_quiver_algebra(hh)
+            K = glue(line, sub, hh - 1).result
+            trace.append(CompletionStep(
+                "staircase", a=sub, b=line, height=hh - 1, result=K,
+                note="extend staircase tail by one vertex"))
+        else:
+            K = glue(base, sub, hh).result
+            trace.append(CompletionStep(
+                "glue", a=sub, b=base, height=hh, result=K,
+                note=f"glue completed height-{hh} slice below the wide "
+                     f"algebra"))
+    return K
 
 
 def complete_slice(h: int, slice_coords, n: int, side: str):
@@ -422,6 +452,7 @@ def complete_slice(h: int, slice_coords, n: int, side: str):
     is right n-cluster-tilting; left completion is the mirror image.
     The verdict is re-checked from scratch; a failure there, or a wrong
     abutment height, raises, since it would signal a construction bug.
+    A slice taller than MAX_SLICE_HEIGHT is refused before any work.
 
     Returns (series, fracturing, verdict, trace).
     """
@@ -429,6 +460,9 @@ def complete_slice(h: int, slice_coords, n: int, side: str):
         raise ValueError(f"n must be >= 2, got {n}")
     if side not in ("left", "right"):
         raise ValueError(f"side must be left/right, got {side!r}")
+    if h > MAX_SLICE_HEIGHT:
+        raise ValueError(f"slice height {h} is more than MAX_SLICE_HEIGHT "
+                         f"= {MAX_SLICE_HEIGHT}")
     indices = tilting.slice_indices(h, slice_coords)
     trace: List[CompletionStep] = []
 

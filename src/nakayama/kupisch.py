@@ -48,13 +48,16 @@ class KupischSeries:
     * d_i <= m - i + 1 (a projective cannot overshoot the sink).
 
     Instances are immutable and hashable.  ``_gldim`` memoizes
-    ``ar.gldim``; it is None until that is first called, and equality
-    and hashing ignore it.  A pickle holds the entries and ``_gldim``
-    only; unpickling builds the tables again.
+    ``ar.gldim``; it is None until that is first called.  ``_pi``
+    memoizes the sorted tuple P ∪ I, the candidate of every
+    ``cluster.check_nct`` answered in closed form; it is None until the
+    first such answer.  Equality and hashing ignore both.  A pickle
+    holds the entries and ``_gldim`` only; unpickling builds the tables
+    again and leaves ``_pi`` unset.
     """
 
     __slots__ = ("entries", "m", "_u", "_v", "_pseq", "_iseq", "_p", "_i",
-                 "_gldim")
+                 "_gldim", "_pi")
 
     def __init__(self, entries):
         entries = tuple(entries)
@@ -109,6 +112,7 @@ class KupischSeries:
         self._p = frozenset(self._pseq)
         self._i = frozenset(self._iseq)
         self._gldim = None
+        self._pi = None
 
     # -- basic protocol ----------------------------------------------------
 

@@ -241,6 +241,16 @@ def test_gldim_is_injective_dimension_of_the_algebra():
         assert gldim(K) == max(idim(K, p) for p in K.projectives()), K
 
 
+def test_gldim_is_the_largest_pd_of_a_simple():
+    # gldim keeps the maximum over the simples (s - 1, 1) only: on every
+    # series with m <= 9 it is also the maximum over all modules
+    for m in range(1, 10):
+        for K in all_series(m):
+            g = gldim(KupischSeries(K.entries))
+            assert g == max(pd(K, (s - 1, 1)) for s in range(2, m + 2)), K
+            assert g == max(pd(K, x) for x in K.all_modules()), K
+
+
 def test_gldim_memo_is_invisible():
     for entries in ([1], [3, 2, 1], GLUED.entries):
         K, fresh = KupischSeries(entries), KupischSeries(entries)

@@ -240,6 +240,42 @@ def test_construct_nd_cap(capsys):
     assert err.startswith("error: construct(2, 1995) would hold 1001983 ")
 
 
+
+def _descending(h):
+    return ",".join(str(i) for i in range(h, 0, -1))
+
+
+def test_complete_slice_height_cap(capsys):
+    # a slice taller than MAX_SLICE_HEIGHT: exit 2 with a named error,
+    # before any step of the completion
+    argv = ("complete-slice", "--h", "1500", "--slice", _descending(1500),
+            "--n", "2", "--side", "right")
+    code, err = input_error(capsys, *argv)
+    assert code == 2
+    assert err == "error: slice height 1500 is more than " \
+                  "MAX_SLICE_HEIGHT = 1000\n"
+    code, out = run(capsys, *argv, "--json")
+    assert code == 2 and "MAX_SLICE_HEIGHT" in json.loads(out)["error"]
+
+
+def test_complete_slice_needs_no_deep_stack(capsys):
+    # every step of this slice is a staircase step: a completion that
+    # recursed once per step would overflow a stack of 150 more frames
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        for side in ("right", "left"):
+            code, out = run(capsys, "complete-slice", "--h", "300",
+                            "--slice", _descending(300), "--n", "2",
+                            "--side", side)
+            assert code == 0 and out.endswith(
+                f"({side} 2-cluster-tilting)\n")
+    finally:
+        sys.setrecursionlimit(limit)
+
 SINGLE = (("check-fractured", "--n", "2"), ("fractures",))
 BATCH = ("validate", "ar-quiver", "check-nct")
 

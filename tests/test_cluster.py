@@ -441,18 +441,88 @@ def test_check_nct_walks_each_module_once(monkeypatch):
                 assert len(walked) == len(set(walked)), (K, n)
 
 
-def test_closure_skips_injectives_with_their_walks():
-    # the closure stores (ZERO, 0) for an injective without walking it:
-    # that is the walk the kernel gives, for every n
+def test_closure_stops_at_the_fractured_injectives():
+    # seeded with P and stopped at I, the closure holds exactly the
+    # non-injective modules of the check_nct candidate, each with the
+    # walk the kernel gives
     for m in range(1, 8):
         for K in all_series(m):
             for n in range(1, m + 2):
-                walks = cluster._closure(K, n, K.all_modules())
-                assert walks.keys() == set(K.all_modules())
+                walks = cluster._closure(K, n, K._pseq, K._i)
+                assert walks.keys() == \
+                    set(check_nct(K, n).candidate) - K._i, (K, n)
                 for x, w in walks.items():
                     assert w == ar._up(K, x, n - 1), (K, n, x)
-                for x in K._iseq:
-                    assert walks[x] == (None, 0), (K, n, x)
+
+
+def test_generated_candidate_follows_orbits_through_i_r(monkeypatch):
+    # a fractured injective that is not injective is not recorded, but
+    # its orbit goes on: for n = 1, tau^- of (1, 1) over 2,1 is (2, 1)
+    K = parse_series("2,1")
+    F = make_fracturing(K, [(1, 1), (1, 2)], [(1, 1), (1, 2)])
+    assert generate_candidate(K, 1, F) == [(1, 1), (1, 2), (2, 1)]
+    # seeded random fracturings whose I_R leaves some injectives out:
+    # each of those gets the walk (ZERO, 0), the candidate and the
+    # verdict are those of the oracle, and the check walks each module
+    # at most once per direction
+    from nakayama.abutments import footing_from_ka, max_left_height, \
+        max_right_height
+    from nakayama.tilting import enumerate_tilting, iR_category, \
+        pL_category
+    walked = record_walks(monkeypatch)
+    rng = random.Random(23)
+    seen = 0
+    while seen < 300:
+        K = random_series(rng, 8, 2)
+        hl, hr = max_left_height(K), max_right_height(K)
+        tl = rng.choice(enumerate_tilting(hl))
+        tr = rng.choice(enumerate_tilting(hr))
+        F = make_fracturing(
+            K, [footing_from_ka(K, "left", hl, c) for c in tl],
+            [footing_from_ka(K, "right", hr, c) for c in tr])
+        ir = set(iR_category(K, F))
+        left_out = K._i - ir
+        if not left_out:
+            continue
+        seen += 1
+        for n in range(1, K.m + 2):
+            expected = check_fractured_oracle(K, n, F)
+            assert generate_candidate(K, n, F) == list(expected.candidate)
+            walked.clear()
+            v = check_fractured(K, n, F)
+            assert len(walked) == len(set(walked)), (K, n)
+            assert v.to_json() == expected.to_json()
+            walks = cluster._closure(K, n, pL_category(K, F), ir)
+            assert not walks.keys() & ir
+            for x in left_out & walks.keys():
+                assert walks[x] == (None, 0), (K, n, x)
+
+
+def test_check_nct_memoizes_the_closed_form_candidate(monkeypatch):
+    # the closed-form verdicts of one series share one P ∪ I tuple, built
+    # on the first of them; the memo is invisible to ==, hash and pickle
+    merges, merged = [], cluster._merged
+
+    def counting(rest, ir):
+        merges.append(rest)
+        return merged(rest, ir)
+
+    monkeypatch.setattr(cluster, "_merged", counting)
+    for entries in ([1], [3, 2, 1], GLUED.entries, [2, 3, 3, 2, 1]):
+        K, fresh = KupischSeries(entries), KupischSeries(entries)
+        g = ar.gldim(K)
+        assert K._pi is None
+        merges.clear()
+        v, w = check_nct(K, g + 1), check_nct(K, g + 2)
+        assert v.candidate is w.candidate is K._pi
+        assert len(merges) == 1
+        assert K == fresh and hash(K) == hash(fresh)
+        ar.gldim(fresh)  # the same memo as K but for _pi
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(K, protocol)
+            assert data == pickle.dumps(fresh, protocol)
+            back = pickle.loads(data)
+            assert back == K and back._pi is None and back._gldim == g
 
 
 def test_check_nct_closed_form_walks_nothing(monkeypatch):
