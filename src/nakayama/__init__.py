@@ -32,7 +32,7 @@ from .abutments import (
     left_abutment_heights,
     right_abutment_heights,
 )
-from .gluing import Glued, check_glue_invariants, dispatch_check, glue
+from .gluing import Glued, check_glue, glue
 from .tilting import (
     Fracture,
     Fracturing,

@@ -21,7 +21,7 @@ import sys
 from . import abutments, ar, tilting
 from .cluster import check_fractured, check_nct, classify_sides, \
     complete_slice
-from .gluing import check_glue_invariants, dispatch_check, glue
+from .gluing import check_glue, glue
 from .kupisch import KupischError, KupischSeries, coord_from_json, \
     format_series, parse_series
 from .ndgen import construct, supported
@@ -193,18 +193,16 @@ def cmd_glue(args) -> int:
     B = _one_series(args.b, "--b")
     A = _one_series(args.a, "--a")
     g = glue(B, A, args.height)
-    payload = g.to_json()
+    ok, checks, text = True, {}, format_series(g.result)
     if args.check:
-        inv = check_glue_invariants(g)
-        dis = dispatch_check(g)
-        payload["invariants_ok"] = inv.ok
-        payload["dispatch_ok"] = dis.ok
-        if not (inv.ok and dis.ok):
-            _emit(payload, args.json,
-                  f"glue failed: {inv.failure or dis.failure}")
-            return 1
-    _emit(payload, args.json, format_series(g.result))
-    return 0
+        inv, dis = check_glue(g)
+        ok = inv.ok and dis.ok
+        checks = {"invariants_ok": inv.ok, "dispatch_ok": dis.ok}
+        if not ok:
+            text = f"glue failed: {inv.failure or dis.failure}"
+    # the phi/psi tables cover every module: built for --json only
+    _emit(dict(g.to_json(), **checks) if args.json else {}, args.json, text)
+    return 0 if ok else 1
 
 
 def cmd_construct_nd(args) -> int:

@@ -346,9 +346,9 @@ def glue_fractured(b_side: Tuple[KupischSeries, Fracturing],
 
 # -- slice completion ------------------------------------------------------
 
-#: The tallest slice complete_slice accepts.  Its cost grows as h^2 (the
-#: completed fracture is re-validated pairwise; h = 1000 takes seconds),
-#: so a taller slice is refused before any work.
+#: The tallest slice complete_slice accepts.  Its cost grows as h^2 (a
+#: staircase slice builds h series of up to h entries; h = 1000 takes
+#: seconds), so a taller slice is refused before any work.
 MAX_SLICE_HEIGHT = 1000
 
 
@@ -466,10 +466,13 @@ def complete_slice(h: int, slice_coords, n: int, side: str):
     indices = tilting.slice_indices(h, slice_coords)
     trace: List[CompletionStep] = []
 
+    # every slice is tilting and slice_indices validated this one, so the
+    # completed fracture is built after an O(1) check of its abutment
     if side == "right":
         K = _complete_right_series(h, indices, n, trace)
-        tl = tilting.is_fracture(K, "left", h,
-                                 tilting.slice_from_indices(indices))
+        abutments._check_abutment(K, "left", h)
+        tl = tilting._fracture(K, "left", h,
+                               sorted(tilting.slice_from_indices(indices)))
         F = Fracturing(tl, tilting.injective_fracture(K))
     else:
         dual = tilting.dual_slice_indices(h, indices)
@@ -477,9 +480,10 @@ def complete_slice(h: int, slice_coords, n: int, side: str):
         K = Kr.opposite()
         trace.append(CompletionStep(
             "base", result=K, note="mirror of the completed dual slice"))
-        tr_coords = [abutments.footing_from_ka(K, "right", h, c)
-                     for c in tilting.slice_from_indices(indices)]
-        tr = tilting.is_fracture(K, "right", h, tr_coords)
+        abutments._check_abutment(K, "right", h)
+        tr = tilting._fracture(K, "right", h, sorted(
+            abutments.footing_from_ka(K, "right", h, c)
+            for c in tilting.slice_from_indices(indices)))
         F = Fracturing(tilting.projective_fracture(K), tr)
 
     verdict = check_fractured(K, n, F)

@@ -2,16 +2,16 @@
 
 Gluing identifies a height-h left abutment of A with a height-h right
 abutment of B.  At the Kupisch level this is concatenation with overlap:
-the result keeps the first (len(A) - h) entries of A and all of B.  The
-module category of the result decomposes accordingly: the coordinate
-embedding of B-modules is the identity, that of A-modules shifts the
-diagonal index by len(B) - h, and the two images overlap exactly in the
-identified foundations.
+the result keeps the first (len(A) - h) entries of A and all of B.  Its
+module category decomposes accordingly, as check_glue tests: the
+coordinate embedding of B-modules is the identity, that of A-modules
+shifts the diagonal index by len(B) - h, and the two images overlap
+exactly in the identified foundations.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 from . import abutments, ar
 from .kupisch import ZERO, KupischSeries, coord_to_json
@@ -78,89 +78,65 @@ class GlueReport(NamedTuple):
         return self.ok
 
 
-def check_glue_invariants(g: Glued) -> GlueReport:
-    """Structural invariants of a gluing:
+def check_glue(g: Glued) -> Tuple[GlueReport, GlueReport]:
+    """Both reports of a gluing, (invariants, dispatch), each with its
+    first failure.  Invariants: |Ind L| = |Ind A| + |Ind B| - h(h+1)/2;
+    phi/psi are jointly surjective, overlap exactly on the identified
+    foundations, add no arrow and carry tau to tau; max(gldim A, gldim B)
+    <= gldim L <= gldim A + gldim B.  Dispatch: computed in the component,
+    tau and syzygy agree with L's except on A's overlap, tau_inv and
+    cosyzygy except on B's.  One pass validates each image in L and
+    compares the kernel steps once; an image outside L raises ValueError
+    unless a dispatch failure comes before it.
 
-    1. indecomposable count |Ind L| = |Ind A| + |Ind B| - h(h+1)/2,
-    2. phi/psi are jointly surjective, overlap exactly on the identified
-       foundations, add no arrow and carry tau to tau,
-    3. max(gldim A, gldim B) <= gldim L <= gldim A + gldim B.
-
-    Returns the first failed assertion.
-
-    Not checked, since the coordinate encoding makes them true: phi (a
-    shift) and psi (the identity) are injective; both foundations are
-    {(i, j) : i >= m_B - h + 1, j >= 1, i + j <= m_B + 1}; the arrow rule
-    ignores a shift in i, so once every image lies in Ind L each component
-    arrow is an arrow of L; and as d_i >= 2 for i < m, every series has one
-    simple projective, (1, 1), and one simple injective, (m, 1).
+    Not checked, as the coordinate encoding makes them true: phi (a shift)
+    and psi (the identity) are injective and keep the arrow rule; both
+    foundations are {(i, j) : i >= m_B - h + 1, i + j <= m_B + 1}; as
+    d_i >= 2 for i < m, each series has one simple projective, (1, 1),
+    and one simple injective, (m, 1).
     """
     A, B, L, h = g.a, g.b, g.result, g.h
+    shift = B.m - h
+    over_a = set(abutments.foundation(A, "left", h))
+    over_b = set(abutments.foundation(B, "right", h))
+    mods_a, mods_b, mods_l = A.all_modules(), B.all_modules(), L.all_modules()
+    img_a = {(i + shift, j) for i, j in mods_a}
+    img_b, ind_l = set(mods_b), set(mods_l)
 
-    mods_a = A.all_modules()
-    mods_b = B.all_modules()
-    mods_l = L.all_modules()
+    inv = dis = None  # the first failure of each report
     if len(mods_l) != len(mods_a) + len(mods_b) - h * (h + 1) // 2:
-        return GlueReport(False, "indecomposable count formula")
+        inv = "indecomposable count formula"
+    elif img_a | img_b != ind_l:
+        inv = "phi and psi not jointly surjective"
+    elif img_a & img_b != {(i + shift, j) for i, j in over_a}:
+        inv = "overlap differs from identified foundations"
+    elif any(q in ind_l and not ({p, q} <= img_a or {p, q} <= img_b)
+             for p in mods_l for q in ((p[0], p[1] + 1), (p[0] + 1, p[1] - 1))):
+        inv = "extra arrows in the glued quiver"
 
-    # each component module is embedded, and so validated, once
-    phi = {x: g.phi(x) for x in mods_a}
-    psi = {x: g.psi(x) for x in mods_b}
-    img_a, img_b = set(phi.values()), set(psi.values())
-    if img_a | img_b != set(mods_l):
-        return GlueReport(False, "phi and psi not jointly surjective")
-    expected_overlap = {phi[x] for x in abutments.foundation(A, "left", h)}
-    if img_a & img_b != expected_overlap:
-        return GlueReport(False, "overlap differs from identified foundations")
+    def lift(z, s):  # an embedding on a kernel result: no validation
+        return ZERO if z is ZERO else (z[0] + s, z[1])
 
-    ga, gb, gl = ar.ar_quiver(A), ar.ar_quiver(B), ar.ar_quiver(L)
-    # arrows of L all come from a component
-    lifted = {(phi[x], phi[y]) for (x, y) in ga.arrows}
-    lifted |= {(psi[x], psi[y]) for (x, y) in gb.arrows}
-    if lifted != set(gl.arrows):
-        return GlueReport(False, "extra arrows in the glued quiver")
-    for quiv, emb in ((ga, phi), (gb, psi)):
-        for x, tx in quiv.translation.items():
-            if gl.translation.get(emb[x]) != emb[tx]:
-                return GlueReport(False, f"tau not preserved at {x}")
+    steps = (("tau", ar._tau), ("syzygy", ar._syzygy),
+             ("tau_inv", ar._tau_inv), ("cosyzygy", ar._cosyzygy))
+    for K, emb, s, mods, over, kept in (
+            (A, "phi", shift, mods_a, over_a, steps[2:]),
+            (B, "psi", 0, mods_b, over_b, steps[:2])):
+        for x in mods:
+            if inv and dis:
+                break
+            y = L.check_exists((x[0] + s, x[1]))
+            ty, tx = ar._tau(L, y), lift(ar._tau(K, x), s)
+            if not inv and tx is not ZERO and ty != tx:
+                inv = f"tau not preserved at {x}"
+            for name, step in () if dis else kept if x in over else steps:
+                if (ty != tx if step is ar._tau
+                        else step(L, y) != lift(step(K, x), s)):
+                    dis = f"{name} dispatch fails at {emb}{x}"
+                    break
 
-    da, db, dl = ar.gldim(A), ar.gldim(B), ar.gldim(L)
-    if not max(da, db) <= dl <= da + db:
-        return GlueReport(
-            False, f"gldim bound violated: {da}, {db} vs {dl}")
-    return GlueReport(True)
-
-
-def dispatch_check(g: Glued) -> GlueReport:
-    """Translations and (co)syzygies computed componentwise agree with
-    the glued algebra:
-
-    * tau and syzygy of an A-module outside the overlap, and of any
-      B-module, are computed in the component;
-    * tau_inv and cosyzygy of a B-module outside the overlap, and of any
-      A-module, likewise.
-
-    Each component coordinate and its image are validated once; the
-    comparisons then use the trusted steps of the kernel.
-    """
-    A, B, L = g.a, g.b, g.result
-    overlap_a = set(abutments.foundation(A, "left", g.h))
-    overlap_b = set(abutments.foundation(B, "right", g.h))
-    shift = B.m - g.h
-
-    def lift(z):  # phi on a kernel result, which needs no validation
-        return ZERO if z is ZERO else (z[0] + shift, z[1])
-
-    down = (("tau", ar._tau), ("syzygy", ar._syzygy))
-    up = (("tau_inv", ar._tau_inv), ("cosyzygy", ar._cosyzygy))
-    for x in A.all_modules():
-        y = L.check_exists(g.phi(x))
-        for name, step in up if x in overlap_a else down + up:
-            if step(L, y) != lift(step(A, x)):
-                return GlueReport(False, f"{name} dispatch fails at phi{x}")
-    for x in B.all_modules():
-        y = L.check_exists(g.psi(x))
-        for name, step in down if x in overlap_b else down + up:
-            if step(L, y) != step(B, x):
-                return GlueReport(False, f"{name} dispatch fails at psi{x}")
-    return GlueReport(True)
+    if not inv:
+        da, db, dl = ar.gldim(A), ar.gldim(B), ar.gldim(L)
+        if not max(da, db) <= dl <= da + db:
+            inv = f"gldim bound violated: {da}, {db} vs {dl}"
+    return GlueReport(not inv, inv), GlueReport(not dis, dis)

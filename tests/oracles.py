@@ -14,7 +14,9 @@ import functools
 from fractions import Fraction
 from itertools import combinations
 
+from nakayama import abutments, ar
 from nakayama.abutments import foundation
+from nakayama.gluing import Glued, GlueReport
 from nakayama.kupisch import ZERO, KupischSeries, lambda_mh
 from nakayama.tilting import is_tilting, ka_modules
 
@@ -494,6 +496,99 @@ def pushout_matches(glued) -> bool:
     trans = {(glued.phi(x), glued.phi(t)) for x, t in ga.translation.items()}
     trans |= {(glued.psi(x), glued.psi(t)) for x, t in gb.translation.items()}
     return trans == set(gl.translation.items())
+
+
+# -- the two gluing checkers that nakayama.gluing.check_glue replaced -------
+# Kept as they were in the library: check_glue must return the same pair
+# of reports, or raise the same error.
+
+
+def check_glue_invariants_oracle(g: Glued) -> GlueReport:
+    """Structural invariants of a gluing:
+
+    1. indecomposable count |Ind L| = |Ind A| + |Ind B| - h(h+1)/2,
+    2. phi/psi are jointly surjective, overlap exactly on the identified
+       foundations, add no arrow and carry tau to tau,
+    3. max(gldim A, gldim B) <= gldim L <= gldim A + gldim B.
+
+    Returns the first failed assertion.
+
+    Not checked, since the coordinate encoding makes them true: phi (a
+    shift) and psi (the identity) are injective; both foundations are
+    {(i, j) : i >= m_B - h + 1, j >= 1, i + j <= m_B + 1}; the arrow rule
+    ignores a shift in i, so once every image lies in Ind L each component
+    arrow is an arrow of L; and as d_i >= 2 for i < m, every series has one
+    simple projective, (1, 1), and one simple injective, (m, 1).
+    """
+    A, B, L, h = g.a, g.b, g.result, g.h
+
+    mods_a = A.all_modules()
+    mods_b = B.all_modules()
+    mods_l = L.all_modules()
+    if len(mods_l) != len(mods_a) + len(mods_b) - h * (h + 1) // 2:
+        return GlueReport(False, "indecomposable count formula")
+
+    # each component module is embedded, and so validated, once
+    phi = {x: g.phi(x) for x in mods_a}
+    psi = {x: g.psi(x) for x in mods_b}
+    img_a, img_b = set(phi.values()), set(psi.values())
+    if img_a | img_b != set(mods_l):
+        return GlueReport(False, "phi and psi not jointly surjective")
+    expected_overlap = {phi[x] for x in abutments.foundation(A, "left", h)}
+    if img_a & img_b != expected_overlap:
+        return GlueReport(False, "overlap differs from identified foundations")
+
+    ga, gb, gl = ar.ar_quiver(A), ar.ar_quiver(B), ar.ar_quiver(L)
+    # arrows of L all come from a component
+    lifted = {(phi[x], phi[y]) for (x, y) in ga.arrows}
+    lifted |= {(psi[x], psi[y]) for (x, y) in gb.arrows}
+    if lifted != set(gl.arrows):
+        return GlueReport(False, "extra arrows in the glued quiver")
+    for quiv, emb in ((ga, phi), (gb, psi)):
+        for x, tx in quiv.translation.items():
+            if gl.translation.get(emb[x]) != emb[tx]:
+                return GlueReport(False, f"tau not preserved at {x}")
+
+    da, db, dl = ar.gldim(A), ar.gldim(B), ar.gldim(L)
+    if not max(da, db) <= dl <= da + db:
+        return GlueReport(
+            False, f"gldim bound violated: {da}, {db} vs {dl}")
+    return GlueReport(True)
+
+
+def dispatch_check_oracle(g: Glued) -> GlueReport:
+    """Translations and (co)syzygies computed componentwise agree with
+    the glued algebra:
+
+    * tau and syzygy of an A-module outside the overlap, and of any
+      B-module, are computed in the component;
+    * tau_inv and cosyzygy of a B-module outside the overlap, and of any
+      A-module, likewise.
+
+    Each component coordinate and its image are validated once; the
+    comparisons then use the trusted steps of the kernel.
+    """
+    A, B, L = g.a, g.b, g.result
+    overlap_a = set(abutments.foundation(A, "left", g.h))
+    overlap_b = set(abutments.foundation(B, "right", g.h))
+    shift = B.m - g.h
+
+    def lift(z):  # phi on a kernel result, which needs no validation
+        return ZERO if z is ZERO else (z[0] + shift, z[1])
+
+    down = (("tau", ar._tau), ("syzygy", ar._syzygy))
+    up = (("tau_inv", ar._tau_inv), ("cosyzygy", ar._cosyzygy))
+    for x in A.all_modules():
+        y = L.check_exists(g.phi(x))
+        for name, step in up if x in overlap_a else down + up:
+            if step(L, y) != lift(step(A, x)):
+                return GlueReport(False, f"{name} dispatch fails at phi{x}")
+    for x in B.all_modules():
+        y = L.check_exists(g.psi(x))
+        for name, step in down if x in overlap_b else down + up:
+            if step(L, y) != step(B, x):
+                return GlueReport(False, f"{name} dispatch fails at psi{x}")
+    return GlueReport(True)
 
 
 # -- brute-force forms of the linear-time library paths ----------------------

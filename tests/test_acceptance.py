@@ -15,7 +15,7 @@ from nakayama.cluster import (
     classify_sides,
     complete_slice,
 )
-from nakayama.gluing import check_glue_invariants, dispatch_check, glue
+from nakayama.gluing import check_glue, glue
 from nakayama.kupisch import lambda_mh, parse_series
 from nakayama.ndgen import base_family_even, base_family_odd, construct, \
     source_injective_pd, supported
@@ -215,8 +215,9 @@ def test_criterion_09_gluing_properties():
         assert len(g.result.all_modules()) == \
             len(A.all_modules()) + len(B.all_modules()) - h * (h + 1) // 2
         assert pushout_matches(g)
-        assert check_glue_invariants(g).ok
-        assert dispatch_check(g).ok
+        inv, dis = check_glue(g)
+        assert inv.ok
+        assert dis.ok
         da, db = ar.gldim(A), ar.gldim(B)
         assert max(da, db) <= ar.gldim(g.result) <= da + db
         trials += 1
@@ -239,8 +240,7 @@ def test_criterion_10_worked_chain():
     assert classify_sides(K, 4, Fc, v)["right_nct"]
     for step in trace:
         if step.kind in ("staircase", "glue"):
-            assert check_glue_invariants(
-                glue(step.b, step.a, step.height)).ok
+            assert check_glue(glue(step.b, step.a, step.height))[0].ok
     _report(10, "slice completion chain", t0, 5.0)
 
 

@@ -132,6 +132,20 @@ def test_glue_command(capsys):
     assert code == 2
 
 
+def test_glue_text_builds_no_json(capsys, monkeypatch):
+    # the phi/psi tables cover every module; text output prints one line
+    from nakayama.gluing import Glued
+
+    def refuse(self):
+        raise AssertionError("Glued.to_json called for text output")
+
+    monkeypatch.setattr(Glued, "to_json", refuse)
+    for check in ((), ("--check",)):
+        code, out = run(capsys, "glue", "--b", "4,4,4,4,4,4,3,2,1",
+                        "--a", "5,5,4,3,2,1", "--height", "3", *check)
+        assert code == 0 and out == "5^2,4^7,3,2,1\n"
+
+
 def test_construct_nd(capsys):
     code, out = run(capsys, "construct-nd", "--n", "9", "--d", "14",
                     "--emit", "kupisch")

@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from nakayama import ar, cluster
+from nakayama import ar, cluster, tilting
+from nakayama.abutments import footing_from_ka
 from nakayama.cluster import (
     check_fractured,
     check_nct,
@@ -14,7 +15,7 @@ from nakayama.cluster import (
     generate_candidate,
     glue_fractured,
 )
-from nakayama.gluing import check_glue_invariants, glue
+from nakayama.gluing import check_glue, glue
 from nakayama.kupisch import KupischSeries, lambda_mh, parse_series
 from nakayama.tilting import (
     enumerate_slices,
@@ -552,7 +553,7 @@ def test_complete_slice_worked_chain():
         if step.kind in ("staircase", "glue"):
             g = glue(step.b, step.a, step.height)
             assert g.result == step.result
-            assert check_glue_invariants(g).ok
+            assert check_glue(g)[0].ok
 
 
 def test_complete_slice_base():
@@ -587,7 +588,7 @@ def test_complete_slice_all_small():
                     for step in trace:
                         if step.kind in ("staircase", "glue"):
                             g = glue(step.b, step.a, step.height)
-                            assert check_glue_invariants(g).ok
+                            assert check_glue(g)[0].ok
 
 
 def test_complete_slice_errors():
@@ -597,6 +598,36 @@ def test_complete_slice_errors():
         complete_slice(3, [(3, 1), (1, 2), (1, 3)], 2, "right")
     with pytest.raises(ValueError):
         complete_slice(2, [(1, 1), (1, 2)], 2, "sideways")
+
+
+def test_complete_slice_builds_the_fracture_without_is_tilting(monkeypatch):
+    # every slice is tilting and slice_indices validated the given one,
+    # so the completed fracture is built as it is: the one is_fracture
+    # would validate
+    def refuse(h, coords):
+        raise AssertionError("is_tilting called")
+
+    for h in range(1, 6):
+        for s in enumerate_slices(h):
+            with monkeypatch.context() as mp:
+                mp.setattr(tilting, "is_tilting", refuse)
+                Kr, Fr, vr, _ = complete_slice(h, list(s), 2, "right")
+                Kl, Fl, vl, _ = complete_slice(h, list(s), 2, "left")
+            assert vr.ok and vl.ok
+            assert Fr.TL == is_fracture(Kr, "left", h, s)
+            assert Fl.TR == is_fracture(
+                Kl, "right", h,
+                [footing_from_ka(Kl, "right", h, c) for c in s])
+
+
+def test_complete_slice_raises_without_the_abutment(monkeypatch):
+    # a completion lacking the height-h abutment is a construction bug
+    monkeypatch.setattr(cluster, "_complete_right_series",
+                        lambda h, indices, n, trace: lambda_mh(5, 2))
+    for side, other in (("right", "left"), ("left", "right")):
+        with pytest.raises(ValueError,
+                           match=f"no {other} abutment of height 3"):
+            complete_slice(3, [(1, 1), (1, 2), (1, 3)], 2, side)
 
 
 # -- the failure stream ------------------------------------------------------

@@ -80,11 +80,11 @@ def test_base_family_caps_vertices(monkeypatch):
 def test_base_family_odd_top_is_a_gluing():
     # the d = 2n-1 member is the chain algebra glued below the wide
     # height-3 algebra at a height-2 abutment
-    from nakayama.gluing import check_glue_invariants, glue
+    from nakayama.gluing import check_glue, glue
     for n in (3, 5, 7, 9):
         g = glue(lambda_mh(3 * (n + 1) // 2, 3), lambda_mh(n + 1, 2), 2)
         assert g.result == base_family_odd(n, 2 * n - 1)
-        assert check_glue_invariants(g).ok
+        assert check_glue(g)[0].ok
 
 
 def test_verdict_idempotent_across_families():
