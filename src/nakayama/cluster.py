@@ -9,15 +9,16 @@ intermediate (co)syzygies of those modules must not vanish.  The
 candidate is generated by closing the fractured projectives under the
 inverse higher translate and adjoining the fractured injectives; the
 verdict re-validates all four conditions, so it is sound for any
-generation; it walks each module once per direction, one kernel call
-giving the translate and the walk length, up to the first failure, and
-lists the failures only when they are read.  The closure records only
-modules outside the fractured injectives, so its walks are exactly the
-candidate minus them, and a check merges its candidate from those and
-the fractured injectives, two sorted runs, instead of sorting a set.
-check_nct checks against the sorted projectives and injectives, and
-their sets, that the series built, and answers in closed form for n
-above a memoized global dimension, with a candidate memoized on the
+generation.  The closure records only modules outside the fractured
+injectives, so its walks are exactly the candidate minus them, each
+one kernel call giving the translate and the walk length; a check
+sorts its candidate from those and the fractured injectives.  A walk
+that ends at ZERO decides a failing verdict from the closure alone;
+only otherwise are the modules walked the other way, up to the first
+failure.  The orbit and the failures are built when they are first
+read.  check_nct checks against the sorted projectives and injectives,
+and their sets, that the series built, and answers in closed form for
+n above a memoized global dimension, with a candidate memoized on the
 series.
 """
 
@@ -37,8 +38,9 @@ from .tilting import Fracture, Fracturing
 
 class Verdict:
     """Outcome of a check.  stream() yields the failure records afresh;
-    failures collects them on first read.  == compares ok, candidate, orbit.
-    The fields are read-only."""
+    failures collects them on first read.  orbit is the tuple of pairs,
+    or a function that builds it on first read, after which it is kept.
+    == compares ok, candidate, orbit.  The fields are read-only."""
 
     __slots__ = ("_ok", "_candidate", "_orbit", "_stream", "_failures")
 
@@ -52,8 +54,14 @@ class Verdict:
 
     ok = property(attrgetter("_ok"))
     candidate = property(attrgetter("_candidate"))
-    orbit = property(attrgetter("_orbit"))
     stream = property(attrgetter("_stream"))
+
+    @property
+    def orbit(self) -> Tuple[Tuple[Coord, Coord], ...]:
+        orbit = self._orbit
+        if callable(orbit):
+            self._orbit = orbit = orbit()
+        return orbit
 
     @property
     def failures(self) -> Tuple[dict, ...]:
@@ -66,18 +74,18 @@ class Verdict:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self._ok, self._candidate, self._orbit) == \
-            (other._ok, other._candidate, other._orbit)
+        return (self._ok, self._candidate, self.orbit) == \
+            (other._ok, other._candidate, other.orbit)
 
     def __hash__(self):
-        return hash((self._ok, self._candidate, self._orbit))
+        return hash((self._ok, self._candidate, self.orbit))
 
     def __repr__(self):
         return (f"Verdict(ok={self._ok!r}, candidate={self._candidate!r}, "
-                f"orbit={self._orbit!r})")
+                f"orbit={self.orbit!r})")
 
     def __reduce__(self):  # any protocol; failures are read again
-        return Verdict, (self._ok, self._candidate, self._orbit, self._stream)
+        return Verdict, (self._ok, self._candidate, self.orbit, self._stream)
 
     def __bool__(self):
         return self._ok
@@ -119,10 +127,10 @@ def _closure(K: KupischSeries, n: int, seed, stop) -> Dict[Coord, Tuple]:
     return walks
 
 
-def _merged(rest: List[Coord], ir) -> Tuple[Coord, ...]:
-    """The union of the disjoint sorted sequences rest and ir, sorted:
-    timsort finds the two runs and merges them."""
-    return tuple(sorted(rest + list(ir)))
+def _merged(rest, ir) -> Tuple[Coord, ...]:
+    """The union of the disjoint sequences rest and ir, sorted: ir is
+    sorted, and timsort finds it as a run."""
+    return tuple(sorted([*rest, *ir]))
 
 
 def generate_candidate(K: KupischSeries, n: int,
@@ -134,14 +142,16 @@ def generate_candidate(K: KupischSeries, n: int,
     return sorted([*_closure(K, n, tilting.pL_category(K, F), set(ir)), *ir])
 
 
-def _stream(K: KupischSeries, n: int, pl, cand, up,
+def _stream(K: KupischSeries, n: int, pl, cand, walks,
             missing) -> Iterator[dict]:
     """The failure records in order 1; 2 forward, backward, inverted; 3; 4.
-    missing lists the fractured projectives outside an explicit
-    candidate.  Condition 2 forward walks C minus P_L into down:
-    x -> (tau_n x, k)."""
+    walks maps C minus I_R to (tau_n_inv y, k), missing lists the
+    fractured projectives outside an explicit candidate.  The stream
+    sorts walks into up and fills down: x -> (tau_n x, k) for x in
+    C minus P_L."""
     for x in missing:
         yield _fail(1, x, "fractured projective missing")
+    up = {y: walks[y] for y in sorted(walks)}
     down = {}
     for x in (x for x in cand if x not in pl):
         down[x] = w = ar._down(K, x, n - 1)
@@ -161,35 +171,45 @@ def _stream(K: KupischSeries, n: int, pl, cand, up,
                 for y, (_, k) in up.items() if k < n - 1)
 
 
+def _orbit(walks, cand, pl) -> Tuple[Tuple[Coord, Coord], ...]:
+    """(y, tau_n_inv y) for y in C minus I_R, in sorted order, with
+    tau_n_inv y in C minus P_L."""
+    cs = set(cand)
+    return tuple((y, x) for y in sorted(walks)
+                 if (x := walks[y][0]) in cs and x not in pl)
+
+
 def _check(K: KupischSeries, n: int, pl, pls, ir, irs,
            candidate) -> Verdict:
     """check_fractured, given P_L and I_R as sorted sequences (pl, ir)
-    and as sets (pls, irs)."""
+    and as sets (pls, irs).  The walks of C minus I_R decide a failing
+    verdict when one ends at ZERO; only otherwise does the stream walk
+    C minus P_L, up to its first record."""
     ar._check_order(n)
     if candidate is None:
         # the closure holds exactly C minus I_R, with its walks; it
         # contains the part of its seed P_L outside I_R, so condition 1
-        # cannot fail.  The closure is closed under tau_n^-, up to I_R,
-        # so every nonzero image of one of its modules is in C.
+        # cannot fail
         walks = _closure(K, n, pl, irs)
-        rest = sorted(walks)
-        cand = _merged(rest, ir)
-        up = {y: walks[y] for y in rest}
-        orbit = tuple((y, x) for y, (x, _) in up.items()
-                      if x is not ZERO and x not in pls)
+        cand = _merged(walks, ir)
         missing = ()
     else:
         cset = {K.check_exists(x) for x in candidate}
         cand = tuple(sorted(cset))
-        up = {y: ar._up(K, y, n - 1) for y in cand if y not in irs}
-        orbit = tuple((y, x) for y, (x, _) in up.items()
-                      if x in cset and x not in pls)
+        walks = {y: ar._up(K, y, n - 1) for y in cand if y not in irs}
         missing = sorted(pls.difference(cset))
-    # the keys of up are C minus I_R, in sorted order; the orbit is
-    # (x, tau_n_inv x) for x in C minus I_R with tau_n_inv x in C minus P_L
-    stream = functools.partial(_stream, K, n, pls, cand, up, missing)
-    ok = next(stream(), None) is None  # builds the first record only
-    return Verdict(ok, cand, orbit, tuple if ok else stream)
+    stream = functools.partial(_stream, K, n, pls, cand, walks, missing)
+    # a walk that stops early ends at ZERO, and ZERO is never in C minus
+    # P_L, so a ZERO image is a record of condition 4 or 2 (backward)
+    ok = not missing
+    for x, _ in walks.values():
+        if x is ZERO:
+            ok = False
+            break
+    if ok:
+        ok = next(stream(), None) is None  # builds the first record only
+    return Verdict(ok, cand, functools.partial(_orbit, walks, cand, pls),
+                   tuple if ok else stream)
 
 
 def check_fractured(K: KupischSeries, n: int, F: Fracturing,

@@ -635,20 +635,35 @@ def test_complete_slice_raises_without_the_abutment(monkeypatch):
 FAILING = parse_series("4^6,3,2,1")  # fails at n = 3, condition 2 first
 
 
+FULL_UP = parse_series("2,3^2,2,1")  # every up walk full and nonzero at n = 3
+
+
 def test_check_nct_stops_at_first_failure(monkeypatch):
-    # ok is decided by the first failure: C minus P is walked only up to
-    # it, and reading failures runs the stream again, in full
+    # a closure walk that vanishes decides the verdict with no _down
+    # call: over FAILING at n = 3 the walks from (6, 1), (6, 2) and
+    # (6, 3) stop early.  Where every up walk is full and nonzero, ok is
+    # decided by the stream's first record: C minus P is walked only up
+    # to it, and reading failures runs the stream again, in full
     calls = []
     walk = ar._down
     monkeypatch.setattr(ar, "_down",
                         lambda *a: calls.append(a) or walk(*a))
-    v = check_nct(FAILING, 3)
-    assert not v.ok
-    rest = len(set(v.candidate) - set(FAILING.projectives()))
-    early = len(calls)
-    assert 0 < early < rest
-    assert v.failures
-    assert len(calls) == early + rest
+    for K, first in ((FAILING, 0), (FULL_UP, 1)):
+        calls.clear()
+        v = check_nct(K, 3)
+        assert not v.ok
+        early = len(calls)
+        assert early == first
+        rest = len(set(v.candidate) - K._p)
+        assert early < rest
+        assert v.failures
+        assert len(calls) == early + rest
+    walks = cluster._closure(FAILING, 3, FAILING._pseq, FAILING._i)
+    assert [y for y, (x, k) in walks.items() if x is None] == \
+        [(6, 1), (6, 2), (6, 3)]
+    assert all(x is not None and k == 2 for x, k in
+               cluster._closure(FULL_UP, 3, FULL_UP._pseq,
+                                FULL_UP._i).values())
 
 
 def test_failures_read_once():
@@ -679,3 +694,59 @@ def test_verdict_equality_ignores_the_stream():
     v = check_nct(FAILING, 3)
     same = Verdict(v.ok, v.candidate, v.orbit)
     assert same == v and hash(same) == hash(v) and not same.failures
+
+
+def test_orbit_is_built_once_on_first_read(monkeypatch):
+    # a check whose orbit is never read never builds it; the first read
+    # builds it and every later read returns the same tuple
+    builds = []
+    orbit = cluster._orbit
+
+    def counting(*args):
+        builds.append(args)
+        return orbit(*args)
+
+    monkeypatch.setattr(cluster, "_orbit", counting)
+    for K, n in ((FAILING, 3), (FULL_UP, 3), (GLUED, 2)):
+        v = check_nct(K, n)
+        v.ok, v.candidate, v.failures
+        assert not builds
+        assert v.orbit is v.orbit and len(builds) == 1
+        builds.clear()
+
+
+def test_unread_orbit_compares_hashes_and_pickles_as_read():
+    for K, n in ((FAILING, 3), (FULL_UP, 3), (GLUED, 2), (GLUED, 3)):
+        read = check_nct(K, n)
+        read.orbit
+        for unread in (check_nct(K, n), check_nct(K, n)):
+            assert unread == read and read == unread
+        assert hash(check_nct(K, n)) == hash(read)
+        assert repr(check_nct(K, n)) == repr(read)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(check_nct(K, n), protocol)
+            assert data == pickle.dumps(read, protocol)
+            assert pickle.loads(data) == read
+
+
+def test_verdict_takes_a_tuple_orbit():
+    from nakayama.cluster import Verdict
+    orbit = (((1, 1), (2, 1)),)
+    v = Verdict(True, (), orbit)
+    assert v.orbit is orbit and v == Verdict(True, (), orbit)
+    assert Verdict(True, (), ()).orbit == ()
+
+
+def test_explicit_candidate_orbit_leaves_out_images_outside_it():
+    # over 3,2,1 at n = 1, tau^- sends (1, 1) to (2, 1); a candidate
+    # without (2, 1) keeps (1, 1) out of the orbit
+    K = parse_series("3,2,1")
+    F = projective_injective_fracturing(K)
+    full = check_fractured(K, 1, F)
+    assert ((1, 1), (2, 1)) in full.orbit
+    part = [x for x in full.candidate if x != (2, 1)]
+    v = check_fractured(K, 1, F, part)
+    assert not v.ok and (2, 1) not in v.candidate
+    assert all(x in v.candidate for _, x in v.orbit)
+    assert [p for p in v.orbit if p[0] == (1, 1)] == []
+    assert v.to_json() == check_fractured_oracle(K, 1, F, part).to_json()
