@@ -77,6 +77,9 @@ CASES = {
                              "--emit", "quiver"], ""),
     "construct_nd_certificate": (["construct-nd", "--n", "9", "--d", "14",
                                   "--emit", "certificate"], ""),
+    # base-even, then two extend steps
+    "construct_nd_extended": (["construct-nd", "--n", "4", "--d", "14",
+                               "--emit", "certificate"], ""),
     "ar_quiver_ascii": (["ar-quiver", "--kupisch", "3,3,2,1",
                          "--highlight", "[[1, 3], [2, 2]]"], ""),
     "ar_quiver_dot": (["ar-quiver", "--kupisch", "3,3,2,1",
