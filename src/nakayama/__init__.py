@@ -56,7 +56,6 @@ from .cluster import (
     classify_sides,
     compatibility_check,
     complete_slice,
-    generate_candidate,
     glue_fractured,
 )
 from .ndgen import (
@@ -65,7 +64,6 @@ from .ndgen import (
     base_family_odd,
     chain_algebra,
     construct,
-    extend_by_n,
     supported,
 )
 from .render import RenderSpec, render

@@ -133,15 +133,6 @@ def _merged(rest, ir) -> Tuple[Coord, ...]:
     return tuple(sorted([*rest, *ir]))
 
 
-def generate_candidate(K: KupischSeries, n: int,
-                       F: Fracturing) -> List[Coord]:
-    """Close the fractured projectives under the inverse higher translate
-    (dropping ZERO) and adjoin the fractured injectives."""
-    ar._check_order(n)
-    ir = tilting.iR_category(K, F)
-    return sorted([*_closure(K, n, tilting.pL_category(K, F), set(ir)), *ir])
-
-
 def _stream(K: KupischSeries, n: int, pl, cand, walks,
             missing) -> Iterator[dict]:
     """The failure records in order 1; 2 forward, backward, inverted; 3; 4.
@@ -261,13 +252,11 @@ def check_nct(K: KupischSeries, n: int) -> Verdict:
     return _check(K, n, K._pseq, K._p, K._iseq, K._i, None)
 
 
-def classify_sides(K: KupischSeries, n: int, F: Fracturing,
-                   verdict: Optional[Verdict] = None) -> dict:
-    """Which sides of an ok fractured subcategory are honest: left if
-    the left fracture is projective, right if the right fracture is
-    injective, cluster-tilting if both."""
-    if verdict is None:
-        verdict = check_fractured(K, n, F)
+def classify_sides(F: Fracturing, verdict: Verdict) -> dict:
+    """Which sides of an ok fractured subcategory, the verdict of a check
+    with the fracturing F, are honest: left if the left fracture is
+    projective, right if the right fracture is injective, cluster-tilting
+    if both."""
     if not verdict.ok:
         raise ValueError("verdict not ok; sides are undefined")
     # a fracture of level 1 has every apex among its h summands, so at the
@@ -510,7 +499,7 @@ def complete_slice(h: int, slice_coords, n: int, side: str):
     if not verdict.ok:
         raise RuntimeError(
             f"slice completion failed verification: {next(verdict.stream())}")
-    sides = classify_sides(K, n, F, verdict)
+    sides = classify_sides(F, verdict)
     if not sides[f"{side}_nct"]:
         raise RuntimeError(f"completed subcategory is not {side} honest")
     return K, F, verdict, trace

@@ -39,11 +39,6 @@ class Glued(NamedTuple):
         self.b.check_exists(x)
         return x
 
-    def overlap(self):
-        """Common image: the identified foundation inside the result."""
-        return [self.psi(x)
-                for x in abutments.foundation(self.b, "right", self.h)]
-
     def to_json(self) -> dict:
         return {
             "result": self.result.to_json(),

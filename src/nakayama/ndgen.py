@@ -21,7 +21,6 @@ from typing import List, NamedTuple, Tuple
 
 from . import ar, kupisch
 from .cluster import Verdict, check_nct
-from .gluing import glue
 from .kupisch import KupischSeries, lambda_mh
 
 
@@ -55,6 +54,14 @@ def _row(n: int, r: int) -> Tuple[List[Tuple[int, int]], int]:
     return [(3, 9 * n // 2 - 2), (2, 1), (1, 1)], 2 * n + r
 
 
+def _expand(runs: List[Tuple[int, int]]) -> List[int]:
+    """The entries that the (entry, count) runs spell out."""
+    entries: List[int] = []
+    for entry, count in runs:
+        entries += [entry] * count
+    return entries
+
+
 def _build(name: str, n: int, r: int) -> KupischSeries:
     """Expand the row's runs, refusing more than MAX_VERTICES first."""
     runs = _row(n, r)[0]
@@ -62,10 +69,7 @@ def _build(name: str, n: int, r: int) -> KupischSeries:
     if m > kupisch.MAX_VERTICES:
         raise ValueError(f"{name} would have {m} vertices, more than "
                          f"MAX_VERTICES = {kupisch.MAX_VERTICES}")
-    entries: List[int] = []
-    for entry, count in runs:
-        entries += [entry] * count
-    return KupischSeries(entries)
+    return KupischSeries(_expand(runs))
 
 
 def base_family_odd(n: int, d: int) -> KupischSeries:
@@ -98,24 +102,6 @@ def base_family_even(n: int, k: int) -> KupischSeries:
 def source_injective_pd(K: KupischSeries) -> int:
     """Projective dimension of the injective at the source vertex."""
     return ar.pd(K, (K.m, 1))
-
-
-def extend_by_n(K: KupischSeries, n: int) -> KupischSeries:
-    """Glue a radical-square-zero chain below the source injective,
-    prepending n entries of 2.  Requires an ok n-cluster-tilting check
-    and a source injective of full projective dimension; the result has
-    both dimensions increased by exactly n."""
-    if not check_nct(K, n).ok:
-        raise ValueError(f"{K!r} is not n-cluster-tilting for n = {n}")
-    g = ar.gldim(K)
-    if source_injective_pd(K) != g:
-        raise ValueError(
-            f"source injective of {K!r} does not attain gldim {g}")
-    glued = glue(K, lambda_mh(n + 1, 2), 1)
-    result = glued.result
-    if ar.gldim(result) != g + n or source_injective_pd(result) != g + n:
-        raise RuntimeError(f"extension of {K!r} did not add {n} to gldim")
-    return result
 
 
 def supported(n: int, d: int) -> bool:
@@ -158,10 +144,14 @@ def construct(n: int, d: int) -> NdCertificate:
         raise ValueError(f"pair (n, d) = ({n}, {d}) is not supported")
     residue = d % n
     if residue == 0:
-        m, k = d + 1, 0
+        runs, k = [(2, d), (1, 1)], 0
+        first = {"step": "chain", "k": d // n}
     else:
         runs, g = _row(n, residue)
-        m, k = sum(count for _, count in runs), (d - g) // n
+        k = (d - g) // n
+        first = {"step": "base-odd", "target": n + residue} if n % 2 else \
+            {"step": "base-even", "k": residue}
+    m = sum(count for _, count in runs)
     # the final series and the trace, which keeps the start series and a
     # copy after each of the k extensions of n entries
     held = m * (k + 2) + n * k * (k + 3) // 2
@@ -169,27 +159,14 @@ def construct(n: int, d: int) -> NdCertificate:
         raise ValueError(f"construct({n}, {d}) would hold {held} entries in "
                          f"its series and trace, more than MAX_VERTICES = "
                          f"{kupisch.MAX_VERTICES}")
-    trace: List[dict] = []
-    if residue == 0:
-        K = chain_algebra(n, d // n)
-        trace.append({"step": "chain", "k": d // n,
-                      "series": K.to_json()})
-    else:
-        if n % 2 == 1:
-            K = base_family_odd(n, n + residue)
-            trace.append({"step": "base-odd", "target": n + residue,
-                          "series": K.to_json()})
-        else:
-            K = base_family_even(n, residue)
-            trace.append({"step": "base-even", "k": residue,
-                          "series": K.to_json()})
-        # Each extension prepends n entries of 2, as extend_by_n does; the
-        # certificate below verifies the final series, and nothing before.
-        entries = list(K.entries)
-        for _ in range(k):
-            entries[:0] = [2] * n
-            trace.append({"step": "extend", "series": {"kupisch": entries[:]}})
-        K = KupischSeries(entries)
+    entries = _expand(runs)
+    trace = [dict(first, series={"kupisch": entries[:]})]
+    # Each extension prepends n entries of 2; the certificate below
+    # verifies the final series, and nothing before.
+    for _ in range(k):
+        entries[:0] = [2] * n
+        trace.append({"step": "extend", "series": {"kupisch": entries[:]}})
+    K = KupischSeries(entries)
     verdict = check_nct(K, n)
     g = ar.gldim(K)
     pd_src = source_injective_pd(K)

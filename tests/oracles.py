@@ -16,8 +16,10 @@ from itertools import combinations
 
 from nakayama import abutments, ar
 from nakayama.abutments import foundation
-from nakayama.gluing import Glued, GlueReport
+from nakayama.cluster import check_nct
+from nakayama.gluing import Glued, GlueReport, glue
 from nakayama.kupisch import ZERO, KupischSeries, lambda_mh
+from nakayama.ndgen import source_injective_pd
 from nakayama.tilting import is_tilting, ka_modules
 
 # -- exact linear algebra ---------------------------------------------------
@@ -608,6 +610,26 @@ def footing_to_ka_oracle(K: KupischSeries, side: str, h: int, x):
     if x not in set(foundation(K, side, h)):
         raise ValueError(f"{x} not in the {side} foundation of height {h}")
     return x if side == "left" else (x[0] - (K.m - h), x[1])
+
+
+def extend_by_n_oracle(K: KupischSeries, n: int) -> KupischSeries:
+    """Glue a radical-square-zero chain below the source injective,
+    prepending n entries of 2.  Requires an ok n-cluster-tilting check
+    and a source injective of full projective dimension; the result has
+    both dimensions increased by exactly n."""
+    if not check_nct(K, n).ok:
+        raise ValueError(f"{K!r} is not n-cluster-tilting for n = {n}")
+    g = ar.gldim(K)
+    if source_injective_pd(K) != g:
+        raise ValueError(
+            f"source injective of {K!r} does not attain gldim {g}")
+    glued = glue(K, lambda_mh(n + 1, 2), 1)
+    result = glued.result
+    if ar.gldim(result) != g + n or source_injective_pd(result) != g + n:
+        raise RuntimeError(f"extension of {K!r} did not add {n} to gldim")
+    return result
+
+
 
 
 def enumerate_tilting_oracle(h: int):

@@ -237,7 +237,7 @@ def test_criterion_10_worked_chain():
         5, [(2, 1), (2, 2), (1, 3), (1, 4), (1, 5)], 4, "right")
     assert K == parse_series("2^3,3^5,5^8,4,3,2,1")
     assert v.ok
-    assert classify_sides(K, 4, Fc, v)["right_nct"]
+    assert classify_sides(Fc, v)["right_nct"]
     for step in trace:
         if step.kind in ("staircase", "glue"):
             assert check_glue(glue(step.b, step.a, step.height))[0].ok

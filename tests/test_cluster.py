@@ -12,7 +12,6 @@ from nakayama.cluster import (
     classify_sides,
     compatibility_check,
     complete_slice,
-    generate_candidate,
     glue_fractured,
 )
 from nakayama.gluing import check_glue, glue
@@ -34,14 +33,14 @@ GLUED = parse_series("5,5,4^7,3,2,1")
 
 def test_generate_candidate_motivating():
     A = lambda_mh(6, 5)
-    cand = generate_candidate(A, 2, projective_injective_fracturing(A))
+    cand = check_fractured(A, 2, projective_injective_fracturing(A)).candidate
     proj = set(A.projectives())
     inj = set(A.injectives())
     assert set(cand) == proj | inj
     # high n: only fractured projectives and injectives remain
     K = lambda_mh(9, 4)
     n = ar.gldim(K) + 1
-    cand = generate_candidate(K, n, projective_injective_fracturing(K))
+    cand = check_fractured(K, n, projective_injective_fracturing(K)).candidate
     assert set(cand) == set(K.projectives()) | set(K.injectives())
 
 
@@ -51,7 +50,7 @@ def test_generate_candidate_sliced():
         K,
         [(2, 1), (2, 2), (1, 3), (1, 4), (1, 5)],
         [(11, 1), (10, 2), (10, 3), (9, 4), (8, 5)])
-    cand = generate_candidate(K, 4, F)
+    cand = list(check_fractured(K, 4, F).candidate)
     assert cand == sorted(
         [(i, 5) for i in range(1, 9)]
         + [(2, 1), (2, 2), (1, 3), (1, 4)]
@@ -67,7 +66,7 @@ def test_check_fractured_sliced():
         [(11, 1), (10, 2), (10, 3), (9, 4), (8, 5)])
     v = check_fractured(K, 4, F)
     assert v.ok
-    sides = classify_sides(K, 4, F, v)
+    sides = classify_sides(F, v)
     assert sides == {"left_nct": False, "right_nct": False, "nct": False}
 
 
@@ -228,7 +227,7 @@ def test_glue_fractured_worked_step():
     g, F, v = glue_fractured((B, FB), (A, FA), 3, 4)
     assert g.result == parse_series("3^5,5^8,4,3,2,1")
     assert v.ok
-    assert not classify_sides(g.result, 4, F, v)["right_nct"]
+    assert not classify_sides(F, v)["right_nct"]
 
 
 def test_glue_fractured_nct_at_simples():
@@ -240,7 +239,7 @@ def test_glue_fractured_nct_at_simples():
     FA = projective_injective_fracturing(A)
     g, F, v = glue_fractured((B, FB), (A, FA), 1, n)
     assert v.ok
-    assert classify_sides(g.result, n, F, v)["nct"]
+    assert classify_sides(F, v)["nct"]
     assert g.result == lambda_mh(3 * n + 1, 2)
 
 
@@ -270,7 +269,7 @@ def test_glue_fractured_slice_grid():
                 KA, FA, va, _ = complete_slice(h, list(s), n, "right")
                 g, F, v = glue_fractured((KB, FB), (KA, FA), h, n)
                 assert v.ok, (h, s, n, v.failures)
-                assert classify_sides(g.result, n, F, v)["nct"]
+                assert classify_sides(F, v)["nct"]
 
 
 def _fractured_algebras(max_m, n):
@@ -407,7 +406,7 @@ def test_classify_sides_against_canonical_fractures():
                     F = Fracturing(T, I) if side == "left" \
                         else Fracturing(P, T)
                     honest = set(T.coords) == set(canon.coords)
-                    assert classify_sides(K, 1, F, ok)[f"{side}_nct"] \
+                    assert classify_sides(F, ok)[f"{side}_nct"] \
                         == honest
 
 
@@ -461,7 +460,7 @@ def test_generated_candidate_follows_orbits_through_i_r(monkeypatch):
     # its orbit goes on: for n = 1, tau^- of (1, 1) over 2,1 is (2, 1)
     K = parse_series("2,1")
     F = make_fracturing(K, [(1, 1), (1, 2)], [(1, 1), (1, 2)])
-    assert generate_candidate(K, 1, F) == [(1, 1), (1, 2), (2, 1)]
+    assert check_fractured(K, 1, F).candidate == ((1, 1), (1, 2), (2, 1))
     # seeded random fracturings whose I_R leaves some injectives out:
     # each of those gets the walk (ZERO, 0), the candidate and the
     # verdict are those of the oracle, and the check walks each module
@@ -488,7 +487,8 @@ def test_generated_candidate_follows_orbits_through_i_r(monkeypatch):
         seen += 1
         for n in range(1, K.m + 2):
             expected = check_fractured_oracle(K, n, F)
-            assert generate_candidate(K, n, F) == list(expected.candidate)
+            assert list(check_fractured(K, n, F).candidate) \
+                == list(expected.candidate)
             walked.clear()
             v = check_fractured(K, n, F)
             assert len(walked) == len(set(walked)), (K, n)
@@ -548,7 +548,7 @@ def test_complete_slice_worked_chain():
         5, [(2, 1), (2, 2), (1, 3), (1, 4), (1, 5)], 4, "right")
     assert K == parse_series("2^3,3^5,5^8,4,3,2,1")
     assert v.ok
-    assert classify_sides(K, 4, F, v)["right_nct"]
+    assert classify_sides(F, v)["right_nct"]
     for step in trace:
         if step.kind in ("staircase", "glue"):
             g = glue(step.b, step.a, step.height)
@@ -561,7 +561,7 @@ def test_complete_slice_base():
         for side in ("left", "right"):
             K, F, v, _ = complete_slice(1, [(1, 1)], n, side)
             assert K == KupischSeries([1])
-            assert v.ok and classify_sides(K, n, F, v)["nct"]
+            assert v.ok and classify_sides(F, v)["nct"]
 
 
 def test_complete_slice_injective_slice():
@@ -584,7 +584,7 @@ def test_complete_slice_all_small():
                 for side in ("left", "right"):
                     K, F, v, trace = complete_slice(h, list(s), n, side)
                     assert v.ok
-                    assert classify_sides(K, n, F, v)[f"{side}_nct"]
+                    assert classify_sides(F, v)[f"{side}_nct"]
                     for step in trace:
                         if step.kind in ("staircase", "glue"):
                             g = glue(step.b, step.a, step.height)

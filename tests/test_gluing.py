@@ -20,7 +20,8 @@ def test_glue_motivating():
     assert len(g.result.all_modules()) == 20 + 30 - 6
     assert g.phi((1, 1)) == (7, 1)
     assert g.psi((1, 1)) == (1, 1)
-    assert set(g.overlap()) == {(7, 1), (7, 2), (7, 3), (8, 1), (8, 2), (9, 1)}
+    assert {g.psi(x) for x in foundation(g.b, "right", g.h)} == \
+        {(7, 1), (7, 2), (7, 3), (8, 1), (8, 2), (9, 1)}
 
 
 def test_glue_trivial():
@@ -146,7 +147,7 @@ def test_embeddings_injective_foundations_identified_arrows_kept():
                     assert all((img[x], img[y]) in arrows_l
                                for x, y in arrows[K])
                 assert {g.phi(x) for x in foundation(A, "left", h)} == \
-                    set(g.overlap())
+                    {g.psi(x) for x in foundation(B, "right", h)}
 
 
 def test_invariant_failures_on_wrong_results():

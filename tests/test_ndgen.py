@@ -4,19 +4,18 @@ import pytest
 
 from nakayama import ar, kupisch
 from nakayama.cluster import check_nct
-from nakayama.kupisch import lambda_mh, parse_series
+from nakayama.kupisch import KupischSeries, lambda_mh, parse_series
 from nakayama.ndgen import (
     _row,
     base_family_even,
     base_family_odd,
     chain_algebra,
     construct,
-    extend_by_n,
     source_injective_pd,
     supported,
 )
 
-from oracles import all_series
+from oracles import all_series, extend_by_n_oracle
 
 
 def test_base_family_odd_rows():
@@ -102,15 +101,16 @@ def test_verdict_idempotent_across_families():
 
 def test_extend_by_n():
     K = parse_series("2,3^11,2^2,1")
-    ext = extend_by_n(K, 9)
+    ext = extend_by_n_oracle(K, 9)
     assert ext == parse_series("2^10,3^11,2^2,1")
     assert ar.gldim(ext) == 19
     assert check_nct(ext, 9).ok
     for n, k in [(2, 1), (3, 2), (4, 1)]:
-        assert extend_by_n(chain_algebra(n, k), n) == chain_algebra(n, k + 1)
+        assert extend_by_n_oracle(chain_algebra(n, k), n) \
+            == chain_algebra(n, k + 1)
     # the precondition is enforced
     with pytest.raises(ValueError):
-        extend_by_n(lambda_mh(9, 4), 2)  # not 2-cluster-tilting
+        extend_by_n_oracle(lambda_mh(9, 4), 2)  # not 2-cluster-tilting
 
 
 def test_supported():
@@ -169,8 +169,8 @@ def test_certificate_contents():
 
 def test_construct_rejects_a_wrong_base(monkeypatch):
     # a base whose gldim misses d mod n is caught by the final certificate
-    monkeypatch.setattr("nakayama.ndgen.base_family_odd",
-                        lambda n, d: chain_algebra(n, 1))
+    monkeypatch.setattr("nakayama.ndgen._row",
+                        lambda n, r: ([(2, n), (1, 1)], n + r))
     with pytest.raises(RuntimeError, match=r"certificate for \(3, 4\) "
                        "failed verification: .*gldim=3"):
         construct(3, 4)
@@ -192,6 +192,22 @@ def test_construct_computes_gldim_once(monkeypatch):
         assert calls == [cert.kupisch], (n, d)
 
 
+def test_construct_builds_one_series(monkeypatch):
+    # construct expands its start entries and prepends the chains to one
+    # list; it builds only the final series, whose checks cover the start
+    calls, init = [], KupischSeries.__init__
+
+    def counting(self, entries):
+        calls.append(len(entries))
+        init(self, entries)
+
+    monkeypatch.setattr(KupischSeries, "__init__", counting)
+    for n, d in ((4, 14), (9, 14), (2, 239)):
+        calls.clear()
+        cert = construct(n, d)
+        assert calls == [cert.kupisch.m], (n, d)
+
+
 def test_construct_small_sweep():
     for n in range(1, 7):
         for d in range(n, 16):
@@ -205,7 +221,8 @@ def test_construct_small_sweep():
 
 def test_construct_matches_repeated_extension():
     # construct prepends the chains without re-verifying each step; the
-    # result and the trace equal those of extend_by_n, which checks each
+    # result and the trace equal those of extend_by_n_oracle, which checks
+    # each
     for n in range(1, 10):
         for d in range(n, 31):
             if not supported(n, d):
@@ -223,7 +240,7 @@ def test_construct_matches_repeated_extension():
             trace = [dict(first, series=K.to_json())]
             g = ar.gldim(K)
             while g < d:
-                K = extend_by_n(K, n)
+                K = extend_by_n_oracle(K, n)
                 g += n
                 trace.append({"step": "extend", "series": K.to_json()})
             cert = construct(n, d)

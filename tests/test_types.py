@@ -182,3 +182,27 @@ def test_cold_import_loads_no_dataclasses(module):
     done = subprocess.run([sys.executable, "-I", "-c", code],
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_public_api():
+    # a name leaves or joins the package on purpose, not by accident
+    assert sorted(nakayama.__all__) == [
+        "ARQuiver", "Fracture", "Fracturing", "Glued", "KupischError",
+        "KupischSeries", "NdCertificate", "RenderSpec", "Verdict", "ZERO",
+        "abutments", "ar", "ar_quiver", "base_family_even",
+        "base_family_odd", "chain_algebra", "check_fractured", "check_glue",
+        "check_nct", "classify_sides", "cluster", "compatibility_check",
+        "complete_slice", "construct", "cosyzygy", "enumerate_slices",
+        "enumerate_tilting", "ext1_dim_ka", "footing_from_ka",
+        "footing_to_ka", "format_series", "foundation", "gldim", "glue",
+        "glue_fractured", "gluing", "hom_dim_ka", "iR_category", "idim",
+        "injective_fracture", "is_fracture", "is_slice", "is_tilting",
+        "kupisch", "lambda_mh", "left_abutment_heights",
+        "linear_quiver_algebra", "ndgen", "pL_category", "parse_series",
+        "pd", "projective_fracture", "projective_injective_fracturing",
+        "render", "right_abutment_heights", "supported", "syzygy", "tau",
+        "tau_inv", "tau_n", "tau_n_inv", "tilting", "validate"]
+    assert not hasattr(Glued, "overlap")
+    assert nakayama.classify_sides.__code__.co_varnames[:2] == \
+        ("F", "verdict")
+    assert nakayama.classify_sides.__code__.co_argcount == 2
