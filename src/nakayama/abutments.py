@@ -18,13 +18,8 @@ from .kupisch import ZERO, Coord, KupischSeries
 
 
 def left_abutment_heights(K: KupischSeries) -> Set[int]:
-    """Heights {1..H} where H is the longest staircase tail
-    (d_{m-h+1}, ..., d_m) = (h, ..., 1) of the series."""
-    m = K.m
-    h = 1
-    while h < m and K.entries[m - h - 1] == h + 1:
-        h += 1
-    return set(range(1, h + 1))
+    """Heights {1..max_left_height(K)}."""
+    return set(range(1, max_left_height(K) + 1))
 
 
 def right_abutment_heights(K: KupischSeries) -> Set[int]:
@@ -34,7 +29,12 @@ def right_abutment_heights(K: KupischSeries) -> Set[int]:
 
 
 def max_left_height(K: KupischSeries) -> int:
-    return max(left_abutment_heights(K))
+    """The longest staircase tail (d_{m-h+1}, ..., d_m) = (h, ..., 1)."""
+    m = K.m
+    h = 1
+    while h < m and K.entries[m - h - 1] == h + 1:
+        h += 1
+    return h
 
 
 def max_right_height(K: KupischSeries) -> int:

@@ -44,7 +44,7 @@ def _series_arg(text: str) -> KupischSeries:
         if text.startswith("{"):
             return KupischSeries.from_json(json.loads(text))
         return parse_series(text)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad Kupisch series {text!r}: {exc}") from exc
 
 
@@ -253,36 +253,34 @@ def cmd_fractures(args) -> int:
     if args.height is not None and args.side is None:
         raise CliError(f"--height {args.height} needs --side")
     K = _one_series(args.kupisch)
+    left = sorted(abutments.left_abutment_heights(K))
+    right = sorted(abutments.right_abutment_heights(K))
     payload = {
         "kupisch": list(K.entries),
-        "left_heights": sorted(abutments.left_abutment_heights(K)),
-        "right_heights": sorted(abutments.right_abutment_heights(K)),
+        "left_heights": left,
+        "right_heights": right,
         "abutments": [abutments.abutment_to_json(side, h, K)
-                      for side, heights in
-                      (("left", abutments.left_abutment_heights(K)),
-                       ("right", abutments.right_abutment_heights(K)))
-                      for h in sorted(heights)],
+                      for side, heights in (("left", left), ("right", right))
+                      for h in heights],
     }
-    lines = [f"left heights:  {payload['left_heights']}",
-             f"right heights: {payload['right_heights']}"]
+    lines = [f"left heights:  {left}", f"right heights: {right}"]
     if args.side is not None:
-        fnd = abutments.foundation(K, args.side, args.height)
         h = args.height
+        fnd = abutments.foundation(K, args.side, h)
         if math.comb(2 * h, h) // (h + 1) > MAX_FRACTURES:
             raise CliError(f"--height {h} has Catalan({h}) fractures, more "
                            f"than MAX_FRACTURES = {MAX_FRACTURES}")
         fractures = []
         # enumerate_tilting yields tilting modules only: no re-validation
-        for cand in tilting.enumerate_tilting(args.height):
-            back = sorted(abutments.footing_from_ka(K, args.side,
-                                                    args.height, c)
-                          for c in cand)
-            fractures.append(tilting._fracture(K, args.side, args.height,
+        s = 0 if args.side == "left" else K.m - h  # the footing's shift
+        for cand in tilting.enumerate_tilting(h):
+            back = sorted((i + s, j) for i, j in cand)
+            fractures.append(tilting._fracture(K, args.side, h,
                                                back).to_json())
         payload["foundation"] = [list(x) for x in fnd]
         payload["fractures"] = fractures
         lines.append(f"foundation:    {fnd}")
-        lines.append(f"{len(fractures)} fractures of height {args.height}")
+        lines.append(f"{len(fractures)} fractures of height {h}")
         for fr in fractures:
             lines.append(f"  level {fr['level']}: {fr['coords']}")
     _emit(payload, args.json, "\n".join(lines))

@@ -25,7 +25,7 @@ series.
 from __future__ import annotations
 
 import functools
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, \
     Tuple
 
@@ -287,12 +287,12 @@ def compatibility_check(a_side: Tuple[KupischSeries, Fracture],
         raise ValueError("expected a left fracture on A and a right on B")
     if h > TA.height or h > TB.height:
         raise ValueError(f"glue height {h} exceeds a fracture height")
-    fnd_a = set(abutments.foundation(KA, "left", h))
-    fnd_b = set(abutments.foundation(KB, "right", h))
-    set_a = {abutments.footing_to_ka(KA, "left", h, x)
-             for x in TA.coords if x in fnd_a}
-    set_b = {abutments.footing_to_ka(KB, "right", h, x)
-             for x in TB.coords if x in fnd_b}
+    abutments._check_abutment(KA, "left", h)
+    s = abutments._check_abutment(KB, "right", h)
+    # a fracture lies in its foundation: an inequality cuts out height h,
+    # and the footing's shift (0 on the left) foots it
+    set_a = {x for x in TA.coords if x[0] + x[1] <= h + 1}
+    set_b = {(i - s, j) for i, j in TB.coords if i > s}
     return CompatReport(set_a == set_b, h >= TA.level and h >= TB.level)
 
 
@@ -385,7 +385,8 @@ class CompletionStep(NamedTuple):
 def _complete_right_series(h: int, indices: Tuple[int, ...], n: int,
                            trace: List[CompletionStep]) -> KupischSeries:
     """Build an algebra whose maximal left abutment (height h) carries the
-    slice and whose right fracturing is injective; verified by the caller.
+    slice and whose right fracturing is injective.  The caller's final
+    check certifies it, so no step re-validates a module or a slice.
 
     Two cases, driven by the next-to-top slice index, each reduce the
     slice to a lower one:
@@ -401,37 +402,36 @@ def _complete_right_series(h: int, indices: Tuple[int, ...], n: int,
     no deep stack.
     """
     pending = []  # (height, wide algebra or None for a staircase step)
+    drop = 0  # the slice is (indices[k - 1] - drop, k) for k = 1..h
     while h > 1:
-        if indices[h - 2] == 2:
+        if indices[h - 2] - drop == 2:
             pending.append((h, None))
-            h, indices = h - 1, tuple(i - 1 for i in indices[:h - 1])
+            h, drop = h - 1, drop + 1
             continue
         # next-to-top index 1: push through the wide algebra
-        m = (n * h) // 2 + indices[0] if n % 2 == 0 else ((n + 1) * h) // 2
+        m = n * h // 2 + indices[0] - drop if n % 2 == 0 else (n + 1) * h // 2
         base = lambda_mh(m, h)
-        images = []
+        fracture = [(m - h + 1, h)]  # the top, then the slice's images
         for k in range(1, h):
-            y = ar.tau_n_inv(base, n, (indices[k - 1], k))
+            y = ar._up(base, (indices[k - 1] - drop, k), n - 1)[0]
             if y is ZERO:
                 raise RuntimeError(
                     f"slice image vanished at length {k} over {base!r}")
-            images.append(y)
-        fracture = images + [(m - h + 1, h)]
-        by_length = sorted(fracture, key=lambda c: -c[1])
+            fracture.append(y)
+        fracture.sort(key=itemgetter(1))
         boundary = None
-        for c in by_length:
-            if not base.is_injective(c):
+        for c in reversed(fracture):
+            if c[1] != base._v[c[0]]:  # not injective
                 break
             boundary = c
         if boundary is None or boundary[1] == h:  # no lower slice
             raise RuntimeError(
                 f"no injective run below the top over {base!r}")
         hh = boundary[1]
-        leftover = [c for c in fracture if c[1] <= hh]
-        footed = [abutments.footing_to_ka(base, "right", hh, c)
-                  for c in leftover]
         pending.append((hh, base))
-        h, indices = hh, tilting.slice_indices(hh, footed)
+        # the images of length up to hh are the lower slice, shifted
+        h, drop = hh, m - hh
+        indices = tuple(i for i, j in fracture if j <= hh)
 
     K = KupischSeries([1])
     trace.append(CompletionStep("base", result=K, note="single vertex"))
@@ -489,10 +489,9 @@ def complete_slice(h: int, slice_coords, n: int, side: str):
         K = Kr.opposite()
         trace.append(CompletionStep(
             "base", result=K, note="mirror of the completed dual slice"))
-        abutments._check_abutment(K, "right", h)
+        s = abutments._check_abutment(K, "right", h)
         tr = tilting._fracture(K, "right", h, sorted(
-            abutments.footing_from_ka(K, "right", h, c)
-            for c in tilting.slice_from_indices(indices)))
+            (i + s, j) for i, j in tilting.slice_from_indices(indices)))
         F = Fracturing(tilting.projective_fracture(K), tr)
 
     verdict = check_fractured(K, n, F)

@@ -57,10 +57,8 @@ def glue(B: KupischSeries, A: KupischSeries, h: int) -> Glued:
     height h).  The argument order matches the quiver: A's vertices come
     first, B's last, and A's staircase tail of height h merges into B's
     initial segment."""
-    if h not in abutments.left_abutment_heights(A):
-        raise ValueError(f"A = {A!r} has no left abutment of height {h}")
-    if h not in abutments.right_abutment_heights(B):
-        raise ValueError(f"B = {B!r} has no right abutment of height {h}")
+    abutments._check_abutment(A, "left", h)
+    abutments._check_abutment(B, "right", h)
     entries = A.entries[:A.m - h] + B.entries
     return Glued(KupischSeries(entries), h, A, B)
 

@@ -259,6 +259,8 @@ class KupischSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "KupischSeries":
+        if "kupisch" not in data:
+            raise ValueError("missing key 'kupisch'")
         entries = data["kupisch"]
         if not (isinstance(entries, list)
                 and all(type(d) is int for d in entries)):

@@ -48,14 +48,14 @@ def hom_dim_ka(h: int, x: Coord, y: Coord) -> int:
 
 
 def ext1_dim_ka(h: int, x: Coord, y: Coord) -> int:
-    """dim Ext^1(M(x), M(y)) by the Auslander-Reiten formula; the algebra
-    is hereditary so this is the only obstruction to orthogonality."""
+    """dim Ext^1(M(x), M(y)) = dim Hom(M(y), tau M(x)) by the Auslander-
+    Reiten formula, with tau(i, j) = (i - 1, j) off the projectives (i = 1);
+    the algebra is hereditary so this is the only obstruction to
+    orthogonality."""
     _check_ka_coord(h, x)
     _check_ka_coord(h, y)
-    ix, jx = x
-    if ix == 1:  # projective
-        return 0
-    return hom_dim_ka(h, y, (ix - 1, jx))
+    (ix, jx), (iy, jy) = x, y
+    return 1 if 1 < ix and iy <= ix - 1 <= iy + jy - 1 <= ix + jx - 2 else 0
 
 
 def is_tilting(h: int, coords) -> bool:
@@ -191,18 +191,19 @@ def _fracture(K: KupischSeries, side: str, h: int, coords) -> Fracture:
 
 def is_fracture(K: KupischSeries, side: str, h: int, coords) -> Fracture:
     """Validate a fracture from outside the library: the coordinates must
-    be nonzero, lie in the foundation of the height-h abutment and become
-    a basic tilting module under the footing.  Raises ValueError
-    otherwise."""
+    be nonzero and distinct, lie in the foundation of the height-h
+    abutment, as the footing decides, and become a basic tilting module
+    under it.  Raises ValueError otherwise."""
     coords = list(coords)
     if ZERO in coords:
         raise ValueError(f"the zero module is not a summand of a {side} "
                          f"fracture of height {h}")
-    coords = sorted(set(coords))
-    fnd = set(abutments.foundation(K, side, h))
-    outside = [c for c in coords if c not in fnd]
-    if outside:
-        raise ValueError(f"{outside} outside the {side} foundation of height {h}")
+    # checked here too, as an empty fracture is never footed
+    abutments._check_abutment(K, side, h)
+    coords.sort()
+    for x, y in zip(coords, coords[1:]):
+        if x == y:
+            raise ValueError(f"repeated summand {x} in a {side} fracture")
     footed = [abutments.footing_to_ka(K, side, h, c) for c in coords]
     if not is_tilting(h, footed):
         raise ValueError(f"{coords} is not tilting under the {side} footing")

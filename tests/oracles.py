@@ -16,7 +16,7 @@ from itertools import combinations
 
 from nakayama import abutments, ar
 from nakayama.abutments import foundation
-from nakayama.cluster import check_nct
+from nakayama.cluster import CompatReport, check_nct
 from nakayama.gluing import Glued, GlueReport, glue
 from nakayama.kupisch import ZERO, KupischSeries, lambda_mh
 from nakayama.ndgen import source_injective_pd
@@ -610,6 +610,24 @@ def footing_to_ka_oracle(K: KupischSeries, side: str, h: int, x):
     if x not in set(foundation(K, side, h)):
         raise ValueError(f"{x} not in the {side} foundation of height {h}")
     return x if side == "left" else (x[0] - (K.m - h), x[1])
+
+
+def compatibility_check_oracle(a_side, b_side, h: int) -> CompatReport:
+    """compatibility_check by membership in the built height-h
+    foundations."""
+    KA, TA = a_side
+    KB, TB = b_side
+    if TA.side != "left" or TB.side != "right":
+        raise ValueError("expected a left fracture on A and a right on B")
+    if h > TA.height or h > TB.height:
+        raise ValueError(f"glue height {h} exceeds a fracture height")
+    fnd_a = set(abutments.foundation(KA, "left", h))
+    fnd_b = set(abutments.foundation(KB, "right", h))
+    set_a = {abutments.footing_to_ka(KA, "left", h, x)
+             for x in TA.coords if x in fnd_a}
+    set_b = {abutments.footing_to_ka(KB, "right", h, x)
+             for x in TB.coords if x in fnd_b}
+    return CompatReport(set_a == set_b, h >= TA.level and h >= TB.level)
 
 
 def extend_by_n_oracle(K: KupischSeries, n: int) -> KupischSeries:

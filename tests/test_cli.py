@@ -375,6 +375,26 @@ def test_fracture_zero_coordinate(capsys):
     assert code == 2 and err.startswith("error: the zero module")
 
 
+def test_repeated_fracture_summand_refused(capsys):
+    # a summand listed twice is an input error, not the smaller fracture
+    code, err = input_error(capsys, "check-fractured", "--kupisch", "3,2,1",
+                            "--n", "2", "--fracturing",
+                            '{"TL": {"side": "left", "height": 3, "coords": '
+                            '[[1,1],[1,2],[1,3]]}, "TR": {"side": "right", '
+                            '"height": 3, "coords": [[1,3],[2,2],[3,1],'
+                            '[3,1]]}}')
+    assert code == 2
+    assert err == "error: repeated summand (3, 1) in a right fracture\n"
+
+
+def test_json_series_missing_key_named(capsys):
+    code, err = input_error(capsys, "check-nct", "--kupisch",
+                            '{"nope":[2,1]}', "--n", "1")
+    assert code == 2
+    assert err == ("error: bad Kupisch series '{\"nope\":[2,1]}': "
+                   "missing key 'kupisch'\n")
+
+
 def test_json_series_not_reinterpreted(capsys):
     for text in ('{"kupisch": [2.5, 2, 1]}', '{"kupisch": "21"}',
                  '{"kupisch": [true, 1]}'):

@@ -1,10 +1,10 @@
 import pickle
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from nakayama import ar, cluster, tilting
+from nakayama import abutments, ar, cluster, tilting
 from nakayama.abutments import footing_from_ka
 from nakayama.cluster import (
     check_fractured,
@@ -26,7 +26,8 @@ from nakayama.tilting import (
     Fracturing,
 )
 
-from oracles import all_series, check_fractured_oracle, random_series
+from oracles import all_series, check_fractured_oracle, \
+    compatibility_check_oracle, random_series
 
 GLUED = parse_series("5,5,4^7,3,2,1")
 
@@ -311,6 +312,70 @@ def test_glue_fractured_level_hypothesis():
                     | {g.psi(x) for x in vb.candidate}
                 glued += 1
     assert glued == 436
+
+
+def test_compatibility_check_matches_oracle():
+    # the height-h foundations cut out by their inequalities, against
+    # membership in the built foundations: every pair of ok fractured
+    # pieces on at most 4 vertices, n = 2..4, every glue height
+    compared = 0
+    for n in (2, 3, 4):
+        algebras = list(_fractured_algebras(4, n))
+        for (KB, FB, _), (KA, FA, _) in ((b, a) for b in algebras
+                                         for a in algebras):
+            for h in range(1, min(FA.TL.height, FB.TR.height) + 1):
+                args = (KA, FA.TL), (KB, FB.TR), h
+                assert compatibility_check(*args) == \
+                    compatibility_check_oracle(*args), (KA, KB, h)
+                compared += 1
+    assert compared
+
+
+def test_compatibility_check_refuses_height_zero():
+    A, B = lambda_mh(8, 3), lambda_mh(12, 5)
+    with pytest.raises(ValueError, match="no left abutment of height 0"):
+        compatibility_check((A, projective_fracture(A)),
+                            (B, injective_fracture(B)), 0)
+
+
+def test_fracture_layer_builds_no_height_set_or_foundation(monkeypatch):
+    # glue, is_fracture and compatibility_check decide abutments by the
+    # O(1) rule and foundation membership by the footing
+    def refuse(*args):
+        raise AssertionError("height set or foundation built")
+
+    for name in ("foundation", "left_abutment_heights",
+                 "right_abutment_heights"):
+        monkeypatch.setattr(abutments, name, refuse)
+    A, B = lambda_mh(8, 3), lambda_mh(12, 5)
+    assert glue(B, A, 3).result == parse_series("3^5,5^8,4,3,2,1")
+    ta = is_fracture(A, "left", 3, [(2, 1), (1, 2), (1, 3)])
+    tb = is_fracture(B, "right", 5,
+                     [(11, 1), (10, 2), (10, 3), (9, 4), (8, 5)])
+    assert compatibility_check((A, ta), (B, tb), 3).compatible
+
+
+def test_complete_slice_validates_the_slice_once(monkeypatch):
+    # the reductions trust their own slices and modules: the slice is
+    # validated at the boundary only, and no validating translate runs
+    calls = []
+    slice_indices = tilting.slice_indices
+
+    def counted(h, coords):
+        calls.append(h)
+        return slice_indices(h, coords)
+
+    def refuse(*args):
+        raise AssertionError("tau_n_inv called")
+
+    monkeypatch.setattr(tilting, "slice_indices", counted)
+    monkeypatch.setattr(ar, "tau_n_inv", refuse)
+    for h in range(1, 7):
+        for s in enumerate_slices(h):
+            for n, side in product((2, 3), ("left", "right")):
+                calls.clear()
+                _, _, v, _ = complete_slice(h, list(s), n, side)
+                assert v.ok and calls == [h], (h, s, n, side)
 
 
 def test_check_nct_duality_and_orbits():

@@ -46,6 +46,18 @@ def test_glue_height_errors():
         glue(lambda_mh(9, 4), KupischSeries([2, 2, 1]), 3)
 
 
+@pytest.mark.parametrize("a, h, message", [
+    ([2, 1], 5, "no left abutment of height 5"),
+    ([3, 2, 1], 3, "no right abutment of height 3"),
+    ([2, 1], 0, "no left abutment of height 0"),
+])
+def test_glue_refusal_names_the_abutment(a, h, message):
+    # glue tests h by the O(1) abutment rule, which names the refusal
+    with pytest.raises(ValueError) as exc:
+        glue(KupischSeries([2, 1]), KupischSeries(a), h)
+    assert str(exc.value) == f"{message} on KupischSeries([2, 1])"
+
+
 def test_glue_worked_chain_counts():
     g = glue(lambda_mh(12, 5), lambda_mh(8, 3), 3)
     assert g.result == parse_series("3^5,5^8,4,3,2,1")

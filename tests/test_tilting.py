@@ -122,6 +122,36 @@ def test_fracture_examples():
         is_fracture(K, "left", 2, [None, (1, 1)])
 
 
+def test_fracture_repeated_summand_refused():
+    # a repeated summand is not collapsed into the smaller set: is_tilting
+    # refuses repeats, and so does is_fracture, naming the summand
+    K = lambda_mh(3, 3)
+    with pytest.raises(ValueError, match=r"repeated summand \(3, 1\)"):
+        is_fracture(K, "right", 3, [(1, 3), (2, 2), (3, 1), (3, 1)])
+    with pytest.raises(ValueError, match=r"repeated summand \(1, 1\)"):
+        is_fracture(K, "left", 3, [(1, 1), (1, 2), (1, 1), (1, 3)])
+
+
+@pytest.mark.parametrize("side, h, message", [
+    ("left", 0, "no left abutment of height 0 on "),
+    ("up", 2, "side must be left/right, got 'up'"),
+    ("right", 9, "no right abutment of height 9 on "),
+])
+def test_empty_fracture_checks_the_abutment(side, h, message):
+    # with no coordinate to foot, the side and height are still checked
+    with pytest.raises(ValueError) as exc:
+        is_fracture(lambda_mh(6, 3), side, h, [])
+    assert str(exc.value).startswith(message)
+
+
+def test_fracture_outside_the_foundation_named_by_the_footing():
+    K = lambda_mh(12, 5)
+    with pytest.raises(ValueError,
+                       match=r"^\(9, 1\) not in the left foundation of "
+                             r"height 5$"):
+        is_fracture(K, "left", 5, [(2, 1), (2, 2), (1, 3), (1, 4), (9, 1)])
+
+
 def test_canonical_fractures_validate():
     # the canonical fractures are built without validation; is_fracture
     # must accept them and give the same fracture, on every series
