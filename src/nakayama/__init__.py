@@ -27,7 +27,6 @@ from .ar import (
 )
 from .abutments import (
     foundation,
-    footing_from_ka,
     footing_to_ka,
     left_abutment_heights,
     right_abutment_heights,
@@ -36,10 +35,8 @@ from .gluing import Glued, check_glue, glue
 from .tilting import (
     Fracture,
     Fracturing,
-    enumerate_slices,
     enumerate_tilting,
     ext1_dim_ka,
-    hom_dim_ka,
     iR_category,
     injective_fracture,
     is_fracture,
@@ -62,7 +59,6 @@ from .ndgen import (
     NdCertificate,
     base_family_even,
     base_family_odd,
-    chain_algebra,
     construct,
     supported,
 )

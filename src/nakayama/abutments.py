@@ -79,16 +79,6 @@ def footing_to_ka(K: KupischSeries, side: str, h: int, x: Coord) -> Coord:
     return (x[0] - s, x[1])
 
 
-def footing_from_ka(K: KupischSeries, side: str, h: int, x: Coord) -> Coord:
-    """Inverse of footing_to_ka."""
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be left/right, got {side!r}")
-    i, j = x
-    if not (i >= 1 and j >= 1 and i + j <= h + 1):
-        raise ValueError(f"{x} is not a module coordinate of height {h}")
-    return x if side == "left" else (i + (K.m - h), j)
-
-
 def abutment_to_json(side: str, h: int, K: KupischSeries) -> dict:
     apex = [1, h] if side == "left" else [K.m - h + 1, h]
     return {"side": side, "height": h, "apex": apex}

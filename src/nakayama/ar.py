@@ -166,15 +166,16 @@ class ARQuiver(NamedTuple):
 
 
 def ar_quiver(K: KupischSeries) -> ARQuiver:
-    """Arrows are (i,j) -> (i,j+1) and (i,j) -> (i+1,j-1) whenever both
-    endpoints exist; the translation sends nonprojectives one step left."""
+    """Arrows are (i,j) -> (i,j+1) for j < v(i) and (i,j) -> (i+1,j-1) for
+    j > 1, sorted; the translation sends nonprojectives one step left."""
     verts = K.all_modules()
-    vset = set(verts)
+    v = K._v
     arrows = []
-    for (i, j) in verts:
-        if (i, j + 1) in vset:
-            arrows.append(((i, j), (i, j + 1)))
-        if (i + 1, j - 1) in vset:
-            arrows.append(((i, j), (i + 1, j - 1)))
+    for i in range(1, K.m + 1):
+        for j in range(1, v[i] + 1):
+            if j < v[i]:
+                arrows.append(((i, j), (i, j + 1)))
+            if j > 1:
+                arrows.append(((i, j), (i + 1, j - 1)))
     translation = {x: y for x in verts if (y := _tau(K, x)) is not ZERO}
-    return ARQuiver(tuple(verts), tuple(sorted(arrows)), translation)
+    return ARQuiver(tuple(verts), tuple(arrows), translation)

@@ -146,6 +146,7 @@ def cmd_ar_quiver(args) -> int:
 
 
 def cmd_check_nct(args) -> int:
+    ar._check_order(args.n)  # before a line of stdin is read
     worst = 0
     for text in _series_inputs(args.kupisch):
         try:
@@ -266,13 +267,13 @@ def cmd_fractures(args) -> int:
     lines = [f"left heights:  {left}", f"right heights: {right}"]
     if args.side is not None:
         h = args.height
-        fnd = abutments.foundation(K, args.side, h)
+        s = abutments._check_abutment(K, args.side, h)  # the footing's shift
         if math.comb(2 * h, h) // (h + 1) > MAX_FRACTURES:
             raise CliError(f"--height {h} has Catalan({h}) fractures, more "
                            f"than MAX_FRACTURES = {MAX_FRACTURES}")
+        fnd = abutments.foundation(K, args.side, h)
         fractures = []
         # enumerate_tilting yields tilting modules only: no re-validation
-        s = 0 if args.side == "left" else K.m - h  # the footing's shift
         for cand in tilting.enumerate_tilting(h):
             back = sorted((i + s, j) for i, j in cand)
             fractures.append(tilting._fracture(K, args.side, h,

@@ -300,17 +300,17 @@ def glue_fracturings(g: Glued, FB: Fracturing, FA: Fracturing) -> Fracturing:
     """Fracturing of the glued algebra: the maximal left abutment comes
     from the suffix algebra B (from A only in the trivial gluing where B
     is hereditary of the glue height), the maximal right abutment from
-    the prefix algebra A (dually)."""
-    L = g.result
-    if g.b.m == g.h:  # trivial gluing, result is A
-        tl_coords = [g.phi(x) for x in FA.TL.coords]
-    else:
-        tl_coords = [g.psi(x) for x in FB.TL.coords]
-    if g.a.m == g.h:  # trivial gluing, result is B
-        tr_coords = [g.psi(x) for x in FB.TR.coords]
-    else:
-        tr_coords = [g.phi(x) for x in FA.TR.coords]
-    return tilting.make_fracturing(L, tl_coords, tr_coords)
+    the prefix algebra A (dually).  Each is its component's fracture
+    moved by that component's shift (phi's for A, 0 for B), so it stays
+    tilting and maximal and is not validated again."""
+    s = g._shift
+    TL, tl = (FA.TL, s) if g.b.m == g.h else (FB.TL, 0)  # trivial: L is A
+    TR, tr = (FB.TR, 0) if g.a.m == g.h else (FA.TR, s)  # trivial: L is B
+    return Fracturing(
+        tilting._fracture(g.result, "left", TL.height,
+                          [(i + tl, j) for i, j in TL.coords]),
+        tilting._fracture(g.result, "right", TR.height,
+                          [(i + tr, j) for i, j in TR.coords]))
 
 
 def glue_fractured(b_side: Tuple[KupischSeries, Fracturing],
@@ -345,8 +345,8 @@ def glue_fractured(b_side: Tuple[KupischSeries, Fracturing],
     F = glue_fracturings(g, FB, FA)
     verdict = check_fractured(g.result, n, F)
     if verdict.ok:
-        union = {g.phi(x) for x in va.candidate} | \
-                {g.psi(x) for x in vb.candidate}
+        s = g._shift
+        union = {(i + s, j) for i, j in va.candidate}.union(vb.candidate)
         if union != set(verdict.candidate):
             raise RuntimeError(
                 "glued candidate differs from the union of the components")

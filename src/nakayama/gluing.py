@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Tuple
 
 from . import abutments, ar
-from .kupisch import ZERO, KupischSeries, coord_to_json
+from .kupisch import ZERO, KupischSeries
 
 
 class Glued(NamedTuple):
@@ -25,12 +25,14 @@ class Glued(NamedTuple):
     a: KupischSeries  # supplies the left abutment, forms the prefix
     b: KupischSeries  # supplies the right abutment, forms the suffix
 
+    _shift = property(lambda g: g.b.m - g.h)  # phi's, on diagonals; psi's is 0
+
     def phi(self, x):
         """Embed an A-module coordinate into the result."""
         if x is ZERO:
             return ZERO
         self.a.check_exists(x)
-        return (x[0] + self.b.m - self.h, x[1])
+        return (x[0] + self._shift, x[1])
 
     def psi(self, x):
         """Embed a B-module coordinate into the result (identity)."""
@@ -40,15 +42,14 @@ class Glued(NamedTuple):
         return x
 
     def to_json(self) -> dict:
+        s = self._shift
         return {
             "result": self.result.to_json(),
             "height": self.h,
             "a": self.a.to_json(),
             "b": self.b.to_json(),
-            "phi": [[coord_to_json(x), coord_to_json(self.phi(x))]
-                    for x in self.a.all_modules()],
-            "psi": [[coord_to_json(x), coord_to_json(self.psi(x))]
-                    for x in self.b.all_modules()],
+            "phi": [[[i, j], [i + s, j]] for i, j in self.a.all_modules()],
+            "psi": [[[i, j], [i, j]] for i, j in self.b.all_modules()],
         }
 
 
@@ -88,8 +89,7 @@ def check_glue(g: Glued) -> Tuple[GlueReport, GlueReport]:
     d_i >= 2 for i < m, each series has one simple projective, (1, 1),
     and one simple injective, (m, 1).
     """
-    A, B, L, h = g.a, g.b, g.result, g.h
-    shift = B.m - h
+    A, B, L, h, shift = g.a, g.b, g.result, g.h, g._shift
     over_a = set(abutments.foundation(A, "left", h))
     over_b = set(abutments.foundation(B, "right", h))
     mods_a, mods_b, mods_l = A.all_modules(), B.all_modules(), L.all_modules()

@@ -21,14 +21,7 @@ from typing import List, NamedTuple, Tuple
 
 from . import ar, kupisch
 from .cluster import Verdict, check_nct
-from .kupisch import KupischSeries, lambda_mh
-
-
-def chain_algebra(n: int, k: int) -> KupischSeries:
-    """The radical-square-zero chain (2^(kn), 1) of global dimension kn."""
-    if n < 1 or k < 1:
-        raise ValueError(f"need n, k >= 1, got ({n}, {k})")
-    return lambda_mh(k * n + 1, 2)
+from .kupisch import KupischSeries
 
 
 def _row(n: int, r: int) -> Tuple[List[Tuple[int, int]], int]:

@@ -49,19 +49,18 @@ def render(gamma: ARQuiver, spec: RenderSpec = RenderSpec()) -> str:
 
 def _render_ascii(gamma: ARQuiver, spec: RenderSpec) -> str:
     high = set(spec.highlight)
-    cells = {}
+    cells, rows = {}, {}  # rows: the vertices of each length
     for x in gamma.vertices:
         text = _label(x, spec.labels)
         if x in high:
             text = f"[{text}]"
         cells[x] = text
+        rows.setdefault(x[1], []).append(x)
     width = max(len(t) for t in cells.values()) + 1
-    maxj = max(j for (_, j) in gamma.vertices)
     lines = []
-    for j in range(maxj, 0, -1):
-        row = [x for x in gamma.vertices if x[1] == j]
+    for j in range(max(rows), 0, -1):
         line = ""
-        for x in sorted(row):
+        for x in sorted(rows.get(j, ())):
             col = (2 * x[0] + x[1] - 2) * width // 2
             line = line.ljust(col) + cells[x]
         lines.append(line.rstrip())

@@ -35,18 +35,6 @@ def ka_modules(h: int) -> List[Coord]:
     return [(i, j) for j in range(1, h + 1) for i in range(1, h - j + 2)]
 
 
-def hom_dim_ka(h: int, x: Coord, y: Coord) -> int:
-    """dim Hom(M(x), M(y)): 1 iff i_x <= i_y <= i_x + j_x - 1 <= i_y + j_y - 1.
-
-    A nonzero map sends the top of the source onto a composition factor
-    of the target and is determined up to scalar.
-    """
-    _check_ka_coord(h, x)
-    _check_ka_coord(h, y)
-    (ix, jx), (iy, jy) = x, y
-    return 1 if ix <= iy <= ix + jx - 1 <= iy + jy - 1 else 0
-
-
 def ext1_dim_ka(h: int, x: Coord, y: Coord) -> int:
     """dim Ext^1(M(x), M(y)) = dim Hom(M(y), tau M(x)) by the Auslander-
     Reiten formula, with tau(i, j) = (i - 1, j) off the projectives (i = 1);
@@ -108,7 +96,7 @@ def is_slice(h: int, coords) -> bool:
     """A slice picks one summand (i_k, k) of each length k with
     i_k in {i_{k-1}, i_{k-1} - 1} and i_h = 1."""
     coords = set(coords)
-    if len(coords) != h:
+    if h < 1 or len(coords) != h:
         return False
     by_len = {}
     for (i, j) in coords:
@@ -118,24 +106,6 @@ def is_slice(h: int, coords) -> bool:
     if set(by_len) != set(range(1, h + 1)) or by_len[h] != 1:
         return False
     return all(by_len[k] - by_len[k + 1] in (0, 1) for k in range(1, h))
-
-
-def enumerate_slices(h: int) -> List[Tuple[Coord, ...]]:
-    """All 2^(h-1) slices, each sorted by length."""
-    out = []
-
-    def extend(prefix):
-        k = len(prefix)
-        if k == h:
-            out.append(tuple((i, j) for j, i in enumerate(reversed(prefix), 1)))
-            return
-        # prefix holds i_h, i_{h-1}, ...; going down a length the index
-        # stays or grows by one
-        for step in (0, 1):
-            extend(prefix + [prefix[-1] + step])
-
-    extend([1])
-    return sorted(out)
 
 
 def slice_from_indices(indices) -> List[Coord]:
@@ -239,12 +209,6 @@ class Fracturing(NamedTuple):
 
 def projective_injective_fracturing(K: KupischSeries) -> Fracturing:
     return Fracturing(projective_fracture(K), injective_fracture(K))
-
-
-def make_fracturing(K: KupischSeries, tl_coords, tr_coords) -> Fracturing:
-    return Fracturing(
-        is_fracture(K, "left", abutments.max_left_height(K), tl_coords),
-        is_fracture(K, "right", abutments.max_right_height(K), tr_coords))
 
 
 def pL_category(K: KupischSeries, F: Fracturing) -> List[Coord]:

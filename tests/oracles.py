@@ -13,14 +13,18 @@ None of it consults the closed-form coordinate arithmetic under test.
 import functools
 from fractions import Fraction
 from itertools import combinations
+from typing import List, Tuple
 
 from nakayama import abutments, ar
 from nakayama.abutments import foundation
+from nakayama.ar import ARQuiver, _tau
 from nakayama.cluster import CompatReport, check_nct
 from nakayama.gluing import Glued, GlueReport, glue
-from nakayama.kupisch import ZERO, KupischSeries, lambda_mh
+from nakayama.kupisch import ZERO, Coord, KupischSeries, lambda_mh
 from nakayama.ndgen import source_injective_pd
-from nakayama.tilting import is_tilting, ka_modules
+from nakayama.render import RenderSpec, _label
+from nakayama.tilting import Fracturing, _check_ka_coord, is_fracture, \
+    is_tilting, ka_modules
 
 # -- exact linear algebra ---------------------------------------------------
 
@@ -655,6 +659,117 @@ def enumerate_tilting_oracle(h: int):
     order of itertools.combinations."""
     return [cand for cand in combinations(ka_modules(h), h)
             if is_tilting(h, cand)]
+
+
+# -- library functions that only tests call, moved here unchanged ------------
+
+
+def make_fracturing(K: KupischSeries, tl_coords, tr_coords) -> Fracturing:
+    return Fracturing(
+        is_fracture(K, "left", abutments.max_left_height(K), tl_coords),
+        is_fracture(K, "right", abutments.max_right_height(K), tr_coords))
+
+
+def footing_from_ka(K: KupischSeries, side: str, h: int, x: Coord) -> Coord:
+    """Inverse of footing_to_ka."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be left/right, got {side!r}")
+    i, j = x
+    if not (i >= 1 and j >= 1 and i + j <= h + 1):
+        raise ValueError(f"{x} is not a module coordinate of height {h}")
+    return x if side == "left" else (i + (K.m - h), j)
+
+
+def hom_dim_ka(h: int, x: Coord, y: Coord) -> int:
+    """dim Hom(M(x), M(y)): 1 iff i_x <= i_y <= i_x + j_x - 1 <= i_y + j_y - 1.
+
+    A nonzero map sends the top of the source onto a composition factor
+    of the target and is determined up to scalar.
+    """
+    _check_ka_coord(h, x)
+    _check_ka_coord(h, y)
+    (ix, jx), (iy, jy) = x, y
+    return 1 if ix <= iy <= ix + jx - 1 <= iy + jy - 1 else 0
+
+
+def enumerate_slices(h: int) -> List[Tuple[Coord, ...]]:
+    """All 2^(h-1) slices, each sorted by length."""
+    out = []
+
+    def extend(prefix):
+        k = len(prefix)
+        if k == h:
+            out.append(tuple((i, j) for j, i in enumerate(reversed(prefix), 1)))
+            return
+        # prefix holds i_h, i_{h-1}, ...; going down a length the index
+        # stays or grows by one
+        for step in (0, 1):
+            extend(prefix + [prefix[-1] + step])
+
+    extend([1])
+    return sorted(out)
+
+
+def chain_algebra(n: int, k: int) -> KupischSeries:
+    """The radical-square-zero chain (2^(kn), 1) of global dimension kn."""
+    if n < 1 or k < 1:
+        raise ValueError(f"need n, k >= 1, got ({n}, {k})")
+    return lambda_mh(k * n + 1, 2)
+
+
+# -- the library's former set-and-scan forms ---------------------------------
+
+
+def glue_fracturings_oracle(g: Glued, FB: Fracturing,
+                            FA: Fracturing) -> Fracturing:
+    """glue_fracturings by embedding each coordinate through phi/psi and
+    validating the glued fractures with make_fracturing."""
+    L = g.result
+    if g.b.m == g.h:  # trivial gluing, result is A
+        tl_coords = [g.phi(x) for x in FA.TL.coords]
+    else:
+        tl_coords = [g.psi(x) for x in FB.TL.coords]
+    if g.a.m == g.h:  # trivial gluing, result is B
+        tr_coords = [g.psi(x) for x in FB.TR.coords]
+    else:
+        tr_coords = [g.phi(x) for x in FA.TR.coords]
+    return make_fracturing(L, tl_coords, tr_coords)
+
+
+def ar_quiver_oracle(K: KupischSeries) -> ARQuiver:
+    """ar_quiver by membership in the vertex set, with sorted arrows."""
+    verts = K.all_modules()
+    vset = set(verts)
+    arrows = []
+    for (i, j) in verts:
+        if (i, j + 1) in vset:
+            arrows.append(((i, j), (i, j + 1)))
+        if (i + 1, j - 1) in vset:
+            arrows.append(((i, j), (i + 1, j - 1)))
+    translation = {x: y for x in verts if (y := _tau(K, x)) is not ZERO}
+    return ARQuiver(tuple(verts), tuple(sorted(arrows)), translation)
+
+
+def render_ascii_oracle(gamma: ARQuiver, spec: RenderSpec) -> str:
+    """The ascii render, scanning every vertex once per row."""
+    high = set(spec.highlight)
+    cells = {}
+    for x in gamma.vertices:
+        text = _label(x, spec.labels)
+        if x in high:
+            text = f"[{text}]"
+        cells[x] = text
+    width = max(len(t) for t in cells.values()) + 1
+    maxj = max(j for (_, j) in gamma.vertices)
+    lines = []
+    for j in range(maxj, 0, -1):
+        row = [x for x in gamma.vertices if x[1] == j]
+        line = ""
+        for x in sorted(row):
+            col = (2 * x[0] + x[1] - 2) * width // 2
+            line = line.ljust(col) + cells[x]
+        lines.append(line.rstrip())
+    return "\n".join(lines) + "\n"
 
 
 # -- series ------------------------------------------------------------------

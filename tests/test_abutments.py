@@ -5,7 +5,6 @@ import pytest
 from nakayama import ar
 from nakayama.abutments import (
     foundation,
-    footing_from_ka,
     footing_to_ka,
     left_abutment_heights,
     max_left_height,
@@ -14,8 +13,8 @@ from nakayama.abutments import (
 from nakayama.kupisch import KupischSeries, lambda_mh
 from nakayama.tilting import ka_modules
 
-from oracles import all_series, footing_to_ka_oracle, random_series, \
-    verify_foundation_shape
+from oracles import all_series, footing_from_ka, footing_to_ka_oracle, \
+    random_series, verify_foundation_shape
 
 
 def test_height_examples():

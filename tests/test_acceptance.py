@@ -20,13 +20,10 @@ from nakayama.kupisch import lambda_mh, parse_series
 from nakayama.ndgen import base_family_even, base_family_odd, construct, \
     source_injective_pd, supported
 from nakayama.tilting import (
-    enumerate_slices,
     enumerate_tilting,
     ext1_dim_ka,
-    hom_dim_ka,
     is_tilting,
     ka_modules,
-    make_fracturing,
     projective_injective_fracturing,
 )
 
@@ -34,9 +31,12 @@ from oracles import (
     all_series,
     classify_oracle,
     cosyzygy_oracle,
+    enumerate_slices,
     ext1_dim_oracle,
     exists_oracle,
+    hom_dim_ka,
     hom_dim_oracle,
+    make_fracturing,
     pushout_matches,
     random_series,
     syzygy_oracle,

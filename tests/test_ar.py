@@ -17,11 +17,11 @@ from nakayama.ar import (
     tau_n_inv,
 )
 from nakayama.kupisch import ZERO, KupischSeries, lambda_mh, parse_series
-from nakayama.ndgen import base_family_even, base_family_odd, chain_algebra
+from nakayama.ndgen import base_family_even, base_family_odd
 
-from oracles import all_series, cosyzygy_oracle, predecessors, \
-    random_series, successors, syzygy_oracle, tau_n_closed_lambda_mh, \
-    translation_oracle
+from oracles import all_series, ar_quiver_oracle, chain_algebra, \
+    cosyzygy_oracle, predecessors, random_series, successors, \
+    syzygy_oracle, tau_n_closed_lambda_mh, translation_oracle
 
 GLUED = parse_series("5,5,4^7,3,2,1")
 
@@ -276,3 +276,23 @@ def test_ar_quiver():
     data = g.to_json()
     assert len(data["vertices"]) == 30
     assert all(len(pair) == 2 for pair in data["tau"])
+
+
+def test_ar_quiver_walks_the_diagonals(monkeypatch):
+    # the arrows come from the v table in one walk of the diagonals:
+    # equal to the set-and-sort form on every series with m <= 8, sorted,
+    # with no set or sort in the walk
+    def refuse(*args):
+        raise AssertionError("vertex set or sort built")
+
+    expected = {}
+    for m in range(1, 9):
+        for K in all_series(m):
+            expected[K] = ar_quiver_oracle(K)
+    monkeypatch.setattr(ar, "set", refuse, raising=False)
+    monkeypatch.setattr(ar, "sorted", refuse, raising=False)
+    for K, want in expected.items():
+        got = ar_quiver(K)
+        assert got == want, K
+        assert list(got.arrows) == sorted(got.arrows)
+    assert len(expected) == 626

@@ -236,6 +236,42 @@ def test_fracture_cap(capsys, monkeypatch):
     assert code == 0 and len(json.loads(out)["fractures"]) == 42
 
 
+def test_fracture_cap_before_foundation(capsys, monkeypatch):
+    # the cap is tested before the h(h+1)/2 foundation coordinates are
+    # built; a height with no abutment keeps its named error
+    from nakayama import abutments
+
+    def refuse(*args):
+        raise AssertionError("foundation built")
+
+    monkeypatch.setattr(abutments, "foundation", refuse)
+    argv = ("fractures", "--kupisch", ",".join(map(str, range(12, 0, -1))),
+            "--side", "left")
+    code, err = input_error(capsys, *argv, "--height", "12")
+    assert code == 2
+    assert err.startswith("error: --height 12 has Catalan(12) fractures")
+    assert "MAX_FRACTURES = 100000" in err
+    code, err = input_error(capsys, *argv, "--height", "13")
+    assert code == 2
+    assert err.startswith("error: no left abutment of height 13")
+
+
+def test_check_nct_refuses_order_before_stdin(capsys, monkeypatch):
+    # --n is refused once, before a line is read: an empty batch exits 2,
+    # and a bad line gets no record ahead of the error
+    for stdin in ("", "foo\n2,1\n"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, err = input_error(capsys, "check-nct", "--kupisch", "-",
+                                "--n", "0")
+        assert code == 2 and err == "error: n must be >= 1, got 0\n"
+        assert sys.stdin.read() == stdin  # stdin is left unread
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out = run(capsys, "check-nct", "--kupisch", "-", "--n", "0",
+                        "--json")
+        assert code == 2
+        assert out == '{"error": "n must be >= 1, got 0"}\n'
+
+
 def test_construct_nd_cap(capsys):
     # 3*10^6 + 1 vertices: exit 2 with a named error, before any is built
     argv = ("construct-nd", "--n", "3", "--d", "3000000")

@@ -5,7 +5,6 @@ from itertools import combinations, product
 import pytest
 
 from nakayama import abutments, ar, cluster, tilting
-from nakayama.abutments import footing_from_ka
 from nakayama.cluster import (
     check_fractured,
     check_nct,
@@ -14,20 +13,19 @@ from nakayama.cluster import (
     complete_slice,
     glue_fractured,
 )
-from nakayama.gluing import check_glue, glue
+from nakayama.gluing import Glued, check_glue, glue
 from nakayama.kupisch import KupischSeries, lambda_mh, parse_series
 from nakayama.tilting import (
-    enumerate_slices,
     injective_fracture,
     is_fracture,
-    make_fracturing,
     projective_fracture,
     projective_injective_fracturing,
     Fracturing,
 )
 
 from oracles import all_series, check_fractured_oracle, \
-    compatibility_check_oracle, random_series
+    compatibility_check_oracle, enumerate_slices, footing_from_ka, \
+    glue_fracturings_oracle, make_fracturing, random_series
 
 GLUED = parse_series("5,5,4^7,3,2,1")
 
@@ -166,8 +164,7 @@ def test_brute_force_fractured_uniqueness():
     # fractured projectives and injectives passes the four conditions,
     # and when one does it is the generated one
     from itertools import product
-    from nakayama.abutments import footing_from_ka, max_left_height, \
-        max_right_height
+    from nakayama.abutments import max_left_height, max_right_height
     from nakayama.tilting import enumerate_tilting, iR_category, pL_category
     rng = random.Random(17)
     from oracles import random_series
@@ -277,8 +274,7 @@ def _fractured_algebras(max_m, n):
     """Every (K, F, verdict) with K on at most max_m vertices, F a pair of
     tilting fractures at the maximal abutments, and the verdict of
     check_fractured at n ok."""
-    from nakayama.abutments import footing_from_ka, max_left_height, \
-        max_right_height
+    from nakayama.abutments import max_left_height, max_right_height
     from nakayama.tilting import enumerate_tilting
     for m in range(1, max_m + 1):
         for K in all_series(m):
@@ -310,6 +306,58 @@ def test_glue_fractured_level_hypothesis():
                 assert v.ok, (KB, KA, h, n)
                 assert set(v.candidate) == {g.phi(x) for x in va.candidate} \
                     | {g.psi(x) for x in vb.candidate}
+                glued += 1
+    assert glued == 436
+
+
+def test_glue_fracturings_matches_validated_oracle():
+    # the glued fracturing, moved by the shift and not validated, against
+    # the embedded coordinates validated by make_fracturing: every
+    # compatible level-ok gluing of ok pieces on at most 5 vertices, n = 2
+    algebras = list(_fractured_algebras(5, 2))
+    assert len(algebras) == 122
+    compared = 0
+    for (KB, FB, _), (KA, FA, _) in ((b, a) for b in algebras
+                                     for a in algebras):
+        for h in range(1, min(FA.TL.height, FB.TR.height) + 1):
+            rep = compatibility_check((KA, FA.TL), (KB, FB.TR), h)
+            if not (rep.compatible and rep.level_ok):
+                continue
+            g = glue(KB, KA, h)
+            assert cluster.glue_fracturings(g, FB, FA) == \
+                glue_fracturings_oracle(g, FB, FA), (KB, KA, h)
+            compared += 1
+    assert compared == 1343
+
+
+def test_glue_fractured_trusts_its_coordinates(monkeypatch):
+    # the m <= 4 sweep of the level hypothesis with the validators and
+    # the validating embeddings patched to raise: the gluing layer moves
+    # coordinates it built by the shift and never validates them again
+    pieces = {n: list(_fractured_algebras(4, n)) for n in (2, 3, 4)}
+
+    def refuse(*args):
+        raise AssertionError("library coordinates validated again")
+
+    for owner, name in ((tilting, "is_tilting"), (tilting, "is_fracture"),
+                        (Glued, "phi"), (Glued, "psi"),
+                        (KupischSeries, "check_exists")):
+        monkeypatch.setattr(owner, name, refuse)
+    glued = 0
+    for n, algebras in pieces.items():
+        for (KB, FB, vb), (KA, FA, va) in ((b, a) for b in algebras
+                                           for a in algebras):
+            for h in range(1, min(FA.TL.height, FB.TR.height) + 1):
+                rep = compatibility_check((KA, FA.TL), (KB, FB.TR), h)
+                if not (rep.compatible and rep.level_ok):
+                    continue
+                g, F, v = glue_fractured((KB, FB), (KA, FA), h, n)
+                s = KB.m - h
+                assert v.ok, (KB, KA, h, n)
+                assert set(v.candidate) == \
+                    {(i + s, j) for i, j in va.candidate} | set(vb.candidate)
+                assert g.to_json()["phi"] == [[[i, j], [i + s, j]]
+                                              for i, j in KA.all_modules()]
                 glued += 1
     assert glued == 436
 
@@ -456,7 +504,6 @@ def test_check_nct_equals_fractured_check():
 def test_classify_sides_against_canonical_fractures():
     # every fracture at a maximal abutment of a series with m <= 8: a
     # side is honest iff its fracture is the projective (injective) one
-    from nakayama.abutments import footing_from_ka
     from nakayama.cluster import Verdict
     from nakayama.tilting import _fracture, enumerate_tilting
     ok = Verdict(True, (), ())  # classify_sides reads only ok from it
@@ -530,8 +577,7 @@ def test_generated_candidate_follows_orbits_through_i_r(monkeypatch):
     # each of those gets the walk (ZERO, 0), the candidate and the
     # verdict are those of the oracle, and the check walks each module
     # at most once per direction
-    from nakayama.abutments import footing_from_ka, max_left_height, \
-        max_right_height
+    from nakayama.abutments import max_left_height, max_right_height
     from nakayama.tilting import enumerate_tilting, iR_category, \
         pL_category
     walked = record_walks(monkeypatch)

@@ -228,8 +228,8 @@ def test_parse_and_format():
 
 
 def test_v_against_scan_down():
-    from nakayama.ndgen import base_family_even, base_family_odd, \
-        chain_algebra
+    from nakayama.ndgen import base_family_even, base_family_odd
+    from oracles import chain_algebra
     rng = random.Random(17)
     series = [random_series(rng, 30) for _ in range(60)]
     series += [lambda_mh(m, h) for m in range(1, 16) for h in range(1, m + 1)

@@ -9,13 +9,12 @@ from nakayama.ndgen import (
     _row,
     base_family_even,
     base_family_odd,
-    chain_algebra,
     construct,
     source_injective_pd,
     supported,
 )
 
-from oracles import all_series, extend_by_n_oracle
+from oracles import all_series, chain_algebra, extend_by_n_oracle
 
 
 def test_base_family_odd_rows():

@@ -3,10 +3,12 @@ import re
 
 import pytest
 
-from nakayama.ar import ar_quiver
+from nakayama.ar import ARQuiver, ar_quiver
 from nakayama.cluster import check_nct
 from nakayama.kupisch import KupischSeries, lambda_mh
 from nakayama.render import RenderSpec, render
+
+from oracles import all_series, render_ascii_oracle
 
 
 def test_single_vertex():
@@ -73,3 +75,29 @@ def test_tikz_smoke():
     assert out.startswith("\\begin{tikzpicture}")
     assert out.rstrip().endswith("\\end{tikzpicture}")
     assert out.count("\\draw[->]") == len(ar_quiver(lambda_mh(4, 2)).arrows)
+
+
+def test_ascii_buckets_rows_in_one_pass():
+    # equal to the per-row scan on every series with m <= 6, in each
+    # label mode, with and without highlights
+    compared = 0
+    for m in range(1, 7):
+        for K in all_series(m):
+            g = ar_quiver(K)
+            for labels in ("coords", "dims", "none"):
+                for high in ((), K.projectives(), g.vertices[::3]):
+                    spec = RenderSpec(highlight=tuple(high), labels=labels)
+                    assert render(g, spec) == render_ascii_oracle(g, spec)
+                    compared += 1
+    assert compared == 65 * 9
+
+
+def test_ascii_of_a_hand_built_quiver():
+    # unsorted vertices, a repeated one whose cell overlaps its twin, and
+    # a length with none: that row prints empty
+    g = ARQuiver(((3, 1), (1, 3), (2, 1), (1, 1), (2, 1)), (), {})
+    for high in ((), ((1, 3),)):
+        spec = RenderSpec(highlight=high)
+        out = render(g, spec)
+        assert out == render_ascii_oracle(g, spec)
+        assert out.splitlines()[1] == ""

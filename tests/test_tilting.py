@@ -2,20 +2,18 @@ import math
 
 import pytest
 
+from nakayama.cluster import complete_slice
 from nakayama.kupisch import lambda_mh
 from nakayama.tilting import (
     dual_slice_indices,
-    enumerate_slices,
     enumerate_tilting,
     ext1_dim_ka,
-    hom_dim_ka,
     iR_category,
     injective_fracture,
     is_fracture,
     is_slice,
     is_tilting,
     ka_modules,
-    make_fracturing,
     pL_category,
     projective_fracture,
     projective_injective_fracturing,
@@ -23,8 +21,8 @@ from nakayama.tilting import (
     slice_indices,
 )
 
-from oracles import all_series, enumerate_tilting_oracle, ext1_dim_oracle, \
-    hom_dim_oracle
+from oracles import all_series, enumerate_slices, enumerate_tilting_oracle, \
+    ext1_dim_oracle, hom_dim_ka, hom_dim_oracle, make_fracturing
 
 
 def catalan(h):
@@ -103,6 +101,16 @@ def test_slice_indices_round_trip():
             dual = dual_slice_indices(h, idx)
             assert is_slice(h, slice_from_indices(dual))
             assert dual_slice_indices(h, dual) == idx
+
+
+def test_height_zero_is_no_slice():
+    # no length has a summand, so there is no index i_h = 1 to read
+    for h in (0, -1):
+        assert not is_slice(h, [])
+    with pytest.raises(ValueError, match=r"\[\] is not a slice of height 0"):
+        slice_indices(0, [])
+    with pytest.raises(ValueError, match=r"is not a slice of height 0"):
+        complete_slice(0, [], 2, "right")
 
 
 def test_fracture_examples():
