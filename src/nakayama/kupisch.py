@@ -299,12 +299,14 @@ def linear_quiver_algebra(h: int) -> KupischSeries:
 
 
 def parse_series(text: str) -> KupischSeries:
-    """Parse '2,3,3,1' or run-length '2^6,3^13,2^3,1' into a series."""
+    """Parse '2,3,3,1' or run-length '2^6,3^13,2^3,1' into a series.
+    An empty part is refused by position; the empty text is the empty
+    series, refused as last-entry-not-one."""
     entries = []
-    for part in text.split(","):
+    for pos, part in enumerate(text.split(",") if text.strip() else (), 1):
         part = part.strip()
         if not part:
-            continue
+            raise ValueError(f"empty part at position {pos}")
         if "^" in part:
             base, _, count = part.partition("^")
             k = int(count)

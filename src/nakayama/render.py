@@ -29,10 +29,11 @@ def _label(x: Coord, labels: str) -> str:
 
 
 def render(gamma: ARQuiver, spec: RenderSpec = RenderSpec()) -> str:
-    vset = set(gamma.vertices)
-    bad = [h for h in spec.highlight if h not in vset]
-    if bad:
-        raise ValueError(f"highlighted vertices not in the quiver: {bad}")
+    if spec.highlight:  # the vertex set only when there is one to test
+        vset = set(gamma.vertices)
+        bad = [h for h in spec.highlight if h not in vset]
+        if bad:
+            raise ValueError(f"highlighted vertices not in the quiver: {bad}")
     if spec.format == "ascii":
         return _render_ascii(gamma, spec)
     if spec.format == "dot":
@@ -59,11 +60,12 @@ def _render_ascii(gamma: ARQuiver, spec: RenderSpec) -> str:
     width = max(len(t) for t in cells.values()) + 1
     lines = []
     for j in range(max(rows), 0, -1):
-        line = ""
+        parts, end = [], 0  # a cell that overlaps the row follows its end
         for x in sorted(rows.get(j, ())):
-            col = (2 * x[0] + x[1] - 2) * width // 2
-            line = line.ljust(col) + cells[x]
-        lines.append(line.rstrip())
+            col = max(end, (2 * x[0] + x[1] - 2) * width // 2)
+            parts.append(" " * (col - end) + cells[x])
+            end = col + len(cells[x])
+        lines.append("".join(parts).rstrip())
     return "\n".join(lines) + "\n"
 
 

@@ -213,16 +213,25 @@ def projective_injective_fracturing(K: KupischSeries) -> Fracturing:
 
 def pL_category(K: KupischSeries, F: Fracturing) -> List[Coord]:
     """Projectives that are not abutments, together with the left
-    fracture.  Same cardinality as the projectives."""
-    if not (F.TL.side == "left" and F.TL.maximal):
+    fracture.  Same cardinality as the projectives.  The fracture's
+    height decides maximality and the footing places each coordinate,
+    in O(h): a Fracture is a public record, its flag is not trusted."""
+    TL = F.TL
+    if not (TL.side == "left" and TL.height == abutments.max_left_height(K)):
         raise ValueError("left fracture must sit at the maximal left abutment")
+    for x in TL.coords:
+        abutments.footing_to_ka(K, "left", TL.height, x)
     rest = [x for x in K.projectives() if x[0] >= 2]
-    return sorted(set(rest) | set(F.TL.coords))
+    return sorted(set(rest) | set(TL.coords))
 
 
 def iR_category(K: KupischSeries, F: Fracturing) -> List[Coord]:
-    """Injectives that are not abutments, together with the right fracture."""
-    if not (F.TR.side == "right" and F.TR.maximal):
+    """Injectives that are not abutments, together with the right
+    fracture, placed as in pL_category."""
+    TR = F.TR
+    if not (TR.side == "right" and TR.height == K.entries[0]):
         raise ValueError("right fracture must sit at the maximal right abutment")
+    for x in TR.coords:
+        abutments.footing_to_ka(K, "right", TR.height, x)
     rest = [x for x in K.injectives() if x[0] + x[1] <= K.m]
-    return sorted(set(rest) | set(F.TR.coords))
+    return sorted(set(rest) | set(TR.coords))

@@ -453,6 +453,12 @@ def test_json_series_not_reinterpreted(capsys):
      "--height 0 needs --side"),
     (["fractures", "--kupisch", "3,2,1", "--side", "left", "--height", "0"],
      "no left abutment of height 0"),
+    (["validate", "--kupisch", "2,,1"],
+     "bad Kupisch series '2,,1': empty part at position 2"),
+    (["check-fractured", "--kupisch", "2,1", "--n", "1",
+      "--fracturing", "[1]"], "bad fracturing [1]: "),
+    (["ar-quiver", "--kupisch", "2,1", "--highlight", '{"a": 1}'],
+     "bad coordinate list {'a': 1}: "),
 ])
 def test_malformed_option_named(capsys, argv, message):
     # a malformed option value exits 2 with an error naming the option

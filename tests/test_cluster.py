@@ -16,6 +16,7 @@ from nakayama.cluster import (
 from nakayama.gluing import Glued, check_glue, glue
 from nakayama.kupisch import KupischSeries, lambda_mh, parse_series
 from nakayama.tilting import (
+    Fracture,
     injective_fracture,
     is_fracture,
     projective_fracture,
@@ -362,6 +363,73 @@ def test_glue_fractured_trusts_its_coordinates(monkeypatch):
     assert glued == 436
 
 
+@pytest.mark.parametrize("failing", ["A", "B"])
+def test_glue_fractured_refuses_a_failing_component(failing):
+    ok, bad = lambda_mh(3, 2), lambda_mh(9, 4)  # check_nct at 2: ok, not
+    A, B = (bad, ok) if failing == "A" else (ok, bad)
+    with pytest.raises(ValueError,
+                       match=f"^{failing}-side fractured check failed: "):
+        glue_fractured((B, projective_injective_fracturing(B)),
+                       (A, projective_injective_fracturing(A)), 1, 2)
+
+
+def test_glue_fractured_refuses_disagreeing_fractures():
+    # A's projective fracture against a proper slice of B at height 3:
+    # both checks ok at n = 4, the footed fractures differ
+    A, B = lambda_mh(9, 4), lambda_mh(12, 5)
+    FB = Fracturing(
+        is_fracture(B, "left", 5, [(2, 1), (2, 2), (1, 3), (1, 4), (1, 5)]),
+        is_fracture(B, "right", 5,
+                    [(11, 1), (10, 2), (10, 3), (9, 4), (8, 5)]))
+    with pytest.raises(ValueError,
+                       match="fractures do not agree on the glued foundation"):
+        glue_fractured((B, FB), (A, projective_injective_fracturing(A)), 3, 4)
+
+
+def test_compatibility_check_refuses_sides_and_heights():
+    A, B = lambda_mh(9, 4), lambda_mh(12, 5)
+    FA = projective_injective_fracturing(A)
+    FB = projective_injective_fracturing(B)
+    with pytest.raises(ValueError,
+                       match="expected a left fracture on A and a right on B"):
+        compatibility_check((A, FA.TR), (B, FB.TL), 1)
+    with pytest.raises(ValueError,
+                       match="glue height 5 exceeds a fracture height"):
+        compatibility_check((A, FA.TL), (B, FB.TR), 5)
+
+
+def test_classify_sides_refuses_a_failing_verdict():
+    K = lambda_mh(9, 4)
+    v = check_nct(K, 2)
+    assert not v.ok
+    with pytest.raises(ValueError, match="verdict not ok; sides are undefined"):
+        classify_sides(projective_injective_fracturing(K), v)
+
+
+def test_check_fractured_places_a_hand_built_fracture():
+    # a Fracture is a public record: its coordinates are footed and its
+    # maximality read from K, so a coordinate outside the foundation is
+    # refused by name, not an IndexError or a verdict holding a non-module
+    K = parse_series("3,2,1")
+    for coords, bad in ((((9, 9),), (9, 9)), (((0, 2), (1, 1)), (0, 2))):
+        F = Fracturing(Fracture("left", 3, coords, 1, True),
+                       injective_fracture(K))
+        with pytest.raises(ValueError) as exc:
+            check_fractured(K, 2, F)
+        assert str(exc.value) == f"{bad} not in the left foundation of height 3"
+        G = Fracturing(projective_fracture(K),
+                       Fracture("right", 3, coords, 1, True))
+        with pytest.raises(ValueError, match="not in the right foundation"):
+            check_fractured(K, 2, G)
+    # the flag is not read: a maximal height passes, another is refused
+    tl = projective_fracture(K)._replace(maximal=False)
+    assert check_fractured(K, 2, Fracturing(tl, injective_fracture(K))) == \
+        check_nct(K, 2)
+    low = Fracture("left", 2, ((1, 1), (1, 2)), 1, True)
+    with pytest.raises(ValueError, match="maximal left abutment"):
+        check_fractured(K, 2, Fracturing(low, injective_fracture(K)))
+
+
 def test_compatibility_check_matches_oracle():
     # the height-h foundations cut out by their inequalities, against
     # membership in the built foundations: every pair of ok fractured
@@ -700,6 +768,20 @@ def test_complete_slice_all_small():
                         if step.kind in ("staircase", "glue"):
                             g = glue(step.b, step.a, step.height)
                             assert check_glue(g)[0].ok
+
+
+def test_complete_slice_runs_no_side_re_check(monkeypatch):
+    # the completed side carries the canonical fracture, maximal and of
+    # level 1, so its final check alone certifies it
+    def refuse(F, verdict):
+        raise AssertionError("classify_sides called")
+
+    monkeypatch.setattr(cluster, "classify_sides", refuse)
+    for h in range(1, 5):
+        for n in (2, 3, 4):
+            for s in enumerate_slices(h):
+                for side in ("left", "right"):
+                    assert complete_slice(h, list(s), n, side)[2].ok
 
 
 def test_complete_slice_errors():

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from nakayama import ar
+from nakayama import abutments, ar, gluing
 from nakayama.abutments import foundation, left_abutment_heights, \
     max_left_height, right_abutment_heights
 from nakayama.gluing import Glued, check_glue, glue
@@ -264,6 +264,54 @@ def test_check_glue_matches_oracles_on_small_gluings():
                 assert check_glue(g) == _oracle_pair(g), (A, B, h)
                 count += 1
     assert count == 1208
+
+
+def test_check_glue_matches_oracles_on_every_small_hand_built_result():
+    # A and B with at most 4 vertices, every common height, and every L
+    # whose length is within one of m_A + m_B - h: the same pair, or the
+    # same error.  The oracle never reports the two checks that count and
+    # coverage imply
+    by_m = {m: all_series(m) for m in range(1, 9)}
+    series = [K for m in range(1, 5) for K in by_m[m]]
+    seen = Counter()
+    for A in series:
+        for B in series:
+            for h in left_abutment_heights(A) & right_abutment_heights(B):
+                m = A.m + B.m - h
+                for L in (L for k in (m - 1, m, m + 1) for L in by_m.get(k, ())):
+                    g = Glued(L, h, A, B)
+                    want = _oracle_pair(g)
+                    assert _check_glue_or_error(g) == want, (L, h, A, B)
+                    seen["error" if isinstance(want, str)
+                         else want[0].failure or "ok"] += 1
+    assert seen == {"indecomposable count formula": 25529,
+                    "phi and psi not jointly surjective": 1283,
+                    "ok": 162, "error": 13}
+
+
+def test_check_glue_builds_no_module_set_or_foundation(monkeypatch):
+    # the reports of every small gluing, with the oracles computed first:
+    # check_glue decides coverage from the u tables, so it needs no set,
+    # no foundation and no module list of the result
+    series = [K for m in range(1, 6) for K in all_series(m)]
+    cases = [(g, _oracle_pair(g)) for A in series for B in series
+             for h in left_abutment_heights(A) & right_abutment_heights(B)
+             for g in (glue(B, A, h),)]
+    assert len(cases) == 1208
+
+    def refuse(*args):
+        raise AssertionError("check_glue built a set or a foundation")
+
+    listed = []
+    all_modules = KupischSeries.all_modules
+    monkeypatch.setattr(abutments, "foundation", refuse)
+    monkeypatch.setattr(gluing, "set", refuse, raising=False)
+    monkeypatch.setattr(KupischSeries, "all_modules",
+                        lambda K: listed.append(K) or all_modules(K))
+    for g, want in cases:
+        listed.clear()
+        assert check_glue(g) == want
+        assert listed and all(K is g.a or K is g.b for K in listed)
 
 
 def test_check_glue_matches_oracles_on_wrong_results():

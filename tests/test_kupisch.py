@@ -258,6 +258,29 @@ def test_parse_rejects_empty_runs():
             parse_series(text)
 
 
+def test_parse_refuses_empty_parts():
+    # an empty part is refused by position, not dropped; the empty text
+    # stays the empty series, refused by its named violation
+    for text, k in (("2,,1", 2), ("2,1,", 3), (",2,1", 1), ("2, ,1", 2)):
+        with pytest.raises(ValueError) as exc:
+            parse_series(text)
+        assert str(exc.value) == f"empty part at position {k}"
+        assert not isinstance(exc.value, KupischError)
+    for text in ("", "  "):
+        with pytest.raises(KupischError) as exc:
+            parse_series(text)
+        assert exc.value.violation == "last-entry-not-one"
+
+
+def test_projective_and_injective_at_refuse_a_vertex_out_of_range():
+    K = lambda_mh(3, 2)
+    for vertex in (0, 4):
+        for at in (K.projective_at, K.injective_at):
+            with pytest.raises(ValueError,
+                               match=f"vertex {vertex} out of range"):
+                at(vertex)
+
+
 def test_parse_caps_vertices(monkeypatch):
     # the cap is checked before a run is expanded, so rejecting a huge
     # run allocates next to nothing

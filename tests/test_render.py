@@ -70,6 +70,29 @@ def test_highlight_outside_quiver():
         render(g, RenderSpec(highlight=((9, 9),)))
 
 
+def test_unknown_format_refused():
+    with pytest.raises(ValueError, match="unknown format 'svg'"):
+        render(ar_quiver(lambda_mh(3, 2)), RenderSpec(format="svg"))
+
+
+def test_no_highlight_iterates_the_vertices_once():
+    # with nothing highlighted, render builds no vertex set: each format
+    # reads the vertices in one pass
+    reads = []
+
+    class Vertices(tuple):
+        def __iter__(self):
+            reads.append(1)
+            return super().__iter__()
+
+    g = ar_quiver(lambda_mh(4, 2))
+    g = g._replace(vertices=Vertices(g.vertices))
+    for fmt in ("ascii", "dot", "tikz", "json"):
+        reads.clear()
+        render(g, RenderSpec(format=fmt))
+        assert len(reads) == 1, fmt
+
+
 def test_tikz_smoke():
     out = render(ar_quiver(lambda_mh(4, 2)), RenderSpec(format="tikz"))
     assert out.startswith("\\begin{tikzpicture}")
