@@ -183,7 +183,7 @@ def cmd_check_fractured(args) -> int:
         payload = verdict.to_json()
         payload["fracturing"] = F.to_json()
         if verdict.ok:
-            payload["sides"] = classify_sides(F, verdict)
+            payload["sides"] = classify_sides(K, F, verdict)
         _emit(payload, True)
     else:
         print(_verdict_line(K, args.n, verdict))
@@ -240,7 +240,7 @@ def cmd_complete_slice(args) -> int:
         "kupisch": list(K.entries),
         "fracturing": F.to_json(),
         "verdict": verdict.to_json(),
-        "sides": classify_sides(F, verdict),
+        "sides": classify_sides(K, F, verdict),
         "trace": [step.to_json() for step in trace],
     }
     _emit(payload, args.json,

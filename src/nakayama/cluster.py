@@ -252,17 +252,17 @@ def check_nct(K: KupischSeries, n: int) -> Verdict:
     return _check(K, n, K._pseq, K._p, K._iseq, K._i, None)
 
 
-def classify_sides(F: Fracturing, verdict: Verdict) -> dict:
+def classify_sides(K: KupischSeries, F: Fracturing,
+                   verdict: Verdict) -> dict:
     """Which sides of an ok fractured subcategory, the verdict of a check
-    with the fracturing F, are honest: left if the left fracture is
-    projective, right if the right fracture is injective, cluster-tilting
-    if both."""
+    of K with the fracturing F, are honest: left if the fractured
+    projectives are the projectives, right if the fractured injectives
+    are the injectives, cluster-tilting if both.  F is placed as
+    check_fractured places it."""
     if not verdict.ok:
         raise ValueError("verdict not ok; sides are undefined")
-    # a fracture of level 1 has every apex among its h summands, so at the
-    # maximal abutment it is the projective (injective) fracture
-    left = F.TL.maximal and F.TL.level == 1
-    right = F.TR.maximal and F.TR.level == 1
+    left = set(tilting.pL_category(K, F)) == K._p
+    right = set(tilting.iR_category(K, F)) == K._i
     return {"left_nct": left, "right_nct": right, "nct": left and right}
 
 
@@ -293,7 +293,10 @@ def compatibility_check(a_side: Tuple[KupischSeries, Fracture],
     # and the footing's shift (0 on the left) foots it
     set_a = {x for x in TA.coords if x[0] + x[1] <= h + 1}
     set_b = {(i - s, j) for i, j in TB.coords if i > s}
-    return CompatReport(set_a == set_b, h >= TA.level and h >= TB.level)
+    # the levels are read from the coordinates, not from the records
+    la = tilting._fracture(KA, "left", TA.height, TA.coords).level
+    lb = tilting._fracture(KB, "right", TB.height, TB.coords).level
+    return CompatReport(set_a == set_b, h >= la and h >= lb)
 
 
 def glue_fracturings(g: Glued, FB: Fracturing, FA: Fracturing) -> Fracturing:

@@ -45,7 +45,8 @@ class KupischSeries:
     * d_m = 1,
     * d_i >= 2 for 1 <= i <= m-1,
     * d_{i-1} - 1 <= d_i for 2 <= i <= m,
-    * d_i <= m - i + 1 (a projective cannot overshoot the sink).
+    * d_i <= m - i + 1 (a projective cannot overshoot the sink), which
+      the two rules above imply; a series that breaks it is named by it.
 
     Instances are immutable and hashable.  ``_gldim`` memoizes
     ``ar.gldim``; it is None until that is first called.  ``_pi``
@@ -75,21 +76,23 @@ class KupischSeries:
             if d < 2:
                 raise KupischError(
                     "entry-below-two", f"d_{i} = {d} < 2 (only d_{m} may be 1)")
-        for i, d in enumerate(entries, start=1):
-            if d > m - i + 1:
-                raise KupischError(
-                    "overflow-past-sink",
-                    f"d_{i} = {d} > m - i + 1 = {m - i + 1}")
-        for i in range(1, m):
-            if entries[i - 1] - 1 > entries[i]:
+        for k in range(1, m):
+            if entries[k - 1] - 1 > entries[k]:
+                # d_m = 1 and the step rule give d_i <= m - i + 1, so the
+                # sink bound fails only here, and is named first
+                for i, d in enumerate(entries, start=1):
+                    if d > m - i + 1:
+                        raise KupischError(
+                            "overflow-past-sink",
+                            f"d_{i} = {d} > m - i + 1 = {m - i + 1}")
                 raise KupischError(
                     "kupisch-step",
-                    f"d_{i} - 1 = {entries[i - 1] - 1} > d_{i + 1} = {entries[i]}")
+                    f"d_{k} - 1 = {entries[k - 1] - 1} > d_{k + 1} = {entries[k]}")
         self.entries = entries
         self.m = m
         # max module length per co-diagonal s = i + j, indexed by s >= 2:
         # the projective with top m - s + 2, whose length d <= s - 1 by
-        # the overflow check
+        # the sink bound
         rev = entries[::-1]
         self._u = (0, 0) + rev
         # max module length per diagonal i = m - t + 1, indexed by i >= 1:
@@ -161,10 +164,17 @@ class KupischSeries:
         return coord
 
     def all_modules(self):
-        """All coordinates in row-major order; the count is sum(d_i)."""
-        u = self._u  # (i, j) exists iff j <= u(i + j)
-        return [(i, j) for j in range(1, max(self.entries) + 1)
-                for i in range(1, self.m - j + 2) if j <= u[i + j]]
+        """All coordinates in row-major order; the count is sum(d_i).
+        Row j holds (s - j, j) for the co-diagonals s with u(s) >= j, in
+        order: each row keeps those of the row before with u(s) > j - 1,
+        so u is read once per module."""
+        u, out, j = self._u, [], 1
+        row = range(2, self.m + 2)
+        while row:
+            out += [(s - j, j) for s in row]
+            row = [s for s in row if u[s] > j]
+            j += 1
+        return out
 
     # -- structure of a single module --------------------------------------
 

@@ -130,8 +130,7 @@ class Fracture(NamedTuple):
     side: str  # "left" or "right"
     height: int
     coords: Tuple[Coord, ...]  # sorted, inside the foundation
-    level: int
-    maximal: bool  # whether the abutment is maximal on its side
+    level: int  # output only: no decision reads it
 
     def to_json(self) -> dict:
         return {
@@ -150,13 +149,10 @@ def _fracture(K: KupischSeries, side: str, h: int, coords) -> Fracture:
     cset = set(coords)
     if side == "left":
         missing = [i for i in range(1, h + 1) if (1, i) not in cset]
-        maximal = h == abutments.max_left_height(K)
     else:
         missing = [i for i in range(1, h + 1)
                    if (K.m - i + 1, i) not in cset]
-        maximal = h == abutments.max_right_height(K)
-    return Fracture(side, h, tuple(coords), max(missing, default=0) + 1,
-                    maximal)
+    return Fracture(side, h, tuple(coords), max(missing, default=0) + 1)
 
 
 def is_fracture(K: KupischSeries, side: str, h: int, coords) -> Fracture:
@@ -213,9 +209,10 @@ def projective_injective_fracturing(K: KupischSeries) -> Fracturing:
 
 def pL_category(K: KupischSeries, F: Fracturing) -> List[Coord]:
     """Projectives that are not abutments, together with the left
-    fracture.  Same cardinality as the projectives.  The fracture's
-    height decides maximality and the footing places each coordinate,
-    in O(h): a Fracture is a public record, its flag is not trusted."""
+    fracture.  Same cardinality as the projectives.  K decides whether
+    the fracture's height is maximal and the footing places each
+    coordinate: a Fracture is a public record, of which only the side,
+    height and coordinates are read."""
     TL = F.TL
     if not (TL.side == "left" and TL.height == abutments.max_left_height(K)):
         raise ValueError("left fracture must sit at the maximal left abutment")

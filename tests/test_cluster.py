@@ -66,7 +66,7 @@ def test_check_fractured_sliced():
         [(11, 1), (10, 2), (10, 3), (9, 4), (8, 5)])
     v = check_fractured(K, 4, F)
     assert v.ok
-    sides = classify_sides(F, v)
+    sides = classify_sides(K, F, v)
     assert sides == {"left_nct": False, "right_nct": False, "nct": False}
 
 
@@ -226,7 +226,7 @@ def test_glue_fractured_worked_step():
     g, F, v = glue_fractured((B, FB), (A, FA), 3, 4)
     assert g.result == parse_series("3^5,5^8,4,3,2,1")
     assert v.ok
-    assert not classify_sides(F, v)["right_nct"]
+    assert not classify_sides(g.result, F, v)["right_nct"]
 
 
 def test_glue_fractured_nct_at_simples():
@@ -238,7 +238,7 @@ def test_glue_fractured_nct_at_simples():
     FA = projective_injective_fracturing(A)
     g, F, v = glue_fractured((B, FB), (A, FA), 1, n)
     assert v.ok
-    assert classify_sides(F, v)["nct"]
+    assert classify_sides(g.result, F, v)["nct"]
     assert g.result == lambda_mh(3 * n + 1, 2)
 
 
@@ -268,7 +268,7 @@ def test_glue_fractured_slice_grid():
                 KA, FA, va, _ = complete_slice(h, list(s), n, "right")
                 g, F, v = glue_fractured((KB, FB), (KA, FA), h, n)
                 assert v.ok, (h, s, n, v.failures)
-                assert classify_sides(F, v)["nct"]
+                assert classify_sides(g.result, F, v)["nct"]
 
 
 def _fractured_algebras(max_m, n):
@@ -403,7 +403,7 @@ def test_classify_sides_refuses_a_failing_verdict():
     v = check_nct(K, 2)
     assert not v.ok
     with pytest.raises(ValueError, match="verdict not ok; sides are undefined"):
-        classify_sides(projective_injective_fracturing(K), v)
+        classify_sides(K, projective_injective_fracturing(K), v)
 
 
 def test_check_fractured_places_a_hand_built_fracture():
@@ -412,22 +412,59 @@ def test_check_fractured_places_a_hand_built_fracture():
     # refused by name, not an IndexError or a verdict holding a non-module
     K = parse_series("3,2,1")
     for coords, bad in ((((9, 9),), (9, 9)), (((0, 2), (1, 1)), (0, 2))):
-        F = Fracturing(Fracture("left", 3, coords, 1, True),
+        F = Fracturing(Fracture("left", 3, coords, 1),
                        injective_fracture(K))
         with pytest.raises(ValueError) as exc:
             check_fractured(K, 2, F)
         assert str(exc.value) == f"{bad} not in the left foundation of height 3"
         G = Fracturing(projective_fracture(K),
-                       Fracture("right", 3, coords, 1, True))
+                       Fracture("right", 3, coords, 1))
         with pytest.raises(ValueError, match="not in the right foundation"):
             check_fractured(K, 2, G)
-    # the flag is not read: a maximal height passes, another is refused
-    tl = projective_fracture(K)._replace(maximal=False)
-    assert check_fractured(K, 2, Fracturing(tl, injective_fracture(K))) == \
-        check_nct(K, 2)
-    low = Fracture("left", 2, ((1, 1), (1, 2)), 1, True)
+    # a height that is not maximal is refused
+    low = Fracture("left", 2, ((1, 1), (1, 2)), 1)
     with pytest.raises(ValueError, match="maximal left abutment"):
         check_fractured(K, 2, Fracturing(low, injective_fracture(K)))
+
+
+def test_classify_sides_places_the_fracturing():
+    # the sides are read from the series and the coordinates, as a check
+    # reads them: a fracture at a height that is not maximal is refused,
+    # whatever verdict is passed with it
+    from nakayama.cluster import Verdict
+    K = parse_series("3,2,1")
+    low = Fracture("left", 2, ((1, 1), (1, 2)), 1)
+    F = Fracturing(low, injective_fracture(K))
+    with pytest.raises(ValueError, match="^left fracture must sit at the "
+                                         "maximal left abutment$"):
+        classify_sides(K, F, Verdict(True, (), ()))
+
+
+def test_classify_sides_reads_no_stored_level():
+    # a stored level of 1 on a fracture of level 3 does not make it the
+    # projective fracture
+    K = lambda_mh(12, 5)
+    F = make_fracturing(
+        K,
+        [(2, 1), (2, 2), (1, 3), (1, 4), (1, 5)],
+        [(11, 1), (10, 2), (10, 3), (9, 4), (8, 5)])
+    assert F.TL.level == 3
+    lying = F._replace(TL=F.TL._replace(level=1))
+    v = check_fractured(K, 4, lying)
+    assert v.ok
+    assert classify_sides(K, lying, v) == \
+        {"left_nct": False, "right_nct": False, "nct": False}
+
+
+def test_compatibility_check_reads_no_stored_level():
+    A = B = lambda_mh(6, 3)
+    TA = is_fracture(A, "left", 3, [(2, 1), (1, 2), (1, 3)])
+    assert TA.level == 2
+    TB = injective_fracture(B)
+    assert not compatibility_check((A, TA), (B, TB), 1).level_ok
+    lying = TA._replace(level=1)
+    assert compatibility_check((A, lying), (B, TB), 1) == \
+        compatibility_check((A, TA), (B, TB), 1)
 
 
 def test_compatibility_check_matches_oracle():
@@ -586,7 +623,7 @@ def test_classify_sides_against_canonical_fractures():
                     F = Fracturing(T, I) if side == "left" \
                         else Fracturing(P, T)
                     honest = set(T.coords) == set(canon.coords)
-                    assert classify_sides(F, ok)[f"{side}_nct"] \
+                    assert classify_sides(K, F, ok)[f"{side}_nct"] \
                         == honest
 
 
@@ -727,7 +764,7 @@ def test_complete_slice_worked_chain():
         5, [(2, 1), (2, 2), (1, 3), (1, 4), (1, 5)], 4, "right")
     assert K == parse_series("2^3,3^5,5^8,4,3,2,1")
     assert v.ok
-    assert classify_sides(F, v)["right_nct"]
+    assert classify_sides(K, F, v)["right_nct"]
     for step in trace:
         if step.kind in ("staircase", "glue"):
             g = glue(step.b, step.a, step.height)
@@ -740,7 +777,7 @@ def test_complete_slice_base():
         for side in ("left", "right"):
             K, F, v, _ = complete_slice(1, [(1, 1)], n, side)
             assert K == KupischSeries([1])
-            assert v.ok and classify_sides(F, v)["nct"]
+            assert v.ok and classify_sides(K, F, v)["nct"]
 
 
 def test_complete_slice_injective_slice():
@@ -763,7 +800,7 @@ def test_complete_slice_all_small():
                 for side in ("left", "right"):
                     K, F, v, trace = complete_slice(h, list(s), n, side)
                     assert v.ok
-                    assert classify_sides(F, v)[f"{side}_nct"]
+                    assert classify_sides(K, F, v)[f"{side}_nct"]
                     for step in trace:
                         if step.kind in ("staircase", "glue"):
                             g = glue(step.b, step.a, step.height)

@@ -184,8 +184,8 @@ def test_check_glue_validates_each_module_once(monkeypatch):
     monkeypatch.setattr(KupischSeries, "check_exists", record)
     inv, dis = check_glue(g)
     assert inv.ok and dis.ok
-    assert calls
-    assert len(calls) <= len(g.a.all_modules()) + len(g.b.all_modules())
+    # the count and coverage put every image in L: none is validated
+    assert not calls
 
 
 def _dispatch_public(g):

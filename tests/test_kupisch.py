@@ -1,6 +1,7 @@
 import pickle
 import random
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -45,6 +46,42 @@ def test_validate_rejects_named():
     assert validate([2, 4, 3, 2, 1]).m == 5
 
 
+def _named_in_rule_order(entries):
+    """The violation and message of the first broken rule, the rules taken
+    in the order of the class docstring, or None for a series."""
+    m = len(entries)
+    if not entries:
+        return "last-entry-not-one", "empty series"
+    if entries[-1] != 1:
+        return "last-entry-not-one", f"d_{m} = {entries[-1]} != 1"
+    for i, d in enumerate(entries[:-1], start=1):
+        if d < 2:
+            return ("entry-below-two",
+                    f"d_{i} = {d} < 2 (only d_{m} may be 1)")
+    for i, d in enumerate(entries, start=1):
+        if d > m - i + 1:
+            return ("overflow-past-sink",
+                    f"d_{i} = {d} > m - i + 1 = {m - i + 1}")
+    for i in range(1, m):
+        if entries[i - 1] - 1 > entries[i]:
+            return ("kupisch-step", f"d_{i} - 1 = {entries[i - 1] - 1} "
+                                    f"> d_{i + 1} = {entries[i]}")
+    return None
+
+
+def test_validate_names_the_first_broken_rule():
+    # every integer list with m <= 5 and entries -1..m+2: the sink bound is
+    # read only on a step failure, and still named before it
+    for m in range(6):
+        for entries in product(range(-1, m + 3), repeat=m):
+            try:
+                KupischSeries(entries)
+                got = None
+            except KupischError as exc:
+                got = exc.violation, str(exc)
+            assert got == _named_in_rule_order(entries), entries
+
+
 def test_lambda_mh():
     assert lambda_mh(15, 3).entries == (3,) * 13 + (2, 1)
     assert lambda_mh(5, 5).entries == (5, 4, 3, 2, 1)
@@ -87,6 +124,29 @@ def test_all_modules_matches_exists():
             assert K.all_modules() == [
                 (i, j) for j in range(1, m + 1) for i in range(1, m + 2 - j)
                 if K.exists((i, j))], K
+
+
+def test_all_modules_reads_u_once_per_module():
+    # one tall run and a long low tail: scanning every i for every length
+    # would read u m * max(d) = 400,000 times
+    class Counted(tuple):
+        reads = 0
+
+        def __getitem__(self, k):
+            Counted.reads += 1
+            return tuple.__getitem__(self, k)
+
+    K = parse_series(",".join(map(str, range(200, 1, -1))) + ",2^1800,1")
+    K._u = Counted(K._u)
+    mods = K.all_modules()
+    assert len(mods) == sum(K.entries) == 23700
+    assert Counted.reads <= 2 * len(mods) + K.m
+
+
+def test_length_and_dual_of_zero():
+    K = parse_series("2^3,3,2,1")
+    assert len(K) == K.m == 6
+    assert K.dual_coord(ZERO) is ZERO
 
 
 def test_classify():

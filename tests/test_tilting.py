@@ -93,6 +93,12 @@ def test_slices():
     assert not is_slice(3, [(3, 1), (1, 2), (1, 3)])
 
 
+def test_a_repeated_length_is_no_slice():
+    # h summands, but two of length 1 and none of length 2
+    assert not is_slice(2, [(1, 1), (2, 1)])
+    assert not is_slice(3, [(1, 1), (2, 1), (1, 3)])
+
+
 def test_slice_indices_round_trip():
     for h in range(1, 7):
         for s in enumerate_slices(h):
@@ -116,7 +122,7 @@ def test_height_zero_is_no_slice():
 def test_fracture_examples():
     K = lambda_mh(12, 5)
     fr = is_fracture(K, "left", 5, [(2, 1), (2, 2), (1, 3), (1, 4), (1, 5)])
-    assert fr.level == 3 and fr.maximal
+    assert fr.level == 3
     assert projective_fracture(K).level == 1
     assert injective_fracture(K).level == 1
     tr = is_fracture(K, "right", 5,
@@ -204,6 +210,16 @@ def test_pl_ir_categories():
         F0 = projective_injective_fracturing(S)
         assert pL_category(S, F0) == S.projectives()
         assert iR_category(S, F0) == S.injectives()
+
+
+def test_ir_category_refuses_a_right_fracture_off_the_maximal_abutment():
+    K = lambda_mh(12, 5)
+    low = is_fracture(K, "right", 4, [(12, 1), (11, 2), (10, 3), (9, 4)])
+    for TR in (low, projective_fracture(K)):
+        F = projective_injective_fracturing(K)._replace(TR=TR)
+        with pytest.raises(ValueError, match="^right fracture must sit at "
+                                             "the maximal right abutment$"):
+            iR_category(K, F)
 
 
 def test_hereditary_fracturing():

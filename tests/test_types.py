@@ -24,8 +24,8 @@ from nakayama.gluing import GlueReport
 
 K = parse_series("2,1")
 L = parse_series("2,2,1")
-TL = Fracture("left", 1, ((1, 1),), 1, True)
-TR = Fracture("right", 1, ((2, 1),), 1, True)
+TL = Fracture("left", 1, ((1, 1),), 1)
+TR = Fracture("right", 1, ((2, 1),), 1)
 OK = Verdict(True, ((1, 1), (1, 2), (2, 1)), ())
 TRACE = ({"step": "chain", "k": 1, "series": {"kupisch": [2, 1]}},)
 
@@ -43,14 +43,13 @@ CASES = [
     (GlueReport, {"ok": False, "failure": "tau not carried"},
      "GlueReport(ok=False, failure='tau not carried')", True),
     (Fracture,
-     {"side": "left", "height": 2, "coords": ((1, 1), (1, 2)), "level": 1,
-      "maximal": True},
-     "Fracture(side='left', height=2, coords=((1, 1), (1, 2)), level=1, "
-     "maximal=True)", True),
+     {"side": "left", "height": 2, "coords": ((1, 1), (1, 2)), "level": 1},
+     "Fracture(side='left', height=2, coords=((1, 1), (1, 2)), level=1)",
+     True),
     (Fracturing, {"TL": TL, "TR": TR},
      "Fracturing(TL=Fracture(side='left', height=1, coords=((1, 1),), "
-     "level=1, maximal=True), TR=Fracture(side='right', height=1, "
-     "coords=((2, 1),), level=1, maximal=True))", True),
+     "level=1), TR=Fracture(side='right', height=1, "
+     "coords=((2, 1),), level=1))", True),
     (CompatReport, {"compatible": True, "level_ok": False},
      "CompatReport(compatible=True, level_ok=False)", True),
     (CompletionStep,
@@ -203,6 +202,6 @@ def test_public_api():
         "render", "right_abutment_heights", "supported", "syzygy", "tau",
         "tau_inv", "tau_n", "tau_n_inv", "tilting", "validate"]
     assert not hasattr(Glued, "overlap")
-    assert nakayama.classify_sides.__code__.co_varnames[:2] == \
-        ("F", "verdict")
-    assert nakayama.classify_sides.__code__.co_argcount == 2
+    assert nakayama.classify_sides.__code__.co_varnames[:3] == \
+        ("K", "F", "verdict")
+    assert nakayama.classify_sides.__code__.co_argcount == 3
