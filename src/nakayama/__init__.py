@@ -36,7 +36,6 @@ from .tilting import (
     Fracture,
     Fracturing,
     enumerate_tilting,
-    ext1_dim_ka,
     iR_category,
     injective_fracture,
     is_fracture,

@@ -2,12 +2,14 @@
 fractures of abutments.
 
 Over the path algebra of 1 -> 2 -> ... -> h all hom and ext spaces
-between indecomposables are at most one-dimensional.  Hom is decided by
-an interval condition on AR coordinates; Ext^1 by the Auslander-Reiten
-formula Ext^1(X, Y) = D Hom(Y, tau X).  A basic tilting module is a
-pairwise Ext-orthogonal set of h indecomposables; there are Catalan(h)
-of them.  Slices are the 2^(h-1) tilting modules with one summand of
-each length and unit steps.
+between indecomposables are at most one-dimensional.  Read the module
+(i, j) as the arc (i, s) with s = i + j: then Ext^1(M(x), M(y)) != 0
+iff i_y < i_x <= s_y < s_x, that is iff the two arcs cross (arcs that
+meet end to start cross too).  A basic tilting module is a pairwise
+Ext-orthogonal set of h indecomposables, so a non-crossing system of h
+arcs; these are binary trees, and there are Catalan(h) of them.  Slices
+are the 2^(h-1) tilting modules with one summand of each length and
+unit steps.
 
 A fracture replaces the projectives (resp. injectives) along an
 abutment by a tilting module of the identified linear-quiver algebra;
@@ -17,7 +19,6 @@ fracture.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import List, NamedTuple, Tuple
 
 from . import abutments
@@ -35,61 +36,50 @@ def ka_modules(h: int) -> List[Coord]:
     return [(i, j) for j in range(1, h + 1) for i in range(1, h - j + 2)]
 
 
-def ext1_dim_ka(h: int, x: Coord, y: Coord) -> int:
-    """dim Ext^1(M(x), M(y)) = dim Hom(M(y), tau M(x)) by the Auslander-
-    Reiten formula, with tau(i, j) = (i - 1, j) off the projectives (i = 1);
-    the algebra is hereditary so this is the only obstruction to
-    orthogonality."""
-    _check_ka_coord(h, x)
-    _check_ka_coord(h, y)
-    (ix, jx), (iy, jy) = x, y
-    return 1 if 1 < ix and iy <= ix - 1 <= iy + jy - 1 <= ix + jx - 2 else 0
-
-
 def is_tilting(h: int, coords) -> bool:
-    """Basic tilting module: h distinct summands, Ext^1-orthogonal both ways."""
+    """Basic tilting module: h distinct summands whose arcs do not cross.
+
+    Sorted by i ascending and s descending, each arc comes after every
+    arc that encloses it; a stack holds the ends s of the arcs enclosing
+    the current one, innermost on top.  One sort and one pass: O(h log h)."""
     coords = list(coords)
     for x in coords:
         _check_ka_coord(h, x)
     if len(set(coords)) != len(coords) or len(coords) != h:
         return False
-    return all(ext1_dim_ka(h, x, y) == 0 and ext1_dim_ka(h, y, x) == 0
-               for x, y in combinations(coords, 2))
+    ends = []
+    for i, j in sorted(coords, key=lambda x: (x[0], -x[1])):
+        while ends and ends[-1] < i:  # ended, with a gap, before i
+            ends.pop()
+        if ends and ends[-1] < i + j:
+            return False
+        ends.append(i + j)
+    return True
 
 
 def enumerate_tilting(h: int) -> List[Tuple[Coord, ...]]:
     """All basic tilting modules, in the lexicographic order of their
     summand indices in ka_modules(h); there are Catalan(h) many.
 
-    A depth-first search picks summands in index order.  It carries the
-    bitmask of the later modules that are Ext-orthogonal both ways to
-    every summand picked so far, and drops a branch once that mask has
-    fewer modules than are still needed."""
+    A tilting module on the positions a..b is the module (a, b - a + 1)
+    covering them all, with, for one position c, a tilting module on
+    a..c-1 and one on c+1..b.  Each interval's list is built once; the
+    summands are kept as (j, i), the order of ka_modules, for the sort."""
     if h < 0:
         raise ValueError(f"height must be >= 0, got {h}")
-    mods = ka_modules(h)
-    later = [0] * len(mods)  # later[a]: bits b > a orthogonal to a
-    for a, b in combinations(range(len(mods)), 2):
-        x, y = mods[a], mods[b]
-        if ext1_dim_ka(h, x, y) == 0 and ext1_dim_ka(h, y, x) == 0:
-            later[a] |= 1 << b
-    out, picked = [], []
+    memo = {}
 
-    def search(mask):
-        need = h - len(picked)
-        if need == 0:
-            out.append(tuple(mods[a] for a in picked))
-            return
-        while mask.bit_count() >= need:
-            low = mask & -mask
-            mask ^= low
-            a = low.bit_length() - 1
-            picked.append(a)
-            search(mask & later[a])
-            picked.pop()
+    def on(a, b):
+        if a > b:
+            return [()]
+        if (a, b) not in memo:
+            top = ((b - a + 1, a),)
+            memo[a, b] = [top + left + right for c in range(a, b + 1)
+                          for left in on(a, c - 1) for right in on(c + 1, b)]
+        return memo[a, b]
 
-    search((1 << len(mods)) - 1)
-    return out
+    return [tuple((i, j) for j, i in t)
+            for t in sorted(tuple(sorted(t)) for t in on(1, h))]
 
 
 def is_slice(h: int, coords) -> bool:

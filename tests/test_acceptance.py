@@ -21,7 +21,6 @@ from nakayama.ndgen import base_family_even, base_family_odd, construct, \
     source_injective_pd, supported
 from nakayama.tilting import (
     enumerate_tilting,
-    ext1_dim_ka,
     is_tilting,
     ka_modules,
     projective_injective_fracturing,
@@ -32,6 +31,7 @@ from oracles import (
     classify_oracle,
     cosyzygy_oracle,
     enumerate_slices,
+    ext1_dim_ka,
     ext1_dim_oracle,
     exists_oracle,
     hom_dim_ka,

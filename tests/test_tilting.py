@@ -1,13 +1,15 @@
 import math
+import random
+from itertools import combinations
 
 import pytest
 
+from nakayama import tilting
 from nakayama.cluster import complete_slice
-from nakayama.kupisch import lambda_mh
+from nakayama.kupisch import lambda_mh, parse_series
 from nakayama.tilting import (
     dual_slice_indices,
     enumerate_tilting,
-    ext1_dim_ka,
     iR_category,
     injective_fracture,
     is_fracture,
@@ -22,7 +24,8 @@ from nakayama.tilting import (
 )
 
 from oracles import all_series, enumerate_slices, enumerate_tilting_oracle, \
-    ext1_dim_oracle, hom_dim_ka, hom_dim_oracle, make_fracturing
+    ext1_dim_ka, ext1_dim_oracle, hom_dim_ka, hom_dim_oracle, \
+    is_tilting_oracle, make_fracturing
 
 
 def catalan(h):
@@ -77,6 +80,78 @@ def test_enumerate_tilting_matches_filter():
 def test_enumerate_tilting_catalan():
     for h in range(1, 11):
         assert len(enumerate_tilting(h)) == catalan(h)
+
+
+def test_arc_rule_matches_pairwise_ext_on_every_set():
+    # every h-element set of modules for h <= 6, tilting or not
+    sets = 0
+    for h in range(1, 7):
+        for cand in combinations(ka_modules(h), h):
+            assert is_tilting(h, cand) == is_tilting_oracle(h, cand), cand
+            sets += 1
+    assert sets == 57501
+
+
+def test_arc_rule_matches_pairwise_ext_on_perturbed_slices():
+    # beyond the exhaustive sizes: a random slice (tilting) and each of its
+    # one-summand perturbations to a random module (mostly not tilting)
+    rng = random.Random(0)
+    verdicts = set()
+    for h in range(7, 41):
+        mods = ka_modules(h)
+        idx = [1]
+        while len(idx) < h:
+            idx.append(idx[-1] + rng.randint(0, 1))
+        base = slice_from_indices(reversed(idx))
+        assert is_tilting(h, base) and is_tilting_oracle(h, base)
+        for k in range(h):
+            cand = list(base)
+            cand[k] = rng.choice([x for x in mods if x != base[k]])
+            verdict = is_tilting(h, cand)
+            assert verdict == is_tilting_oracle(h, cand), cand
+            verdicts.add(verdict)
+    assert verdicts == {False, True}
+
+
+def test_enumerate_tilting_is_every_tilting_module_in_index_order():
+    # strictly increasing, Catalan(h) many, each tilting by the pairwise
+    # test: as there are exactly Catalan(h) tilting modules, this pins
+    # the whole list
+    for h in range(0, 10):
+        index = {x: a for a, x in enumerate(ka_modules(h))}
+        keys = [tuple(index[x] for x in t) for t in enumerate_tilting(h)]
+        assert all(list(k) == sorted(set(k)) for k in keys)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert len(keys) == catalan(h)
+        assert all(is_tilting_oracle(h, t) for t in enumerate_tilting(h))
+
+
+def test_tilting_modules_with_every_length_are_the_slices():
+    # both ways: every slice is tilting (complete_slice builds its
+    # fracture on this), and a tilting module with one summand of each
+    # length is a slice
+    for h in range(1, 9):
+        one_each = {frozenset(t) for t in enumerate_tilting(h)
+                    if sorted(j for _, j in t) == list(range(1, h + 1))}
+        assert one_each == {frozenset(s) for s in enumerate_slices(h)}
+        assert len(one_each) == 2 ** (h - 1)
+
+
+def test_is_fracture_validates_each_summand_once(monkeypatch):
+    # the arc test compares no pair of summands, so a fracture of height
+    # h costs h coordinate checks, not one per ordered pair
+    calls = 0
+    check = tilting._check_ka_coord
+
+    def counting(h, x):
+        nonlocal calls
+        calls += 1
+        return check(h, x)
+
+    monkeypatch.setattr(tilting, "_check_ka_coord", counting)
+    K = parse_series(",".join(map(str, [2] + list(range(501, 0, -1)))))
+    is_fracture(K, "left", 501, [(1, j) for j in range(1, 502)])
+    assert calls == 501
 
 
 def test_slices():

@@ -192,7 +192,7 @@ def test_public_api():
         "base_family_odd", "check_fractured", "check_glue",
         "check_nct", "classify_sides", "cluster", "compatibility_check",
         "complete_slice", "construct", "cosyzygy",
-        "enumerate_tilting", "ext1_dim_ka",
+        "enumerate_tilting",
         "footing_to_ka", "format_series", "foundation", "gldim", "glue",
         "glue_fractured", "gluing", "iR_category", "idim",
         "injective_fracture", "is_fracture", "is_slice", "is_tilting",
