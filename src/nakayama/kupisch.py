@@ -305,7 +305,7 @@ def lambda_mh(m: int, h: int) -> KupischSeries:
 
 def linear_quiver_algebra(h: int) -> KupischSeries:
     """The hereditary algebra of the linear quiver on h vertices."""
-    return lambda_mh(h, h) if h > 1 else KupischSeries([1])
+    return lambda_mh(h, h)
 
 
 def parse_series(text: str) -> KupischSeries:

@@ -28,19 +28,19 @@ def _row(n: int, r: int) -> Tuple[List[Tuple[int, int]], int]:
     """The base family member that construct starts from for a residue
     0 < r < n, base_family_odd(n, n + r) for odd n and
     base_family_even(n, r) for even n, as its runs of (entry, count)
-    with its global dimension.  The runs are O(n), whatever the length."""
+    with its global dimension.  The runs are O(n), whatever the length.
+    When n and r have the same parity the two families share one formula,
+    written once here."""
+    if (n - r) % 2 == 0:
+        return [(2, r), (3, 3 * (n - r) // 2 - 1), (2, r + 1), (1, 1)], n + r
     if n % 2 == 1:
         d = n + r
-        if d % 2 == 0:
-            return [(2, r), (3, 3 * (n - d // 2) - 1), (2, r + 1), (1, 1)], d
         if d == 2 * n - 1:
             return [(2, r), (3, 3 * (n + 1) // 2 - 2), (2, 1), (1, 1)], d
         h = n - (d - 1) // 2
         return [(2, r)] + [(k, k - 1) for k in range(3, h + 1)] \
             + [(h + 1, (r // 2) * (h + 1) + 2 * h)] \
             + [(k, k) for k in range(h, 2, -1)] + [(2, 3), (1, 1)], d
-    if r % 2 == 0:
-        return [(2, r), (3, 3 * (n - r) // 2 - 1), (2, r + 1), (1, 1)], n + r
     if r != n - 1:
         return [(2, r), (3, 3 * (n - (r + 1) // 2)), (2, r + 1), (1, 1)], \
             2 * n + r
@@ -68,7 +68,8 @@ def _build(name: str, n: int, r: int) -> KupischSeries:
 def base_family_odd(n: int, d: int) -> KupischSeries:
     """Base members for odd n and n < d < 2n.
 
-    * d even: (2^(d-n), 3^(3(n-d/2)-1), 2^(d-n+1), 1);
+    * d even: (2^(d-n), 3^(3(n-d/2)-1), 2^(d-n+1), 1), with k = d - n
+      the formula of the k-even row of base_family_even;
     * d odd, d != 2n-1: an ascending run 2^(d-n), 3^2, ..., h^(h-1) into
       a long plateau of height h+1, then the descending run h^h, ...,
       3^3, 2^3, 1, where h = n - (d-1)/2 (both runs empty at h = 2);
@@ -83,7 +84,8 @@ def base_family_even(n: int, k: int) -> KupischSeries:
     """Base members for even n and 0 < k < n; the target dimension
     (n+k for k even, 2n+k for k odd) is recomputed by the engine.
 
-    * k even: (2^k, 3^(3(n-k)/2 - 1), 2^(k+1), 1);
+    * k even: (2^k, 3^(3(n-k)/2 - 1), 2^(k+1), 1), with d = n + k
+      the formula of the d-even row of base_family_odd;
     * k odd, k != n-1: (2^k, 3^(3(n-(k+1)/2)), 2^(k+1), 1);
     * k = n-1: (3^(9n/2 - 2), 2, 1).
     """

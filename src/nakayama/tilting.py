@@ -19,6 +19,7 @@ fracture.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import List, NamedTuple, Tuple
 
 from . import abutments
@@ -26,8 +27,12 @@ from .kupisch import ZERO, Coord, KupischSeries, coord_to_json
 
 
 def _check_ka_coord(h: int, x: Coord):
-    i, j = x
-    if not (i >= 1 and j >= 1 and i + j <= h + 1):
+    try:
+        i, j = x
+        ok = i >= 1 and j >= 1 and i + j <= h + 1
+    except (TypeError, ValueError):  # ZERO, or not a pair of integers
+        ok = False
+    if not ok:
         raise ValueError(f"{x} is not a module coordinate for height {h}")
 
 
@@ -67,35 +72,26 @@ def enumerate_tilting(h: int) -> List[Tuple[Coord, ...]]:
     summands are kept as (j, i), the order of ka_modules, for the sort."""
     if h < 0:
         raise ValueError(f"height must be >= 0, got {h}")
-    memo = {}
 
+    @cache
     def on(a, b):
         if a > b:
             return [()]
-        if (a, b) not in memo:
-            top = ((b - a + 1, a),)
-            memo[a, b] = [top + left + right for c in range(a, b + 1)
-                          for left in on(a, c - 1) for right in on(c + 1, b)]
-        return memo[a, b]
+        top = ((b - a + 1, a),)
+        return [top + left + right for c in range(a, b + 1)
+                for left in on(a, c - 1) for right in on(c + 1, b)]
 
     return [tuple((i, j) for j, i in t)
             for t in sorted(tuple(sorted(t)) for t in on(1, h))]
 
 
 def is_slice(h: int, coords) -> bool:
-    """A slice picks one summand (i_k, k) of each length k with
-    i_k in {i_{k-1}, i_{k-1} - 1} and i_h = 1."""
-    coords = set(coords)
-    if h < 1 or len(coords) != h:
+    """Whether slice_indices accepts the coordinates."""
+    try:
+        slice_indices(h, coords)
+    except ValueError:
         return False
-    by_len = {}
-    for (i, j) in coords:
-        if j in by_len:
-            return False
-        by_len[j] = i
-    if set(by_len) != set(range(1, h + 1)) or by_len[h] != 1:
-        return False
-    return all(by_len[k] - by_len[k + 1] in (0, 1) for k in range(1, h))
+    return True
 
 
 def slice_from_indices(indices) -> List[Coord]:
@@ -104,9 +100,16 @@ def slice_from_indices(indices) -> List[Coord]:
 
 
 def slice_indices(h: int, coords) -> Tuple[int, ...]:
-    if not is_slice(h, coords):
-        raise ValueError(f"{sorted(coords)} is not a slice of height {h}")
-    return tuple(i for (i, j) in sorted(coords, key=lambda c: c[1]))
+    """The index sequence (i_1, ..., i_h) of a slice: exactly h summands,
+    one (i_k, k) of each length k, with i_h = 1 and i_k in
+    {i_{k+1}, i_{k+1} + 1}.  Raises ValueError otherwise."""
+    by_len = sorted(coords, key=lambda c: c[1])
+    indices = tuple(i for i, _ in by_len)
+    if not (len(by_len) == h >= 1 and indices[-1] == 1
+            and [j for _, j in by_len] == list(range(1, h + 1))
+            and all(a - b in (0, 1) for a, b in zip(indices, indices[1:]))):
+        raise ValueError(f"{sorted(by_len)} is not a slice of height {h}")
+    return indices
 
 
 def dual_slice_indices(h: int, indices) -> Tuple[int, ...]:
@@ -197,28 +200,29 @@ def projective_injective_fracturing(K: KupischSeries) -> Fracturing:
     return Fracturing(projective_fracture(K), injective_fracture(K))
 
 
+def _fractured_class(K: KupischSeries, fracture: Fracture, side: str,
+                     h: int, rest) -> List[Coord]:
+    """The modules of rest together with the fracture, sorted.  K decides
+    that h is the maximal height and the footing places each coordinate:
+    a Fracture is a public record, of which only the side, height and
+    coordinates are read."""
+    if not (fracture.side == side and fracture.height == h):
+        raise ValueError(
+            f"{side} fracture must sit at the maximal {side} abutment")
+    for x in fracture.coords:
+        abutments.footing_to_ka(K, side, h, x)
+    return sorted(set(rest) | set(fracture.coords))
+
+
 def pL_category(K: KupischSeries, F: Fracturing) -> List[Coord]:
     """Projectives that are not abutments, together with the left
-    fracture.  Same cardinality as the projectives.  K decides whether
-    the fracture's height is maximal and the footing places each
-    coordinate: a Fracture is a public record, of which only the side,
-    height and coordinates are read."""
-    TL = F.TL
-    if not (TL.side == "left" and TL.height == abutments.max_left_height(K)):
-        raise ValueError("left fracture must sit at the maximal left abutment")
-    for x in TL.coords:
-        abutments.footing_to_ka(K, "left", TL.height, x)
-    rest = [x for x in K.projectives() if x[0] >= 2]
-    return sorted(set(rest) | set(TL.coords))
+    fracture.  Same cardinality as the projectives."""
+    return _fractured_class(K, F.TL, "left", abutments.max_left_height(K),
+                            [x for x in K.projectives() if x[0] >= 2])
 
 
 def iR_category(K: KupischSeries, F: Fracturing) -> List[Coord]:
     """Injectives that are not abutments, together with the right
-    fracture, placed as in pL_category."""
-    TR = F.TR
-    if not (TR.side == "right" and TR.height == K.entries[0]):
-        raise ValueError("right fracture must sit at the maximal right abutment")
-    for x in TR.coords:
-        abutments.footing_to_ka(K, "right", TR.height, x)
-    rest = [x for x in K.injectives() if x[0] + x[1] <= K.m]
-    return sorted(set(rest) | set(TR.coords))
+    fracture."""
+    return _fractured_class(K, F.TR, "right", abutments.max_right_height(K),
+                            [x for x in K.injectives() if x[0] + x[1] <= K.m])

@@ -672,6 +672,45 @@ def enumerate_tilting_oracle(h: int):
             if is_tilting_oracle(h, cand)]
 
 
+def is_slice_oracle(h: int, coords) -> bool:
+    """A slice picks one summand (i_k, k) of each length k with
+    i_k in {i_{k-1}, i_{k-1} - 1} and i_h = 1.  The former library rule:
+    a set-and-dict pass, where the library sorts by length."""
+    coords = set(coords)
+    if h < 1 or len(coords) != h:
+        return False
+    by_len = {}
+    for (i, j) in coords:
+        if j in by_len:
+            return False
+        by_len[j] = i
+    if set(by_len) != set(range(1, h + 1)) or by_len[h] != 1:
+        return False
+    return all(by_len[k] - by_len[k + 1] in (0, 1) for k in range(1, h))
+
+
+def row_oracle(n: int, r: int) -> Tuple[List[Tuple[int, int]], int]:
+    """The base family row for a residue 0 < r < n, split by the parity
+    of n first: the former ndgen._row, which spells the row for n and r
+    of the same parity twice."""
+    if n % 2 == 1:
+        d = n + r
+        if d % 2 == 0:
+            return [(2, r), (3, 3 * (n - d // 2) - 1), (2, r + 1), (1, 1)], d
+        if d == 2 * n - 1:
+            return [(2, r), (3, 3 * (n + 1) // 2 - 2), (2, 1), (1, 1)], d
+        h = n - (d - 1) // 2
+        return [(2, r)] + [(k, k - 1) for k in range(3, h + 1)] \
+            + [(h + 1, (r // 2) * (h + 1) + 2 * h)] \
+            + [(k, k) for k in range(h, 2, -1)] + [(2, 3), (1, 1)], d
+    if r % 2 == 0:
+        return [(2, r), (3, 3 * (n - r) // 2 - 1), (2, r + 1), (1, 1)], n + r
+    if r != n - 1:
+        return [(2, r), (3, 3 * (n - (r + 1) // 2)), (2, r + 1), (1, 1)], \
+            2 * n + r
+    return [(3, 9 * n // 2 - 2), (2, 1), (1, 1)], 2 * n + r
+
+
 # -- library functions that only tests call, moved here unchanged ------------
 
 

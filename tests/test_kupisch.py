@@ -92,6 +92,10 @@ def test_lambda_mh():
         lambda_mh(3, 4)
     assert linear_quiver_algebra(4) == lambda_mh(4, 4)
     assert linear_quiver_algebra(1).entries == (1,)
+    # no height below 1 is read as the single vertex
+    for h in (0, -3):
+        with pytest.raises(ValueError, match=r"need 1 <= h <= m"):
+            linear_quiver_algebra(h)
 
 
 def test_module_exists():

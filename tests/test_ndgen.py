@@ -14,7 +14,7 @@ from nakayama.ndgen import (
     supported,
 )
 
-from oracles import all_series, chain_algebra, extend_by_n_oracle
+from oracles import all_series, chain_algebra, extend_by_n_oracle, row_oracle
 
 
 def test_base_family_odd_rows():
@@ -42,6 +42,13 @@ def test_base_family_even_rows():
         base_family_even(5, 2)
     with pytest.raises(ValueError):
         base_family_even(6, 6)
+
+
+def test_row_matches_the_parity_split():
+    # the row shared by odd n, even d and even n, even k is written once
+    for n in range(2, 61):
+        for r in range(1, n):
+            assert _row(n, r) == row_oracle(n, r), (n, r)
 
 
 def test_base_family_table_against_the_engine():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -25,7 +26,7 @@ from nakayama.tilting import (
 
 from oracles import all_series, enumerate_slices, enumerate_tilting_oracle, \
     ext1_dim_ka, ext1_dim_oracle, hom_dim_ka, hom_dim_oracle, \
-    is_tilting_oracle, make_fracturing
+    is_slice_oracle, is_tilting_oracle, make_fracturing
 
 
 def catalan(h):
@@ -83,11 +84,13 @@ def test_enumerate_tilting_catalan():
 
 
 def test_arc_rule_matches_pairwise_ext_on_every_set():
-    # every h-element set of modules for h <= 6, tilting or not
+    # every h-element set of modules for h <= 6, tilting or not; the
+    # slice rule is pinned against the former set rule on the same sets
     sets = 0
     for h in range(1, 7):
         for cand in combinations(ka_modules(h), h):
             assert is_tilting(h, cand) == is_tilting_oracle(h, cand), cand
+            assert is_slice(h, cand) == is_slice_oracle(h, cand), cand
             sets += 1
     assert sets == 57501
 
@@ -172,6 +175,20 @@ def test_a_repeated_length_is_no_slice():
     # h summands, but two of length 1 and none of length 2
     assert not is_slice(2, [(1, 1), (2, 1)])
     assert not is_slice(3, [(1, 1), (2, 1), (1, 3)])
+    # h + 1 summands, of which the set would be a slice
+    coords = [(1, 1), (1, 1), (1, 2)]
+    assert not is_slice(2, coords)
+    for side in ("left", "right"):
+        with pytest.raises(ValueError, match="is not a slice of height 2"):
+            complete_slice(2, coords, 2, side)
+
+
+def test_a_summand_that_is_no_pair_is_named():
+    for x in (None, (1,), (1, 1, 1), "ab", ("a", 1), (2, 2)):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(x))} is "
+                                             r"not a module coordinate "
+                                             r"for height 2$"):
+            is_tilting(2, [x, (1, 1)])
 
 
 def test_slice_indices_round_trip():
