@@ -165,17 +165,32 @@ class ARQuiver(NamedTuple):
         }
 
 
-def ar_quiver(K: KupischSeries) -> ARQuiver:
-    """Arrows are (i,j) -> (i,j+1) for j < v(i) and (i,j) -> (i+1,j-1) for
-    j > 1, sorted; the translation sends nonprojectives one step left."""
-    verts = K.all_modules()
+def _arrows(K: KupischSeries):
+    """The arrows in sorted order: (i, j) -> (i, j + 1) for j < v(i) and
+    (i, j) -> (i + 1, j - 1) for j > 1, a submodule that exists as
+    (i, j) does."""
     v = K._v
-    arrows = []
+    for i in range(1, K.m + 1):
+        vi = v[i]
+        for j in range(1, vi + 1):
+            if j < vi:
+                yield (i, j), (i, j + 1)
+            if j > 1:
+                yield (i, j), (i + 1, j - 1)
+
+
+def _translation(K: KupischSeries):
+    """The pairs (x, tau x) of the nonprojectives x, in sorted order:
+    _tau's rule, read along the diagonals."""
+    u, v = K._u, K._v
     for i in range(1, K.m + 1):
         for j in range(1, v[i] + 1):
-            if j < v[i]:
-                arrows.append(((i, j), (i, j + 1)))
-            if j > 1:
-                arrows.append(((i, j), (i + 1, j - 1)))
-    translation = {x: y for x in verts if (y := _tau(K, x)) is not ZERO}
-    return ARQuiver(tuple(verts), tuple(arrows), translation)
+            if j != u[i + j]:
+                yield (i, j), (i - 1, j)
+
+
+def ar_quiver(K: KupischSeries) -> ARQuiver:
+    """The quiver as values: the vertices of all_modules(), and the
+    arrows and translation that render writes from the same generators."""
+    return ARQuiver(tuple(K.all_modules()), tuple(_arrows(K)),
+                    dict(_translation(K)))

@@ -136,7 +136,7 @@ def cmd_ar_quiver(args) -> int:
     for text in _series_inputs(args.kupisch):
         try:
             K = _series_arg(text)
-            out = render(ar.ar_quiver(K), spec)
+            out = render(K, spec)
         except (CliError, ValueError) as exc:  # the batch goes on
             _emit_error(exc, args.json)
             worst = 2
@@ -218,7 +218,7 @@ def cmd_construct_nd(args) -> int:
     elif args.emit == "quiver":
         spec = RenderSpec(format="json" if args.json else "ascii",
                           highlight=cert.verdict.candidate)
-        sys.stdout.write(render(ar.ar_quiver(cert.kupisch), spec))
+        sys.stdout.write(render(cert.kupisch, spec))
         if args.json:
             sys.stdout.write("\n")
     else:

@@ -75,20 +75,29 @@ class GlueReport(NamedTuple):
 def check_glue(g: Glued) -> Tuple[GlueReport, GlueReport]:
     """Both reports of a gluing, (invariants, dispatch), each with its
     first failure.  Invariants: |Ind L| = |Ind A| + |Ind B| - h(h+1)/2;
-    phi/psi are jointly surjective and carry tau to tau;
+    phi/psi are jointly surjective;
     max(gldim A, gldim B) <= gldim L <= gldim A + gldim B.  Dispatch:
     computed in the component, tau and syzygy agree with L's except on
-    A's overlap, tau_inv and cosyzygy except on B's.  One pass compares
-    the kernel steps once per module.  It validates an image in L only
-    once the invariants failed, as the count and coverage otherwise put
-    every image in L; an image outside L raises ValueError unless a
-    dispatch failure comes before it.
+    A's overlap, tau_inv and cosyzygy except on B's.
+
+    The dispatch report is read from the tables.  tau and syzygy of
+    (i, j) read only u(i + j), tau_inv and cosyzygy only v(i), and j
+    runs up to that length, so with the images in L the steps agree on
+    a co-diagonal (a diagonal) iff its u (its v) equals L's at the
+    image.  A's overlap is its co-diagonals 2..h+1, B's its diagonals
+    m_B - h + 1..m_B.  Only when a report fails does one pass over the
+    component modules name the first dispatch failure.  It validates an
+    image in L only once the invariants failed, as the count and
+    coverage otherwise put every image in L; an image outside L raises
+    ValueError unless a dispatch failure comes before it.
 
     Not run, as the count and coverage imply them: the images overlap
-    exactly in the identified foundations, and L has no arrow between
-    them that is not a component's.  Not checked, as the coordinate
-    encoding makes them true: phi (a shift) and psi (the identity) are
-    injective and keep the arrow rule; both foundations are
+    exactly in the identified foundations, L has no arrow between them
+    that is not a component's, and phi/psi carry tau to tau (u_K(s) <=
+    u_L(s + t) keeps every nonprojective of a component off L's
+    projectives).  Not checked, as the coordinate encoding makes them
+    true: phi (a shift) and psi (the identity) are injective and keep
+    the arrow rule; both foundations are
     {(i, j) : i >= m_B - h + 1, i + j <= m_B + 1}; as d_i >= 2 for
     i < m, each series has one simple projective, (1, 1), and one simple
     injective, (m, 1).
@@ -111,32 +120,38 @@ def check_glue(g: Glued) -> Tuple[GlueReport, GlueReport]:
         inv = "phi and psi not jointly surjective"
     # an arrow raises i and i + j by at most one, so an arrow of L between
     # an A-only and a B-only module would have an end in T: none is tested
-
-    def lift(z, s):  # an embedding on a kernel result: no validation
-        return ZERO if z is ZERO else (z[0] + s, z[1])
-
-    steps = (("tau", ar._tau), ("syzygy", ar._syzygy),
-             ("tau_inv", ar._tau_inv), ("cosyzygy", ar._cosyzygy))
-    for K, emb, s, f, kept in ((A, "phi", t, fa, steps[2:]),
-                               (B, "psi", 0, fb, steps[:2])):
-        for x in K.all_modules():
-            if inv and dis:
-                break
-            y = (x[0] + s, x[1])
-            if inv:  # count and coverage put every image in L otherwise
-                L.check_exists(y)
-            ty, tx = ar._tau(L, y), lift(ar._tau(K, x), s)
-            if not inv and tx is not ZERO and ty != tx:
-                inv = f"tau not preserved at {x}"
-            for name, step in () if dis else (
-                    kept if f < x[0] and x[0] + x[1] <= f + h + 1 else steps):
-                if (ty != tx if step is ar._tau
-                        else step(L, y) != lift(step(K, x), s)):
-                    dis = f"{name} dispatch fails at {emb}{x}"
-                    break
+    if inv or not (A._u[h + 2:] == L._u[h + 2 + t:A.m + 2 + t]
+                   and A._v[1:] == L._v[1 + t:A.m + 1 + t]
+                   and B._u[2:] == L._u[2:B.m + 2]
+                   and B._v[1:B.m - h + 1] == L._v[1:B.m - h + 1]):
+        dis = _first_dispatch_failure(g, fa, fb, inv)
 
     if not inv:
         da, db, dl = ar.gldim(A), ar.gldim(B), ar.gldim(L)
         if not max(da, db) <= dl <= da + db:
             inv = f"gldim bound violated: {da}, {db} vs {dl}"
     return GlueReport(not inv, inv), GlueReport(not dis, dis)
+
+
+def _first_dispatch_failure(g: Glued, fa: int, fb: int, inv):
+    """The first kernel step on which a component module and its image
+    disagree, in the order of all_modules, A's before B's; None if none
+    does.  With inv set, each image is validated in L first."""
+    L, h = g.result, g.h
+
+    def lift(z, s):  # an embedding on a kernel result: no validation
+        return ZERO if z is ZERO else (z[0] + s, z[1])
+
+    steps = (("tau", ar._tau), ("syzygy", ar._syzygy),
+             ("tau_inv", ar._tau_inv), ("cosyzygy", ar._cosyzygy))
+    for K, emb, s, f, kept in ((g.a, "phi", g._shift, fa, steps[2:]),
+                               (g.b, "psi", 0, fb, steps[:2])):
+        for x in K.all_modules():
+            y = (x[0] + s, x[1])
+            if inv:  # count and coverage put every image in L otherwise
+                L.check_exists(y)
+            for name, step in (
+                    kept if f < x[0] and x[0] + x[1] <= f + h + 1 else steps):
+                if step(L, y) != lift(step(K, x), s):
+                    return f"{name} dispatch fails at {emb}{x}"
+    return None

@@ -163,18 +163,19 @@ class KupischSeries:
             raise ValueError(f"no module at {coord!r} over {self!r}")
         return coord
 
-    def all_modules(self):
-        """All coordinates in row-major order; the count is sum(d_i).
-        Row j holds (s - j, j) for the co-diagonals s with u(s) >= j, in
-        order: each row keeps those of the row before with u(s) > j - 1,
-        so u is read once per module."""
-        u, out, j = self._u, [], 1
-        row = range(2, self.m + 2)
+    def _rows(self):
+        """(j, the co-diagonals s with u(s) >= j) for j = 1, 2, ...: row j
+        holds the modules (s - j, j).  Each row keeps those of the row
+        before with u(s) > j - 1, so u is read once per module."""
+        u, row, j = self._u, range(2, self.m + 2), 1
         while row:
-            out += [(s - j, j) for s in row]
+            yield j, row
             row = [s for s in row if u[s] > j]
             j += 1
-        return out
+
+    def all_modules(self):
+        """All coordinates in row-major order; the count is sum(d_i)."""
+        return [(s - j, j) for j, row in self._rows() for s in row]
 
     # -- structure of a single module --------------------------------------
 

@@ -4,14 +4,21 @@ The layout convention follows the usual pictures: co-diagonals run left
 to right, module length grows upward, so a coordinate (i, j) sits at
 abscissa 2i + j and height j.  Highlighted vertices are the encircled
 ones; the translation is drawn dotted.  Output is deterministic.
+
+Every format is written straight from the series: the vertices from its
+rows (row-major, as ``all_modules``) or its diagonals (sorted), the
+arrows and the translation from the generators of ``nakayama.ar``.  No
+quiver is built, and the short strings of the output are joined a batch
+at a time, so that memory stays within a small multiple of the output.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import NamedTuple, Sequence
 
-from .ar import ARQuiver
-from .kupisch import Coord
+from . import ar
+from .kupisch import Coord, KupischSeries
 
 
 class RenderSpec(NamedTuple):
@@ -20,88 +27,103 @@ class RenderSpec(NamedTuple):
     labels: str = "coords"  # coords | dims | none
 
 
-def _label(x: Coord, labels: str) -> str:
-    if labels == "coords":
-        return f"({x[0]},{x[1]})"
-    if labels == "dims":
-        return str(x[1])
-    return "*"
+# the label of the module (i, j) in each mode, a format string of i, j
+_LABELS = {"coords": "({0},{1})", "dims": "{1}"}
 
 
-def render(gamma: ARQuiver, spec: RenderSpec = RenderSpec()) -> str:
-    if spec.highlight:  # the vertex set only when there is one to test
-        vset = set(gamma.vertices)
-        bad = [h for h in spec.highlight if h not in vset]
-        if bad:
-            raise ValueError(f"highlighted vertices not in the quiver: {bad}")
-    if spec.format == "ascii":
-        return _render_ascii(gamma, spec)
-    if spec.format == "dot":
-        return _render_dot(gamma, spec)
-    if spec.format == "tikz":
-        return _render_tikz(gamma, spec)
-    if spec.format == "json":
-        import json
-        data = gamma.to_json()
-        data["highlight"] = sorted([list(h) for h in spec.highlight])
-        return json.dumps(data, sort_keys=True)
-    raise ValueError(f"unknown format {spec.format!r}")
+def _absent(K: KupischSeries, x) -> bool:
+    try:
+        return not K.exists(x)
+    except (TypeError, ValueError):  # not a pair of integers
+        return True
 
 
-def _render_ascii(gamma: ARQuiver, spec: RenderSpec) -> str:
-    high = set(spec.highlight)
-    cells, rows = {}, {}  # rows: the vertices of each length
-    for x in gamma.vertices:
-        text = _label(x, spec.labels)
-        if x in high:
-            text = f"[{text}]"
-        cells[x] = text
-        rows.setdefault(x[1], []).append(x)
-    width = max(len(t) for t in cells.values()) + 1
+def render(K: KupischSeries, spec: RenderSpec = RenderSpec()) -> str:
+    """The AR quiver of K in the spec's format, label mode and highlights."""
+    bad = [h for h in spec.highlight if _absent(K, h)]
+    if bad:
+        raise ValueError(f"highlighted vertices not in the quiver: {bad}")
+    emit = _FORMATS.get(spec.format)
+    if emit is None:
+        raise ValueError(f"unknown format {spec.format!r}")
+    return emit(K, spec, _LABELS.get(spec.labels, "*"), set(spec.highlight))
+
+
+def _join(sep: str, strings, size: int = 1024) -> str:
+    """sep.join(strings), a batch at a time: only one batch of the short
+    strings is alive at once."""
+    it, out = iter(strings), []
+    while batch := list(islice(it, size)):
+        out.append(sep.join(batch))
+    return sep.join(out)
+
+
+def _ascii(K: KupischSeries, spec: RenderSpec, label: str, high) -> str:
+    rows = list(K._rows())
+    # a label is longest at the largest i of its row
+    width = 1 + max([len(label.format(row[-1] - j, j)) for j, row in rows]
+                    + [len(label.format(*x)) + 2 for x in high])
     lines = []
-    for j in range(max(rows), 0, -1):
-        parts, end = [], 0  # a cell that overlaps the row follows its end
-        for x in sorted(rows.get(j, ())):
-            col = max(end, (2 * x[0] + x[1] - 2) * width // 2)
-            parts.append(" " * (col - end) + cells[x])
-            end = col + len(cells[x])
-        lines.append("".join(parts).rstrip())
+    for j, row in reversed(rows):
+        parts, end = [], 0
+        for s in row:
+            text = label.format(s - j, j)
+            if high and (s - j, j) in high:
+                text = f"[{text}]"
+            col = (2 * s - j - 2) * width // 2
+            parts.append(" " * (col - end) + text)
+            end = col + len(text)
+        lines.append("".join(parts))
     return "\n".join(lines) + "\n"
 
 
-def _node_id(x: Coord) -> str:
-    return f"m_{x[0]}_{x[1]}"
+def _dot(K: KupischSeries, spec: RenderSpec, label: str, high) -> str:
+    vertex = '  m_{0}_{1} [label="' + label + '"{2}];\n'
+    return "".join((
+        "digraph ar {\n  rankdir=LR;\n",
+        _join("", (vertex.format(s - j, j, ", peripheries=2"
+                                 if high and (s - j, j) in high else "")
+                   for j, row in K._rows() for s in row)),
+        _join("", (f"  m_{a[0]}_{a[1]} -> m_{b[0]}_{b[1]};\n"
+                   for a, b in ar._arrows(K))),
+        _join("", (f"  m_{x[0]}_{x[1]} -> m_{y[0]}_{y[1]} [style=dotted];\n"
+                   for x, y in ar._translation(K))),
+        "}\n"))
 
 
-def _render_dot(gamma: ARQuiver, spec: RenderSpec) -> str:
-    high = set(spec.highlight)
-    out = ["digraph ar {", "  rankdir=LR;"]
-    for x in gamma.vertices:
-        attrs = [f'label="{_label(x, spec.labels)}"']
-        if x in high:
-            attrs.append("peripheries=2")
-        out.append(f'  {_node_id(x)} [{", ".join(attrs)}];')
-    for a, b in gamma.arrows:
-        out.append(f"  {_node_id(a)} -> {_node_id(b)};")
-    for x, tx in sorted(gamma.translation.items()):
-        out.append(f"  {_node_id(x)} -> {_node_id(tx)} [style=dotted];")
-    out.append("}")
-    return "\n".join(out) + "\n"
+def _tikz(K: KupischSeries, spec: RenderSpec, label: str, high) -> str:
+    node = "\\node[{3}] (m_{0}_{1}) at ({2},{1}) {{$" + label + "$}};\n"
+    v = K._v
+    return "".join((
+        "\\begin{tikzpicture}[scale=0.7]\n",
+        _join("", (node.format(i, j, 2 * i + j - 2,
+                               "circle, draw, inner sep=1pt"
+                               if high and (i, j) in high
+                               else "inner sep=1pt")
+                   for i in range(1, K.m + 1) for j in range(1, v[i] + 1))),
+        _join("", (f"\\draw[->] (m_{a[0]}_{a[1]}) -- (m_{b[0]}_{b[1]});\n"
+                   for a, b in ar._arrows(K))),
+        _join("", (f"\\draw[loosely dotted] (m_{y[0]}_{y[1]}) -- "
+                   f"(m_{x[0]}_{x[1]});\n" for x, y in ar._translation(K))),
+        "\\end{tikzpicture}\n"))
 
 
-def _render_tikz(gamma: ARQuiver, spec: RenderSpec) -> str:
-    high = set(spec.highlight)
-    out = ["\\begin{tikzpicture}[scale=0.7]"]
-    for x in sorted(gamma.vertices):
-        style = "circle, draw, inner sep=1pt" if x in high else "inner sep=1pt"
-        px, py = 2 * x[0] + x[1] - 2, x[1]
-        out.append(
-            f"\\node[{style}] ({_node_id(x)}) at ({px},{py}) "
-            f"{{${_label(x, spec.labels)}$}};")
-    for a, b in gamma.arrows:
-        out.append(f"\\draw[->] ({_node_id(a)}) -- ({_node_id(b)});")
-    for x, tx in sorted(gamma.translation.items()):
-        out.append(
-            f"\\draw[loosely dotted] ({_node_id(tx)}) -- ({_node_id(x)});")
-    out.append("\\end{tikzpicture}")
-    return "\n".join(out) + "\n"
+def _json(K: KupischSeries, spec: RenderSpec, label: str, high) -> str:
+    """The bytes of json.dumps(..., sort_keys=True) of the quiver's
+    to_json() with the sorted highlight, written without the dict."""
+    import json  # on the first json render only: see the README
+    return "".join((
+        '{"arrows": [',
+        _join(", ", (f"[[{a[0]}, {a[1]}], [{b[0]}, {b[1]}]]"
+                     for a, b in ar._arrows(K))),
+        '], "highlight": ',
+        json.dumps(sorted([list(h) for h in spec.highlight])),
+        ', "tau": [',
+        _join(", ", (f"[[{x[0]}, {x[1]}], [{y[0]}, {y[1]}]]"
+                     for x, y in ar._translation(K))),
+        '], "vertices": [',
+        _join(", ", (f"[{s - j}, {j}]" for j, row in K._rows() for s in row)),
+        "]}"))
+
+
+_FORMATS = {"ascii": _ascii, "dot": _dot, "tikz": _tikz, "json": _json}

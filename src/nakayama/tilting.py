@@ -102,7 +102,11 @@ def slice_from_indices(indices) -> List[Coord]:
 def slice_indices(h: int, coords) -> Tuple[int, ...]:
     """The index sequence (i_1, ..., i_h) of a slice: exactly h summands,
     one (i_k, k) of each length k, with i_h = 1 and i_k in
-    {i_{k+1}, i_{k+1} + 1}.  Raises ValueError otherwise."""
+    {i_{k+1}, i_{k+1} + 1}.  Raises ValueError otherwise, naming a
+    summand that is no module coordinate for height h."""
+    coords = list(coords)
+    for x in coords:
+        _check_ka_coord(h, x)
     by_len = sorted(coords, key=lambda c: c[1])
     indices = tuple(i for i, _ in by_len)
     if not (len(by_len) == h >= 1 and indices[-1] == 1

@@ -4,7 +4,12 @@ import sys
 
 import pytest
 
+from nakayama import ar
 from nakayama.cli import main
+from nakayama.kupisch import parse_series
+from nakayama.render import RenderSpec
+
+from oracles import render_oracle
 
 
 def run(capsys, *argv):
@@ -57,6 +62,32 @@ def test_ar_quiver_batch_goes_on_past_missing_highlight(capsys, monkeypatch):
     assert records[0] == {"error": "highlighted vertices not in the "
                                    "quiver: [(3, 1)]"}
     assert records[1]["highlight"] == [[3, 1]]
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "dot", "tikz", "json"])
+def test_ar_quiver_batch_builds_no_quiver(capsys, monkeypatch, fmt):
+    # a stdin batch with a highlight, in every format: the bytes of the
+    # ARQuiver emitters, and the error record of the line that lacks the
+    # vertex, with ar_quiver never called
+    def refuse(K):
+        raise AssertionError("ar-quiver built an ARQuiver")
+
+    lines = ["3,3,2,1", "2,1", "5,5,4^7,3,2,1"]
+    for as_json in (False, True):
+        spec = RenderSpec("json" if as_json else fmt, ((1, 1), (2, 2)), "dims")
+        want = "".join(
+            ('{"error": "highlighted vertices not in the quiver: [(2, 2)]"}\n'
+             if as_json else "") if text == "2,1" else
+            render_oracle(ar.ar_quiver(parse_series(text)), spec)
+            + ("\n" if as_json else "") for text in lines)
+        with monkeypatch.context() as patch:
+            patch.setattr(ar, "ar_quiver", refuse)
+            patch.setattr("sys.stdin", io.StringIO("\n".join(lines)))
+            code, out = run(capsys, "ar-quiver", "--kupisch", "-",
+                            "--format", fmt, "--labels", "dims",
+                            "--highlight", "[[1, 1], [2, 2]]",
+                            *(["--json"] if as_json else []))
+        assert code == 2 and out == want
 
 
 def test_check_nct_batch_worst_exit(capsys, monkeypatch):

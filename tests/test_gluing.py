@@ -7,7 +7,7 @@ from nakayama import abutments, ar, gluing
 from nakayama.abutments import foundation, left_abutment_heights, \
     max_left_height, right_abutment_heights
 from nakayama.gluing import Glued, check_glue, glue
-from nakayama.kupisch import ZERO, KupischSeries, lambda_mh, \
+from nakayama.kupisch import KupischSeries, lambda_mh, \
     linear_quiver_algebra, parse_series
 
 from oracles import all_series, check_glue_invariants_oracle, \
@@ -291,8 +291,8 @@ def test_check_glue_matches_oracles_on_every_small_hand_built_result():
 
 def test_check_glue_builds_no_module_set_or_foundation(monkeypatch):
     # the reports of every small gluing, with the oracles computed first:
-    # check_glue decides coverage from the u tables, so it needs no set,
-    # no foundation and no module list of the result
+    # check_glue decides coverage and dispatch from the u and v tables, so
+    # it needs no set, no foundation and no module list at all
     series = [K for m in range(1, 6) for K in all_series(m)]
     cases = [(g, _oracle_pair(g)) for A in series for B in series
              for h in left_abutment_heights(A) & right_abutment_heights(B)
@@ -309,9 +309,10 @@ def test_check_glue_builds_no_module_set_or_foundation(monkeypatch):
     monkeypatch.setattr(KupischSeries, "all_modules",
                         lambda K: listed.append(K) or all_modules(K))
     for g, want in cases:
-        listed.clear()
         assert check_glue(g) == want
-        assert listed and all(K is g.a or K is g.b for K in listed)
+    # every true gluing passes both reports, so no module is listed
+    assert all(inv.ok and dis.ok for _, (inv, dis) in cases)
+    assert not listed
 
 
 def test_check_glue_matches_oracles_on_wrong_results():
@@ -340,43 +341,61 @@ def test_check_glue_matches_oracles_on_wrong_results():
     assert all(seen[name] for name in ("syzygy", "tau_inv", "cosyzygy"))
 
 
-@pytest.mark.parametrize("step", ["_tau", "_syzygy", "_tau_inv", "_cosyzygy"])
-def test_check_glue_matches_oracles_with_patched_kernel(monkeypatch, step):
-    # a true gluing passes count, surjectivity, overlap and arrows, so the
-    # tau failure is reached only through a kernel step patched on the
-    # result: wrong at one module, ZERO or one step off
-    g = glue(lambda_mh(9, 4), lambda_mh(6, 5), 3)
-    L, real = g.result, getattr(ar, step)
-    failures = set()
-    for y in L.all_modules():
-        for wrong in (ZERO, (y[0] + 1, y[1])):
-            monkeypatch.setattr(ar, step, lambda K, x, y=y, wrong=wrong:
-                                wrong if K is L and x == y else real(K, x))
-            want = _oracle_pair(g)
-            assert check_glue(g) == want, (y, wrong)
-            failures |= {r.failure for r in want}
-    failures.discard(None)
-    assert failures
-    if step == "_tau":
-        assert any(f.startswith("tau not preserved") for f in failures)
+def test_check_glue_matches_oracles_on_one_entry_changes():
+    # every gluing of series with m <= 4, and every series that differs
+    # from its result in one entry: the count fails, so the module scan
+    # names the first dispatch failure, validating each image in L, as the
+    # oracles do
+    series = [K for m in range(1, 5) for K in all_series(m)]
+    seen = Counter()
+    for A in series:
+        for B in series:
+            for h in left_abutment_heights(A) & right_abutment_heights(B):
+                true = glue(B, A, h).result.entries
+                for k in range(len(true) - 1):  # d_m = 1 stays
+                    for d in range(2, len(true) - k + 1):
+                        if d == true[k]:
+                            continue
+                        try:
+                            L = KupischSeries(true[:k] + (d,) + true[k + 1:])
+                        except ValueError:
+                            continue
+                        g = Glued(L, h, A, B)
+                        want = _oracle_pair(g)
+                        assert _check_glue_or_error(g) == want, (L, h, A, B)
+                        seen[want[1].failure.split()[0]] += 1
+    # a changed entry changes u on one co-diagonal of L, and every
+    # co-diagonal is an image: the dispatch always fails, first at a simple
+    # module, where syzygy (cosyzygy) sees a u (v) that tau (tau_inv) does
+    # not
+    assert seen == {"syzygy": 125, "cosyzygy": 547}
 
 
-def test_check_glue_tau_invariant_goes_on_after_a_dispatch_failure(
-        monkeypatch):
-    # the dispatch fails at the first A-module, the tau invariant only at
-    # the last B-module whose tau is not ZERO: both are reported
-    g = glue(lambda_mh(9, 4), lambda_mh(6, 5), 3)
-    L, tau, cosyzygy = g.result, ar._tau, ar._cosyzygy
-    first = g.phi(g.a.all_modules()[0])
-    last = [x for x in g.b.all_modules() if tau(g.b, x) is not ZERO][-1]
-    monkeypatch.setattr(ar, "_cosyzygy", lambda K, x: (
-        (x[0] + 1, x[1]) if K is L and x == first else cosyzygy(K, x)))
-    monkeypatch.setattr(ar, "_tau", lambda K, x: (
-        ZERO if K is L and x == last else tau(K, x)))
-    inv, dis = check_glue(g)
-    assert inv.failure == f"tau not preserved at {last}"
-    assert dis.failure == f"cosyzygy dispatch fails at phi{(1, 1)}"
-    assert (inv, dis) == _oracle_pair(g)
+def test_check_glue_dispatch_follows_patched_tables(monkeypatch):
+    # a true gluing whose result has one u or v entry moved by one: the
+    # kernel steps on L read the patched table, so the slice of that entry
+    # fails and the module scan names the dispatch oracle's first failure.
+    # The invariants oracle is not compared: it lists L's modules from u
+    # and its arrows from v, which check_glue does not read
+    series = [K for m in range(1, 5) for K in all_series(m)]
+    seen = Counter()
+    for A in series:
+        for B in series:
+            for h in left_abutment_heights(A) & right_abutment_heights(B):
+                g = glue(B, A, h)
+                L = g.result
+                for table, first in (("_u", 2), ("_v", 1)):
+                    real = getattr(L, table)
+                    for k in range(first, len(real)):
+                        for d in (-1, 1):
+                            monkeypatch.setattr(L, table, real[:k] + (
+                                real[k] + d,) + real[k + 1:])
+                            want = dispatch_check_oracle(g)
+                            assert check_glue(g)[1] == want, (A, B, h, k, d)
+                            assert not want.ok
+                            seen[want.failure.split()[0]] += 1
+                    monkeypatch.setattr(L, table, real)
+    assert set(seen) == {"tau", "syzygy", "tau_inv", "cosyzygy"}
 
 
 def test_check_glue_gldim_bound_with_patched_gldim(monkeypatch):

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from nakayama import ar
 from nakayama.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -110,6 +111,19 @@ def run_case(name):
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_golden(name):
+    expected = (GOLDEN / f"{name}.txt").read_bytes()
+    assert run_case(name).encode() == expected
+
+
+@pytest.mark.parametrize("name", sorted(n for n in RUNS if n.startswith(
+    ("ar_quiver_", "construct_nd_quiver"))))
+def test_quiver_golden_builds_no_quiver(name, monkeypatch):
+    # ar-quiver in every format, and construct-nd --emit quiver, write the
+    # same bytes straight from the series: ar_quiver is never called
+    def refuse(K):
+        raise AssertionError("the command built an ARQuiver")
+
+    monkeypatch.setattr(ar, "ar_quiver", refuse)
     expected = (GOLDEN / f"{name}.txt").read_bytes()
     assert run_case(name).encode() == expected
 

@@ -191,6 +191,26 @@ def test_a_summand_that_is_no_pair_is_named():
             is_tilting(2, [x, (1, 1)])
 
 
+def test_a_slice_summand_that_is_no_coordinate_is_named():
+    # each summand is checked before the sort reads its length
+    assert not is_slice(1, [(1,)])
+    assert not is_slice(1, [None])
+    for x in (None, (1,), (1, 1, 1), "ab", (2, 1)):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(x))} is "
+                                             r"not a module coordinate "
+                                             r"for height 1$"):
+            slice_indices(1, [x])
+    for side in ("left", "right"):
+        with pytest.raises(ValueError, match="^None is not a module "
+                                             "coordinate for height 1$"):
+            complete_slice(1, [None], 2, side)
+    # well-formed coordinates that are no slice keep their message
+    with pytest.raises(ValueError,
+                       match=r"^\[\(1, 1\), \(1, 3\), \(2, 1\)\] is not a "
+                             r"slice of height 3$"):
+        slice_indices(3, [(1, 1), (2, 1), (1, 3)])
+
+
 def test_slice_indices_round_trip():
     for h in range(1, 7):
         for s in enumerate_slices(h):
