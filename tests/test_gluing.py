@@ -6,8 +6,8 @@ import pytest
 from nakayama import abutments, ar, gluing
 from nakayama.abutments import foundation, left_abutment_heights, \
     max_left_height, right_abutment_heights
-from nakayama.gluing import Glued, check_glue, glue
-from nakayama.kupisch import KupischSeries, lambda_mh, \
+from nakayama.gluing import Glued, GlueReport, check_glue, glue
+from nakayama.kupisch import ZERO, KupischSeries, lambda_mh, \
     linear_quiver_algebra, parse_series
 
 from oracles import all_series, check_glue_invariants_oracle, \
@@ -396,6 +396,67 @@ def test_check_glue_dispatch_follows_patched_tables(monkeypatch):
                             seen[want.failure.split()[0]] += 1
                     monkeypatch.setattr(L, table, real)
     assert set(seen) == {"tau", "syzygy", "tau_inv", "cosyzygy"}
+
+
+@pytest.mark.parametrize("step", ["_tau", "_syzygy", "_tau_inv", "_cosyzygy"])
+def test_check_glue_matches_oracles_with_patched_kernel(monkeypatch, step):
+    # a kernel step patched on a true gluing's result, wrong at one module,
+    # ZERO or one step off: check_glue decides the dispatch from the u and v
+    # tables, so its reports stay those of the real kernel, and the module
+    # scan it runs once a report fails names the dispatch oracle's failure
+    g = glue(lambda_mh(9, 4), lambda_mh(6, 5), 3)
+    L, real = g.result, getattr(ar, step)
+    fa = abutments._check_abutment(g.a, "left", g.h)
+    fb = abutments._check_abutment(g.b, "right", g.h)
+    want = _oracle_pair(g)
+    assert all(r.ok for r in want)
+    failures = set()
+    for y in L.all_modules():
+        for wrong in (ZERO, (y[0] + 1, y[1])):
+            monkeypatch.setattr(ar, step, lambda K, x, y=y, wrong=wrong:
+                                wrong if K is L and x == y else real(K, x))
+            assert check_glue(g) == want, (y, wrong)
+            dis = dispatch_check_oracle(g)
+            assert gluing._first_dispatch_failure(g, fa, fb, None) == \
+                dis.failure, (y, wrong)
+            failures.add(dis.failure)
+    failures.discard(None)
+    assert failures and all(f.startswith(step[1:] + " ") for f in failures)
+
+
+def test_check_glue_tau_invariant_goes_on_after_a_dispatch_failure(
+        monkeypatch):
+    # the oracles, with cosyzygy patched at the first A-module's image and
+    # L's translation missing the last B-module whose tau is not ZERO,
+    # report both failures.  check_glue reads neither: coverage implies the
+    # tau invariant and the slices decide the dispatch, so both its reports
+    # pass, and the scan it runs once a report fails names the cosyzygy
+    # failure.  A moved v entry of L fails the dispatch for real, and the
+    # invariants report still goes on to the gldim bound
+    g = glue(lambda_mh(9, 4), lambda_mh(6, 5), 3)
+    L, translation, cosyzygy = g.result, ar._translation, ar._cosyzygy
+    first = g.phi(g.a.all_modules()[0])
+    last = [x for x in g.b.all_modules() if ar._tau(g.b, x) is not ZERO][-1]
+    monkeypatch.setattr(ar, "_cosyzygy", lambda K, x: (
+        (x[0] + 1, x[1]) if K is L and x == first else cosyzygy(K, x)))
+    monkeypatch.setattr(ar, "_translation", lambda K: (
+        (x, tx) for x, tx in translation(K) if not (K is L and x == last)))
+    inv, dis = _oracle_pair(g)
+    assert inv.failure == f"tau not preserved at {last}"
+    assert dis.failure == f"cosyzygy dispatch fails at phi{(1, 1)}"
+    assert check_glue(g) == (GlueReport(True), GlueReport(True))
+    fa = abutments._check_abutment(g.a, "left", g.h)
+    fb = abutments._check_abutment(g.b, "right", g.h)
+    assert gluing._first_dispatch_failure(g, fa, fb, None) == dis.failure
+    monkeypatch.undo()
+
+    real_gldim, v, k = ar.gldim, L._v, first[0]
+    monkeypatch.setattr(L, "_v", v[:k] + (v[k] - 1,) + v[k + 1:])
+    monkeypatch.setattr(ar, "gldim", lambda K: real_gldim(K) + 10
+                        if K is L else real_gldim(K))
+    inv, dis = check_glue(g)
+    assert inv.failure.startswith("gldim bound violated")
+    assert not dis.ok and dis == dispatch_check_oracle(g)
 
 
 def test_check_glue_gldim_bound_with_patched_gldim(monkeypatch):
