@@ -36,11 +36,6 @@ def _check_ka_coord(h: int, x: Coord):
         raise ValueError(f"{x} is not a module coordinate for height {h}")
 
 
-def ka_modules(h: int) -> List[Coord]:
-    """All h(h+1)/2 indecomposables of the linear-quiver algebra."""
-    return [(i, j) for j in range(1, h + 1) for i in range(1, h - j + 2)]
-
-
 def is_tilting(h: int, coords) -> bool:
     """Basic tilting module: h distinct summands whose arcs do not cross.
 
@@ -63,13 +58,14 @@ def is_tilting(h: int, coords) -> bool:
 
 
 def enumerate_tilting(h: int) -> List[Tuple[Coord, ...]]:
-    """All basic tilting modules, in the lexicographic order of their
-    summand indices in ka_modules(h); there are Catalan(h) many.
+    """All basic tilting modules, each with its summands sorted by length
+    and then by i, in the lexicographic order of those lists; there are
+    Catalan(h) many.
 
     A tilting module on the positions a..b is the module (a, b - a + 1)
     covering them all, with, for one position c, a tilting module on
     a..c-1 and one on c+1..b.  Each interval's list is built once; the
-    summands are kept as (j, i), the order of ka_modules, for the sort."""
+    summands are kept as (j, i) for the sort."""
     if h < 0:
         raise ValueError(f"height must be >= 0, got {h}")
 

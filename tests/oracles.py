@@ -23,8 +23,7 @@ from nakayama.gluing import Glued, GlueReport, glue
 from nakayama.kupisch import ZERO, Coord, KupischSeries, lambda_mh
 from nakayama.ndgen import source_injective_pd
 from nakayama.render import RenderSpec
-from nakayama.tilting import Fracturing, _check_ka_coord, is_fracture, \
-    ka_modules
+from nakayama.tilting import Fracturing, _check_ka_coord, is_fracture
 
 # -- exact linear algebra ---------------------------------------------------
 
@@ -712,6 +711,11 @@ def row_oracle(n: int, r: int) -> Tuple[List[Tuple[int, int]], int]:
 
 
 # -- library functions that only tests call, moved here unchanged ------------
+
+
+def ka_modules(h: int) -> List[Coord]:
+    """All h(h+1)/2 indecomposables of the linear-quiver algebra."""
+    return [(i, j) for j in range(1, h + 1) for i in range(1, h - j + 2)]
 
 
 def make_fracturing(K: KupischSeries, tl_coords, tr_coords) -> Fracturing:

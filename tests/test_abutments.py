@@ -11,10 +11,9 @@ from nakayama.abutments import (
     right_abutment_heights,
 )
 from nakayama.kupisch import KupischSeries, lambda_mh
-from nakayama.tilting import ka_modules
 
 from oracles import all_series, footing_from_ka, footing_to_ka_oracle, \
-    random_series, verify_foundation_shape
+    ka_modules, random_series, verify_foundation_shape
 
 
 def test_height_examples():

@@ -22,7 +22,6 @@ from nakayama.ndgen import base_family_even, base_family_odd, construct, \
 from nakayama.tilting import (
     enumerate_tilting,
     is_tilting,
-    ka_modules,
     projective_injective_fracturing,
 )
 
@@ -36,6 +35,7 @@ from oracles import (
     exists_oracle,
     hom_dim_ka,
     hom_dim_oracle,
+    ka_modules,
     make_fracturing,
     pushout_matches,
     random_series,

@@ -184,7 +184,7 @@ def test_check_glue_validates_each_module_once(monkeypatch):
     monkeypatch.setattr(KupischSeries, "check_exists", record)
     inv, dis = check_glue(g)
     assert inv.ok and dis.ok
-    # the count and coverage put every image in L: none is validated
+    # a true gluing is decided by its entries: no image is validated
     assert not calls
 
 
@@ -270,7 +270,7 @@ def test_check_glue_matches_oracles_on_every_small_hand_built_result():
     # A and B with at most 4 vertices, every common height, and every L
     # whose length is within one of m_A + m_B - h: the same pair, or the
     # same error.  The oracle never reports the two checks that count and
-    # coverage imply
+    # coverage imply, and both its reports pass iff L has glue's entries
     by_m = {m: all_series(m) for m in range(1, 9)}
     series = [K for m in range(1, 5) for K in by_m[m]]
     seen = Counter()
@@ -282,6 +282,9 @@ def test_check_glue_matches_oracles_on_every_small_hand_built_result():
                     g = Glued(L, h, A, B)
                     want = _oracle_pair(g)
                     assert _check_glue_or_error(g) == want, (L, h, A, B)
+                    if not isinstance(want, str):
+                        assert (want[0].ok and want[1].ok) == (
+                            L.entries == A.entries[:A.m - h] + B.entries)
                     seen["error" if isinstance(want, str)
                          else want[0].failure or "ok"] += 1
     assert seen == {"indecomposable count formula": 25529,
@@ -291,8 +294,8 @@ def test_check_glue_matches_oracles_on_every_small_hand_built_result():
 
 def test_check_glue_builds_no_module_set_or_foundation(monkeypatch):
     # the reports of every small gluing, with the oracles computed first:
-    # check_glue decides coverage and dispatch from the u and v tables, so
-    # it needs no set, no foundation and no module list at all
+    # check_glue decides a true gluing by its entries, so it needs no set,
+    # no foundation and no module list at all
     series = [K for m in range(1, 6) for K in all_series(m)]
     cases = [(g, _oracle_pair(g)) for A in series for B in series
              for h in left_abutment_heights(A) & right_abutment_heights(B)
@@ -373,10 +376,12 @@ def test_check_glue_matches_oracles_on_one_entry_changes():
 
 def test_check_glue_dispatch_follows_patched_tables(monkeypatch):
     # a true gluing whose result has one u or v entry moved by one: the
-    # kernel steps on L read the patched table, so the slice of that entry
-    # fails and the module scan names the dispatch oracle's first failure.
-    # The invariants oracle is not compared: it lists L's modules from u
-    # and its arrows from v, which check_glue does not read
+    # kernel steps on L read the patched table, so the module scan names
+    # the dispatch oracle's first failure, while check_glue, which decides
+    # a true gluing by its entries, keeps its passing dispatch report; with
+    # the three gldims memoized first, both its reports pass even once L's
+    # u and v are all zeros.  The invariants oracle is not compared: it
+    # lists L's modules from u and its arrows from v
     series = [K for m in range(1, 5) for K in all_series(m)]
     seen = Counter()
     for A in series:
@@ -384,6 +389,10 @@ def test_check_glue_dispatch_follows_patched_tables(monkeypatch):
             for h in left_abutment_heights(A) & right_abutment_heights(B):
                 g = glue(B, A, h)
                 L = g.result
+                for K in (A, B, L):
+                    ar.gldim(K)
+                fa = abutments._check_abutment(A, "left", h)
+                fb = abutments._check_abutment(B, "right", h)
                 for table, first in (("_u", 2), ("_v", 1)):
                     real = getattr(L, table)
                     for k in range(first, len(real)):
@@ -391,19 +400,23 @@ def test_check_glue_dispatch_follows_patched_tables(monkeypatch):
                             monkeypatch.setattr(L, table, real[:k] + (
                                 real[k] + d,) + real[k + 1:])
                             want = dispatch_check_oracle(g)
-                            assert check_glue(g)[1] == want, (A, B, h, k, d)
                             assert not want.ok
+                            assert gluing._first_dispatch_failure(
+                                g, fa, fb) == want.failure, (A, B, h, k, d)
+                            assert check_glue(g)[1] == GlueReport(True)
                             seen[want.failure.split()[0]] += 1
                     monkeypatch.setattr(L, table, real)
+                L._u, L._v = (0,) * len(L._u), (0,) * len(L._v)
+                assert check_glue(g) == (GlueReport(True), GlueReport(True))
     assert set(seen) == {"tau", "syzygy", "tau_inv", "cosyzygy"}
 
 
 @pytest.mark.parametrize("step", ["_tau", "_syzygy", "_tau_inv", "_cosyzygy"])
 def test_check_glue_matches_oracles_with_patched_kernel(monkeypatch, step):
     # a kernel step patched on a true gluing's result, wrong at one module,
-    # ZERO or one step off: check_glue decides the dispatch from the u and v
-    # tables, so its reports stay those of the real kernel, and the module
-    # scan it runs once a report fails names the dispatch oracle's failure
+    # ZERO or one step off: check_glue decides a true gluing by its
+    # entries, so its reports stay those of the real kernel, and the module
+    # scan it runs on any other result names the dispatch oracle's failure
     g = glue(lambda_mh(9, 4), lambda_mh(6, 5), 3)
     L, real = g.result, getattr(ar, step)
     fa = abutments._check_abutment(g.a, "left", g.h)
@@ -417,7 +430,7 @@ def test_check_glue_matches_oracles_with_patched_kernel(monkeypatch, step):
                                 wrong if K is L and x == y else real(K, x))
             assert check_glue(g) == want, (y, wrong)
             dis = dispatch_check_oracle(g)
-            assert gluing._first_dispatch_failure(g, fa, fb, None) == \
+            assert gluing._first_dispatch_failure(g, fa, fb) == \
                 dis.failure, (y, wrong)
             failures.add(dis.failure)
     failures.discard(None)
@@ -428,11 +441,11 @@ def test_check_glue_tau_invariant_goes_on_after_a_dispatch_failure(
         monkeypatch):
     # the oracles, with cosyzygy patched at the first A-module's image and
     # L's translation missing the last B-module whose tau is not ZERO,
-    # report both failures.  check_glue reads neither: coverage implies the
-    # tau invariant and the slices decide the dispatch, so both its reports
-    # pass, and the scan it runs once a report fails names the cosyzygy
-    # failure.  A moved v entry of L fails the dispatch for real, and the
-    # invariants report still goes on to the gldim bound
+    # report both failures.  check_glue reads neither: the entries decide a
+    # true gluing, so both its reports pass, and the scan it runs on any
+    # other result names the cosyzygy failure.  With a moved v entry of L
+    # the scan names the oracle's dispatch failure, while check_glue keeps
+    # the passing dispatch and goes on to the gldim bound
     g = glue(lambda_mh(9, 4), lambda_mh(6, 5), 3)
     L, translation, cosyzygy = g.result, ar._translation, ar._cosyzygy
     first = g.phi(g.a.all_modules()[0])
@@ -447,16 +460,19 @@ def test_check_glue_tau_invariant_goes_on_after_a_dispatch_failure(
     assert check_glue(g) == (GlueReport(True), GlueReport(True))
     fa = abutments._check_abutment(g.a, "left", g.h)
     fb = abutments._check_abutment(g.b, "right", g.h)
-    assert gluing._first_dispatch_failure(g, fa, fb, None) == dis.failure
+    assert gluing._first_dispatch_failure(g, fa, fb) == dis.failure
     monkeypatch.undo()
 
     real_gldim, v, k = ar.gldim, L._v, first[0]
     monkeypatch.setattr(L, "_v", v[:k] + (v[k] - 1,) + v[k + 1:])
     monkeypatch.setattr(ar, "gldim", lambda K: real_gldim(K) + 10
                         if K is L else real_gldim(K))
+    dis = dispatch_check_oracle(g)
+    assert not dis.ok
+    assert gluing._first_dispatch_failure(g, fa, fb) == dis.failure
     inv, dis = check_glue(g)
     assert inv.failure.startswith("gldim bound violated")
-    assert not dis.ok and dis == dispatch_check_oracle(g)
+    assert dis == GlueReport(True)
 
 
 def test_check_glue_gldim_bound_with_patched_gldim(monkeypatch):

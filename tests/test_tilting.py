@@ -16,7 +16,6 @@ from nakayama.tilting import (
     is_fracture,
     is_slice,
     is_tilting,
-    ka_modules,
     pL_category,
     projective_fracture,
     projective_injective_fracturing,
@@ -26,7 +25,7 @@ from nakayama.tilting import (
 
 from oracles import all_series, enumerate_slices, enumerate_tilting_oracle, \
     ext1_dim_ka, ext1_dim_oracle, hom_dim_ka, hom_dim_oracle, \
-    is_slice_oracle, is_tilting_oracle, make_fracturing
+    is_slice_oracle, is_tilting_oracle, ka_modules, make_fracturing
 
 
 def catalan(h):
