@@ -77,6 +77,8 @@ def _up(K: KupischSeries, x, limit: int):
 
 
 def _check_order(n: int):
+    if type(n) is not int:  # not isinstance: bool is refused too
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
 

@@ -16,10 +16,9 @@ sorts its candidate from those and the fractured injectives.  A walk
 that ends at ZERO decides a failing verdict from the closure alone;
 only otherwise are the modules walked the other way, up to the first
 failure.  The orbit and the failures are built when they are first
-read.  check_nct checks against the sorted projectives and injectives,
-and their sets, that the series built, and answers in closed form for
-n above a memoized global dimension, with a candidate memoized on the
-series.
+read.  A check reads P_L and I_R as the projectives and injectives,
+tested by u and v, with the flips of the fracturing swapped in.  The
+sorted P, I and P ∪ I are memoized on the series.
 """
 
 from __future__ import annotations
@@ -105,19 +104,20 @@ def _fail(condition: int, coord, detail: str) -> dict:
             "detail": detail}
 
 
-def _closure(K: KupischSeries, n: int, seed, stop) -> Dict[Coord, Tuple]:
+def _closure(K: KupischSeries, n: int, seed, dr) -> Dict[Coord, Tuple]:
     """Close seed under the inverse higher translate (dropping ZERO); map
-    each module x of the closure outside stop to (tau_n_inv x, its
-    cosyzygy count).  A module of stop is not recorded: an injective
+    each module x of the closure outside I_R = I Δ dr to (tau_n_inv x,
+    its cosyzygy count).  A module of I_R is not recorded: an injective
     there ends its orbit without a walk, as tau_n_inv sends it to ZERO,
     and any other is walked once, only to follow its orbit on."""
     walks: Dict[Coord, Tuple] = {}
-    passed = set()  # the modules of stop walked so far
-    inj, up = K._i, ar._up
+    passed = set()  # the modules of I_R walked so far
+    v, up = K._v, ar._up
     for x in seed:  # follow the tau_n^- orbit of x until it is known
         while x is not ZERO and x not in walks:
-            if x in stop:
-                if x in inj or x in passed:
+            injective = x[1] == v[x[0]]
+            if injective != (x in dr):  # x in I_R
+                if injective or x in passed:
                     break
                 passed.add(x)
                 x = up(K, x, n - 1)[0]
@@ -133,18 +133,26 @@ def _merged(rest, ir) -> Tuple[Coord, ...]:
     return tuple(sorted([*rest, *ir]))
 
 
-def _stream(K: KupischSeries, n: int, pl, cand, walks,
+def _pi(K: KupischSeries) -> list:
+    """[P, I, P ∪ I] of the series, sorted, memoized on it at its first
+    check; P ∪ I is None until a closed-form check_nct reads it."""
+    if K._pi is None:
+        K._pi = [K.projectives(), K.injectives(), None]
+    return K._pi
+
+
+def _stream(K: KupischSeries, n: int, dl, cand, walks,
             missing) -> Iterator[dict]:
     """The failure records in order 1; 2 forward, backward, inverted; 3; 4.
     walks maps C minus I_R to (tau_n_inv y, k), missing lists the
     fractured projectives outside an explicit candidate.  The stream
     sorts walks into up and fills down: x -> (tau_n x, k) for x in
-    C minus P_L."""
+    C minus P_L, with P_L = P Δ dl."""
     for x in missing:
         yield _fail(1, x, "fractured projective missing")
     up = {y: walks[y] for y in sorted(walks)}
-    down = {}
-    for x in (x for x in cand if x not in pl):
+    down, u = {}, K._u
+    for x in (x for x in cand if (x[1] == u[x[0] + x[1]]) == (x in dl)):
         down[x] = w = ar._down(K, x, n - 1)
         if (y := w[0]) not in up:
             yield _fail(2, x, f"tau_n({x}) = {y} not in candidate minus "
@@ -162,34 +170,37 @@ def _stream(K: KupischSeries, n: int, pl, cand, walks,
                 for y, (_, k) in up.items() if k < n - 1)
 
 
-def _orbit(walks, cand, pl) -> Tuple[Tuple[Coord, Coord], ...]:
+def _orbit(K, walks, cand, dl) -> Tuple[Tuple[Coord, Coord], ...]:
     """(y, tau_n_inv y) for y in C minus I_R, in sorted order, with
     tau_n_inv y in C minus P_L."""
-    cs = set(cand)
+    cs, u = set(cand), K._u
     return tuple((y, x) for y in sorted(walks)
-                 if (x := walks[y][0]) in cs and x not in pl)
+                 if (x := walks[y][0]) in cs
+                 and (x[1] == u[x[0] + x[1]]) == (x in dl))
 
 
-def _check(K: KupischSeries, n: int, pl, pls, ir, irs,
-           candidate) -> Verdict:
-    """check_fractured, given P_L and I_R as sorted sequences (pl, ir)
-    and as sets (pls, irs).  The walks of C minus I_R decide a failing
-    verdict when one ends at ZERO; only otherwise does the stream walk
-    C minus P_L, up to its first record."""
-    ar._check_order(n)
+def _check(K: KupischSeries, n: int, dl, dr, candidate) -> Verdict:
+    """check_fractured for P_L = P Δ dl and I_R = I Δ dr, P and I read
+    from the memo of the series.  The walks of C minus I_R decide a
+    failing verdict when one ends at ZERO; only otherwise does the
+    stream walk C minus P_L, up to its first record."""
+    p, i, _ = _pi(K)
+    pl = sorted(dl.symmetric_difference(p)) if dl else p
+    ir = sorted(dr.symmetric_difference(i)) if dr else i
     if candidate is None:
         # the closure holds exactly C minus I_R, with its walks; it
         # contains the part of its seed P_L outside I_R, so condition 1
         # cannot fail
-        walks = _closure(K, n, pl, irs)
+        walks = _closure(K, n, pl, dr)
         cand = _merged(walks, ir)
         missing = ()
     else:
         cset = {K.check_exists(x) for x in candidate}
         cand = tuple(sorted(cset))
-        walks = {y: ar._up(K, y, n - 1) for y in cand if y not in irs}
-        missing = sorted(pls.difference(cset))
-    stream = functools.partial(_stream, K, n, pls, cand, walks, missing)
+        walks = {y: ar._up(K, y, n - 1) for y in cand
+                 if (y[1] == K._v[y[0]]) == (y in dr)}
+        missing = [x for x in pl if x not in cset]
+    stream = functools.partial(_stream, K, n, dl, cand, walks, missing)
     # a walk that stops early ends at ZERO, and ZERO is never in C minus
     # P_L, so a ZERO image is a record of condition 4 or 2 (backward)
     ok = not missing
@@ -199,7 +210,7 @@ def _check(K: KupischSeries, n: int, pl, pls, ir, irs,
             break
     if ok:
         ok = next(stream(), None) is None  # builds the first record only
-    return Verdict(ok, cand, functools.partial(_orbit, walks, cand, pls),
+    return Verdict(ok, cand, functools.partial(_orbit, K, walks, cand, dl),
                    tuple if ok else stream)
 
 
@@ -218,51 +229,48 @@ def check_fractured(K: KupischSeries, n: int, F: Fracturing,
        nonzero up to order n-1,
     4. cosyzygies dually.
     """
-    pl, ir = tilting.pL_category(K, F), tilting.iR_category(K, F)
-    return _check(K, n, pl, set(pl), ir, set(ir), candidate)
+    dl, dr = tilting._flips(K, F, "left"), tilting._flips(K, F, "right")
+    ar._check_order(n)
+    return _check(K, n, dl, dr, candidate)
 
 
 def _nct_stream(K: KupischSeries, n: int) -> Iterator[dict]:
     """The failure records of check_nct, from the general check."""
-    return _check(K, n, K._pseq, K._p, K._iseq, K._i, None).stream()
+    return _check(K, n, frozenset(), frozenset(), None).stream()
 
 
 def check_nct(K: KupischSeries, n: int) -> Verdict:
-    """Cluster-tilting check: the fractured check with the projective
-    left and injective right fracturing, whose P_L and I_R are exactly
-    the projectives and the injectives.
+    """Cluster-tilting check: the fractured check with no flips, whose
+    P_L and I_R are exactly the projectives and the injectives.
 
     When the series has its global dimension memoized (ar.gldim) and n
     exceeds it, the verdict needs no walk.  gldim is id of the algebra,
     so tau_n_inv sends every projective to ZERO: the candidate is P and
-    I, the orbit is empty, and a projective that is not injective fails
-    condition 2, which only m = 1 escapes.  The sorted P ∪ I is built on
-    the first such answer and memoized on the series.  The failures are
-    read from the general check.  check_nct never computes gldim
-    itself."""
+    I (memoized), the orbit is empty, and a projective that is not
+    injective fails condition 2, which only m = 1 escapes.  The failures
+    are read from the general check.  check_nct never computes gldim."""
+    ar._check_order(n)
     g = K._gldim
     if g is not None and n > g:
+        p, i, pi = _pi(K)
+        if pi is None:
+            K._pi[2] = pi = _merged([x for x in p if x[1] != K._v[x[0]]], i)
         ok = K.m == 1
-        cand = K._pi
-        if cand is None:
-            K._pi = cand = _merged([x for x in K._pseq if x not in K._i],
-                                   K._iseq)
-        return Verdict(ok, cand, (),
+        return Verdict(ok, pi, (),
                        tuple if ok else functools.partial(_nct_stream, K, n))
-    return _check(K, n, K._pseq, K._p, K._iseq, K._i, None)
+    return _check(K, n, frozenset(), frozenset(), None)
 
 
 def classify_sides(K: KupischSeries, F: Fracturing,
                    verdict: Verdict) -> dict:
     """Which sides of an ok fractured subcategory, the verdict of a check
-    of K with the fracturing F, are honest: left if the fractured
-    projectives are the projectives, right if the fractured injectives
-    are the injectives, cluster-tilting if both.  F is placed as
-    check_fractured places it."""
+    of K with the fracturing F, are honest: a side whose flips are empty,
+    so that P_L = P (I_R = I), and cluster-tilting if both.  F is placed
+    as check_fractured places it."""
     if not verdict.ok:
         raise ValueError("verdict not ok; sides are undefined")
-    left = set(tilting.pL_category(K, F)) == K._p
-    right = set(tilting.iR_category(K, F)) == K._i
+    left = not tilting._flips(K, F, "left")
+    right = not tilting._flips(K, F, "right")
     return {"left_nct": left, "right_nct": right, "nct": left and right}
 
 

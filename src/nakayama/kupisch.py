@@ -48,17 +48,14 @@ class KupischSeries:
     * d_i <= m - i + 1 (a projective cannot overshoot the sink), which
       the two rules above imply; a series that breaks it is named by it.
 
-    Instances are immutable and hashable.  ``_gldim`` memoizes
-    ``ar.gldim``; it is None until that is first called.  ``_pi``
-    memoizes the sorted tuple P ∪ I, the candidate of every
-    ``cluster.check_nct`` answered in closed form; it is None until the
-    first such answer.  Equality and hashing ignore both.  A pickle
-    holds the entries and ``_gldim`` only; unpickling builds the tables
-    again and leaves ``_pi`` unset.
+    Instances are immutable and hashable, and hold the entries and the
+    tables u and v.  ``_gldim`` memoizes ``ar.gldim`` and ``_pi`` the
+    sorted P, I and P ∪ I that ``cluster`` checks against; each is None
+    until first needed, and equality and hashing ignore both.
+    A pickle holds the entries and ``_gldim`` only.
     """
 
-    __slots__ = ("entries", "m", "_u", "_v", "_pseq", "_iseq", "_p", "_i",
-                 "_gldim", "_pi")
+    __slots__ = ("entries", "m", "_u", "_v", "_gldim", "_pi")
 
     def __init__(self, entries):
         entries = tuple(entries)
@@ -93,8 +90,7 @@ class KupischSeries:
         # max module length per co-diagonal s = i + j, indexed by s >= 2:
         # the projective with top m - s + 2, whose length d <= s - 1 by
         # the sink bound
-        rev = entries[::-1]
-        self._u = (0, 0) + rev
+        self._u = (0, 0) + entries[::-1]
         # max module length per diagonal i = m - t + 1, indexed by i >= 1:
         # the injective with socle t has as top the least vertex r whose
         # projective reaches t.  The reach r + d_r - 1 never decreases
@@ -106,14 +102,6 @@ class KupischSeries:
                 r += 1
             v[m - t + 1] = t - r + 1
         self._v = tuple(v)
-        # the projectives, one per co-diagonal, and the injectives, one
-        # per diagonal, in sorted order and as sets.  The diagonal
-        # s - u(s) of the projective on co-diagonal s never decreases
-        # (Kupisch step), and where it stays, u(s) grows by one.
-        self._pseq = tuple(zip(map(sub, range(2, m + 2), rev), rev))
-        self._iseq = tuple(zip(range(1, m + 1), v[1:]))
-        self._p = frozenset(self._pseq)
-        self._i = frozenset(self._iseq)
         self._gldim = None
         self._pi = None
 
@@ -224,12 +212,14 @@ class KupischSeries:
         return (i, self.v(i))
 
     def projectives(self):
-        """The projectives, one on each co-diagonal, in sorted order."""
-        return list(self._pseq)
+        """The projectives, one on each co-diagonal, in sorted order: the
+        diagonal s - u(s) never decreases, and where it stays, u(s) grows."""
+        u = self._u[2:]
+        return list(zip(map(sub, range(2, self.m + 2), u), u))
 
     def injectives(self):
         """The injectives, one on each diagonal, in sorted order."""
-        return list(self._iseq)
+        return list(zip(range(1, self.m + 1), self._v[1:]))
 
     # -- presentation and duality -------------------------------------------
 

@@ -200,29 +200,29 @@ def projective_injective_fracturing(K: KupischSeries) -> Fracturing:
     return Fracturing(projective_fracture(K), injective_fracture(K))
 
 
-def _fractured_class(K: KupischSeries, fracture: Fracture, side: str,
-                     h: int, rest) -> List[Coord]:
-    """The modules of rest together with the fracture, sorted.  K decides
-    that h is the maximal height and the footing places each coordinate:
-    a Fracture is a public record, of which only the side, height and
-    coordinates are read."""
+def _flips(K: KupischSeries, F: Fracturing, side: str) -> frozenset:
+    """TL Δ the projective fracture, or TR Δ the injective one.  The only
+    projectives in the left foundation are the (1, j), so P_L = P Δ the
+    left flips; dually I_R = I Δ the right flips.  K places F by its
+    maximal heights and the footing: a Fracture is a public record, of
+    which only the side, height and coordinates are read."""
+    fracture, canonical = (F.TL, projective_fracture(K)) if side == "left" \
+        else (F.TR, injective_fracture(K))
+    h = canonical.height
     if not (fracture.side == side and fracture.height == h):
         raise ValueError(
             f"{side} fracture must sit at the maximal {side} abutment")
     for x in fracture.coords:
         abutments.footing_to_ka(K, side, h, x)
-    return sorted(set(rest) | set(fracture.coords))
+    return frozenset(fracture.coords).symmetric_difference(canonical.coords)
 
 
 def pL_category(K: KupischSeries, F: Fracturing) -> List[Coord]:
     """Projectives that are not abutments, together with the left
-    fracture.  Same cardinality as the projectives."""
-    return _fractured_class(K, F.TL, "left", abutments.max_left_height(K),
-                            [x for x in K.projectives() if x[0] >= 2])
+    fracture, sorted.  Same cardinality as the projectives."""
+    return sorted(_flips(K, F, "left").symmetric_difference(K.projectives()))
 
 
 def iR_category(K: KupischSeries, F: Fracturing) -> List[Coord]:
-    """Injectives that are not abutments, together with the right
-    fracture."""
-    return _fractured_class(K, F.TR, "right", abutments.max_right_height(K),
-                            [x for x in K.injectives() if x[0] + x[1] <= K.m])
+    """Injectives that are not abutments, and the right fracture, sorted."""
+    return sorted(_flips(K, F, "right").symmetric_difference(K.injectives()))

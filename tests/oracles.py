@@ -420,14 +420,19 @@ def check_fractured_oracle(K: KupischSeries, n: int, F, candidate=None):
     from nakayama.ar import cosyzygy, syzygy, tau_n, tau_n_inv
     from nakayama.cluster import Verdict
     from nakayama.kupisch import coord_to_json
-    from nakayama.tilting import iR_category, pL_category
 
     def fail(condition, coord, detail):
         return {"condition": condition, "coord": coord_to_json(coord),
                 "detail": detail}
 
-    pl = set(pL_category(K, F))
-    ir = set(iR_category(K, F))
+    # P_L and I_R by their definition: the projectives off the left
+    # abutment, where i = 1, and the injectives off the right one, where
+    # i + j = m + 1, with the fractures adjoined
+    mods = K.all_modules()
+    pl = {x for x in mods if K.is_projective(x) and x[0] >= 2}
+    pl.update(F.TL.coords)
+    ir = {x for x in mods if K.is_injective(x) and sum(x) <= K.m}
+    ir.update(F.TR.coords)
     if candidate is None:
         cset = set(pl)
         frontier = list(pl)

@@ -591,6 +591,50 @@ def test_check_fractured_against_oracle():
                         check_fractured_oracle(K, n, F, c).to_json()
 
 
+def test_check_fractured_against_oracle_on_every_fracturing():
+    # every series with m <= 4, every pair of tilting fractures at the
+    # maximal abutments, n = 1..m+1: flipped on either side or both, the
+    # default verdict and its re-verified candidate equal the oracle's
+    from nakayama.abutments import max_left_height, max_right_height
+    from nakayama.tilting import enumerate_tilting
+    checks = 0
+    for m in range(1, 5):
+        for K in all_series(m):
+            hl, hr = max_left_height(K), max_right_height(K)
+            for tl, tr in product(enumerate_tilting(hl),
+                                  enumerate_tilting(hr)):
+                F = make_fracturing(
+                    K, [footing_from_ka(K, "left", hl, c) for c in tl],
+                    [footing_from_ka(K, "right", hr, c) for c in tr])
+                for n in range(1, m + 2):
+                    v = check_fractured(K, n, F)
+                    assert v.to_json() == \
+                        check_fractured_oracle(K, n, F).to_json(), (K, F, n)
+                    c = list(v.candidate)
+                    assert check_fractured(K, n, F, c).to_json() == \
+                        check_fractured_oracle(K, n, F, c).to_json()
+                    checks += 1
+    assert checks == 1355
+
+
+def test_check_nct_refuses_an_n_that_is_not_an_integer():
+    # the refusal comes before the closed form, so it does not depend on
+    # the gldim memo, and True is not taken for n = 1
+    x = (1, 1)
+    for n in (99.5, 2.0, True, "2"):
+        K = parse_series("3,3,2,1")
+        for memo in (False, True):
+            if memo:
+                ar.gldim(K)
+            with pytest.raises(ValueError, match="^n must be an integer"):
+                check_nct(K, n)
+        F = projective_injective_fracturing(K)
+        for call in (lambda: check_fractured(K, n, F),
+                     lambda: ar.tau_n(K, n, x), lambda: ar.tau_n_inv(K, n, x)):
+            with pytest.raises(ValueError, match="^n must be an integer"):
+                call()
+
+
 def test_check_nct_equals_fractured_check():
     # check_nct passes the projectives and injectives in place of the
     # projective/injective fracturing: the same verdict, byte for byte,
@@ -653,21 +697,22 @@ def test_check_nct_walks_each_module_once(monkeypatch):
             for n in range(1, m + 1):
                 walked.clear()
                 check_nct(K, n)
-                assert not any(name == "_up" and x in K._i
+                assert not any(name == "_up" and K.is_injective(x)
                                for name, x in walked), (K, n)
                 assert len(walked) == len(set(walked)), (K, n)
 
 
 def test_closure_stops_at_the_fractured_injectives():
-    # seeded with P and stopped at I, the closure holds exactly the
-    # non-injective modules of the check_nct candidate, each with the
-    # walk the kernel gives
+    # seeded with P and stopped at I (no flips), the closure holds
+    # exactly the non-injective modules of the check_nct candidate, each
+    # with the walk the kernel gives
     for m in range(1, 8):
         for K in all_series(m):
             for n in range(1, m + 2):
-                walks = cluster._closure(K, n, K._pseq, K._i)
-                assert walks.keys() == \
-                    set(check_nct(K, n).candidate) - K._i, (K, n)
+                walks = cluster._closure(K, n, K.projectives(), frozenset())
+                assert walks.keys() == {
+                    x for x in check_nct(K, n).candidate
+                    if not K.is_injective(x)}, (K, n)
                 for x, w in walks.items():
                     assert w == ar._up(K, x, n - 1), (K, n, x)
 
@@ -697,7 +742,7 @@ def test_generated_candidate_follows_orbits_through_i_r(monkeypatch):
             K, [footing_from_ka(K, "left", hl, c) for c in tl],
             [footing_from_ka(K, "right", hr, c) for c in tr])
         ir = set(iR_category(K, F))
-        left_out = K._i - ir
+        left_out = set(K.injectives()) - ir
         if not left_out:
             continue
         seen += 1
@@ -709,30 +754,33 @@ def test_generated_candidate_follows_orbits_through_i_r(monkeypatch):
             v = check_fractured(K, n, F)
             assert len(walked) == len(set(walked)), (K, n)
             assert v.to_json() == expected.to_json()
-            walks = cluster._closure(K, n, pL_category(K, F), ir)
+            walks = cluster._closure(K, n, pL_category(K, F),
+                                     ir.symmetric_difference(K.injectives()))
             assert not walks.keys() & ir
             for x in left_out & walks.keys():
                 assert walks[x] == (None, 0), (K, n, x)
 
 
 def test_check_nct_memoizes_the_closed_form_candidate(monkeypatch):
-    # the closed-form verdicts of one series share one P ∪ I tuple, built
-    # on the first of them; the memo is invisible to ==, hash and pickle
-    merges, merged = [], cluster._merged
-
-    def counting(rest, ir):
-        merges.append(rest)
-        return merged(rest, ir)
-
-    monkeypatch.setattr(cluster, "_merged", counting)
+    # the checks of one series share one memo of the sorted P and I,
+    # built at the first of them, general or closed form; the first
+    # closed-form verdict adds P ∪ I, and the later ones share that
+    # tuple.  The memo is invisible to ==, hash and pickle
+    builds, projectives = [], KupischSeries.projectives
+    monkeypatch.setattr(KupischSeries, "projectives",
+                        lambda K: builds.append(K) or projectives(K))
     for entries in ([1], [3, 2, 1], GLUED.entries, [2, 3, 3, 2, 1]):
         K, fresh = KupischSeries(entries), KupischSeries(entries)
         g = ar.gldim(K)
         assert K._pi is None
-        merges.clear()
+        builds.clear()
         v, w = check_nct(K, g + 1), check_nct(K, g + 2)
-        assert v.candidate is w.candidate is K._pi
-        assert len(merges) == 1
+        p, i, pi = K._pi
+        assert v.candidate is w.candidate is pi
+        assert p == projectives(K) and i == K.injectives()
+        assert pi == tuple(sorted(set(p) | set(i)))
+        check_nct(K, max(g, 1))  # the general check, but over [1]
+        assert builds == [K]
         assert K == fresh and hash(K) == hash(fresh)
         ar.gldim(fresh)  # the same memo as K but for _pi
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
@@ -740,6 +788,10 @@ def test_check_nct_memoizes_the_closed_form_candidate(monkeypatch):
             assert data == pickle.dumps(fresh, protocol)
             back = pickle.loads(data)
             assert back == K and back._pi is None and back._gldim == g
+        builds.clear()
+        assert check_nct(fresh, max(g, 1)) == check_nct(K, max(g, 1))
+        assert builds == [fresh] and (fresh._pi[2] is None) == (g >= 1)
+        assert check_nct(fresh, g + 1).candidate is fresh._pi[2]
 
 
 def test_check_nct_closed_form_walks_nothing(monkeypatch):
@@ -884,16 +936,16 @@ def test_check_nct_stops_at_first_failure(monkeypatch):
         assert not v.ok
         early = len(calls)
         assert early == first
-        rest = len(set(v.candidate) - K._p)
+        rest = len(set(v.candidate) - set(K.projectives()))
         assert early < rest
         assert v.failures
         assert len(calls) == early + rest
-    walks = cluster._closure(FAILING, 3, FAILING._pseq, FAILING._i)
+    walks = cluster._closure(FAILING, 3, FAILING.projectives(), frozenset())
     assert [y for y, (x, k) in walks.items() if x is None] == \
         [(6, 1), (6, 2), (6, 3)]
     assert all(x is not None and k == 2 for x, k in
-               cluster._closure(FULL_UP, 3, FULL_UP._pseq,
-                                FULL_UP._i).values())
+               cluster._closure(FULL_UP, 3, FULL_UP.projectives(),
+                                frozenset()).values())
 
 
 def test_failures_read_once():

@@ -191,15 +191,21 @@ def test_projective_injective_maps():
 
 
 def test_projective_injective_sets():
+    # a module is projective iff j = u(i + j), injective iff j = v(i):
+    # the rules pick out the projective_at and injective_at modules
     for m in range(1, 10):
         for K in all_series(m):
-            assert K._p == {K.projective_at(t) for t in range(1, m + 1)}
-            assert K._i == {K.injective_at(t) for t in range(1, m + 1)}
+            mods = K.all_modules()
+            assert {(i, j) for i, j in mods if j == K.u(i + j)} == \
+                {K.projective_at(t) for t in range(1, m + 1)}
+            assert {(i, j) for i, j in mods if j == K.v(i)} == \
+                {K.injective_at(t) for t in range(1, m + 1)}
 
 
 def test_tables_against_formulas():
     # u(s) is min(d_{m-s+2}, s - 1); the projectives and injectives are
-    # kept sorted, as the sorted sets
+    # listed sorted, one on each co-diagonal and on each diagonal, and
+    # each call returns a fresh list
     rng = random.Random(13)
     series = [K for m in range(1, 10) for K in all_series(m)]
     series += [random_series(rng, 40) for _ in range(300)]
@@ -207,9 +213,11 @@ def test_tables_against_formulas():
         e, m = K.entries, K.m
         assert K._u == (0, 0) + tuple(min(e[m - s + 1], s - 1)
                                       for s in range(2, m + 2)), K
-        assert K._pseq == tuple(sorted(K._p)), K
-        assert K._iseq == tuple(sorted(K._i)), K
-        assert len(K._pseq) == len(K._iseq) == m, K
+        p, i = K.projectives(), K.injectives()
+        assert p == sorted(set(p)) and i == sorted(set(i)), K
+        assert [a + b for a, b in p] == list(range(2, m + 2)), K
+        assert [a for a, _ in i] == list(range(1, m + 1)), K
+        assert p is not K.projectives() and i is not K.injectives()
 
 
 def test_downward_closure_invariant():
@@ -380,21 +388,41 @@ def test_lambda_mh_caps_vertices(monkeypatch):
             lambda_mh(m, h)
 
 
+def test_series_holds_its_entries_and_two_tables():
+    # entries, u and v take a word per vertex each; the projectives and
+    # injectives are not kept
+    m = 10**4
+    entries = [8] * (m - 7) + list(range(7, 0, -1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        K = KupischSeries(entries)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert K.m == m and held < 40 * m
+
+
 def test_series_pickles_its_entries():
     # at every protocol a pickle holds the entries and the gldim memo,
-    # not the derived tables, which unpickling builds again
+    # not the tables u and v, which unpickling builds again, nor the
+    # memo of a check
     from nakayama.ar import gldim
+    from nakayama.cluster import check_nct
     K = parse_series("3^500,2,1")
     for memo in (None, 334):
         if memo:
             assert gldim(K) == memo
+            check_nct(K, 2)
+            assert K._pi is not None
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             data = pickle.dumps(K, protocol)
             assert len(data) < len(pickle.dumps(K.entries, protocol)) + 64
             back = pickle.loads(data)
-            assert back == K and back._gldim == memo
-            assert (back._u, back._v, back._pseq, back._iseq, back._p,
-                    back._i) == (K._u, K._v, K._pseq, K._iseq, K._p, K._i)
+            assert back == K and back._gldim == memo and back._pi is None
+            assert (back._u, back._v, back.projectives(),
+                    back.injectives()) == (K._u, K._v, K.projectives(),
+                                           K.injectives())
 
 
 def test_json_round_trip():
