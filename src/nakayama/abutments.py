@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Set
 
-from .kupisch import ZERO, Coord, KupischSeries
+from .kupisch import ZERO, Coord, KupischSeries, _check_int
 
 
 def left_abutment_heights(K: KupischSeries) -> Set[int]:
@@ -45,6 +45,7 @@ def _check_abutment(K: KupischSeries, side: str, h: int) -> int:
     """Raise unless K has a height-h abutment on the given side; return
     the shift of its foundation from the linear-quiver triangle: 0 on the
     left, m - h on the right.  Costs O(1)."""
+    _check_int("abutment height", h)
     m = K.m
     if side == "left":
         # a tail entry d_{m-h+1} = h forces the staircase below it

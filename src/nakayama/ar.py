@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, NamedTuple, Tuple
 
-from .kupisch import ZERO, Coord, KupischSeries, coord_to_json
+from .kupisch import ZERO, Coord, KupischSeries, _check_int, coord_to_json
 
 
 # The private steps and walks trust their argument: a nonzero coordinate
@@ -77,8 +77,7 @@ def _up(K: KupischSeries, x, limit: int):
 
 
 def _check_order(n: int):
-    if type(n) is not int:  # not isinstance: bool is refused too
-        raise ValueError(f"n must be an integer, got {n!r}")
+    _check_int("n", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
 

@@ -44,7 +44,7 @@ def _series_arg(text: str) -> KupischSeries:
         if text.startswith("{"):
             return KupischSeries.from_json(json.loads(text))
         return parse_series(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # JSON nested too deep
         raise CliError(f"bad Kupisch series {text!r}: {exc}") from exc
 
 
@@ -69,7 +69,7 @@ def _series_inputs(arg: str):
 def _json_arg(option: str, text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"bad {option} {text!r}: {exc}") from exc
 
 

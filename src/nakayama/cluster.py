@@ -30,8 +30,8 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, \
 
 from . import abutments, ar, tilting
 from .gluing import Glued, glue
-from .kupisch import ZERO, Coord, KupischSeries, coord_to_json, lambda_mh, \
-    linear_quiver_algebra
+from .kupisch import ZERO, Coord, KupischSeries, _check_int, coord_to_json, \
+    lambda_mh, linear_quiver_algebra
 from .tilting import Fracture, Fracturing
 
 
@@ -476,6 +476,8 @@ def complete_slice(h: int, slice_coords, n: int, side: str):
 
     Returns (series, fracturing, verdict, trace).
     """
+    _check_int("h", h)
+    _check_int("n", n)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if side not in ("left", "right"):

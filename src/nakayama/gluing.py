@@ -1,12 +1,10 @@
 """Gluing of two Kupisch series along an abutment.
 
 Gluing identifies a height-h left abutment of A with a height-h right
-abutment of B.  At the Kupisch level this is concatenation with overlap:
-the result keeps the first (len(A) - h) entries of A and all of B.  Its
-module category decomposes accordingly: the coordinate embedding of
-B-modules is the identity, that of A-modules shifts the diagonal index
-by len(B) - h, and the two images cover the result and overlap exactly
-in the identified foundations.
+abutment of B.  The result keeps A's entries without the last h, then
+B's; the coordinate embedding of B-modules is the identity, that of
+A-modules shifts the diagonal index by m_B - h, and the two images
+cover the result and overlap exactly in the identified foundations.
 """
 
 from __future__ import annotations
@@ -74,68 +72,44 @@ class GlueReport(NamedTuple):
 
 def check_glue(g: Glued) -> Tuple[GlueReport, GlueReport]:
     """Both reports of a gluing, (invariants, dispatch), each with its
-    first failure.  Invariants: |Ind L| = |Ind A| + |Ind B| - h(h+1)/2;
-    phi/psi are jointly surjective;
-    max(gldim A, gldim B) <= gldim L <= gldim A + gldim B.  Dispatch:
-    computed in the component, tau and syzygy agree with L's except on
-    A's overlap, tau_inv and cosyzygy except on B's.
+    first failure.  Invariants: |Ind L| = |Ind A| + |Ind B| - h(h+1)/2,
+    phi/psi jointly surjective, and max(gldim A, gldim B) <= gldim L <=
+    gldim A + gldim B.  Dispatch: computed in the component, tau and
+    syzygy agree with L's except on A's overlap, tau_inv and cosyzygy
+    except on B's.
 
-    The count and coverage hold iff L has glue's entries, A's without
-    its last h followed by B's.  Let t = m_B - h and L* = glue(B, A, h).
-    u_L* is u_B on co-diagonals 2..m_B + 1 and u_A(s - t) above them; on
-    the overlap u_A(s - t) = s - t - 1 <= u_B(s), by the Kupisch step
-    from d_1 >= h.  Co-diagonal s holds the lengths 1..u(s), so coverage
-    says u_L >= u_L* on 2..m_L* + 1 with m_L >= m_L*.  The count says
-    sum u_L = sum u_L*, as A's last h entries are h..1, and a further
-    co-diagonal of L adds at least 1 to sum u_L.  So both hold iff
-    u_L = u_L*, that is iff the entries are equal.  A true gluing then
-    only has its gldim bound checked: its dispatch holds, and so do the
-    checks the count and coverage imply, which are not run (the images
-    overlap exactly in the identified foundations, L has no arrow
-    between them that is not a component's, phi/psi carry tau to tau).
-    Otherwise the count or the coverage fails, and one pass over the
-    component modules names the first dispatch failure; an image outside
-    L raises ValueError unless a dispatch failure comes before it.
+    The count and coverage together, and the dispatch, hold iff L has
+    glue's entries, A's without its last h followed by B's; only then is
+    the gldim bound checked.  Let L* = glue(B, A, h), t = m_B - h: u_L*
+    is u_B on co-diagonals 2..m_B + 1 and u_A(s - t) above them, and on
+    the overlap u_A(s - t) = s - t - 1 <= u_B(s), as d_1 >= h.
+    Co-diagonal s holds the lengths 1..u(s), so coverage says u_L >=
+    u_L* on 2..m_L* + 1 with m_L >= m_L*; the count says sum u_L =
+    sum u_L* (A's last h entries are h..1), and a further co-diagonal
+    adds 1 or more.  Dispatch compares tau, ZERO exactly on projectives,
+    on B's modules and A's outside its overlap, which fill co-diagonals
+    2..m_L* + 1; a co-diagonal's projective is its longest module, so
+    u_L = u_L* there.  It compares tau_inv on A's injective source simple
+    (m_A, 1), whose image (m_L*, 1) is not injective if m_L > m_L*, as
+    u_L(m_L* + 2) >= 2; if m_L < m_L*, some image lies outside L.  A
+    failing dispatch names the first differing entry, which exists as
+    only d_m is 1: no series is a proper prefix of another.
 
-    Not checked, as the coordinate encoding makes them true: phi (a
-    shift) and psi (the identity) are injective and keep the arrow rule;
-    both foundations are {(i, j) : i >= m_B - h + 1, i + j <= m_B + 1};
-    as d_i >= 2 for i < m, each series has one simple projective,
-    (1, 1), and one simple injective, (m, 1).
+    Not run: what the count and coverage imply (the images overlap in
+    the identified foundations, add no arrow, carry tau to tau) and what
+    the coordinates make true (phi and psi are injective and keep the
+    arrow rule; each series has one simple projective and one injective).
     """
     A, B, L, h = g.a, g.b, g.result, g.h
-    # the footings' shifts: x is in a foundation iff f < i, i + j <= f + h + 1
-    fa = abutments._check_abutment(A, "left", h)
-    fb = abutments._check_abutment(B, "right", h)
-    if L.entries != A.entries[:A.m - h] + B.entries:
+    glued = glue(B, A, h).result.entries
+    if L.entries != glued:
         count = sum(A.entries) + sum(B.entries) - h * (h + 1) // 2
         inv = ("indecomposable count formula" if sum(L.entries) != count
                else "phi and psi not jointly surjective")
-        dis = _first_dispatch_failure(g, fa, fb)
-        return GlueReport(False, inv), GlueReport(not dis, dis)
+        k = next(k for k, d in enumerate(glued) if L.entries[k] != d)
+        dis = f"dispatch fails at d_{k + 1} = {L.entries[k]}, glued {glued[k]}"
+        return GlueReport(False, inv), GlueReport(False, dis)
     da, db, dl = ar.gldim(A), ar.gldim(B), ar.gldim(L)
     inv = (None if max(da, db) <= dl <= da + db
            else f"gldim bound violated: {da}, {db} vs {dl}")
     return GlueReport(not inv, inv), GlueReport(True)
-
-
-def _first_dispatch_failure(g: Glued, fa: int, fb: int):
-    """The first kernel step on which a component module and its image
-    disagree, in the order of all_modules, A's before B's; None if none
-    does.  Each image is validated in L first."""
-    L, h = g.result, g.h
-
-    def lift(z, s):  # an embedding on a kernel result: no validation
-        return ZERO if z is ZERO else (z[0] + s, z[1])
-
-    steps = (("tau", ar._tau), ("syzygy", ar._syzygy),
-             ("tau_inv", ar._tau_inv), ("cosyzygy", ar._cosyzygy))
-    for K, emb, s, f, kept in ((g.a, "phi", g._shift, fa, steps[2:]),
-                               (g.b, "psi", 0, fb, steps[:2])):
-        for x in K.all_modules():
-            y = L.check_exists((x[0] + s, x[1]))
-            for name, step in (
-                    kept if f < x[0] and x[0] + x[1] <= f + h + 1 else steps):
-                if step(L, y) != lift(step(K, x), s):
-                    return f"{name} dispatch fails at {emb}{x}"
-    return None

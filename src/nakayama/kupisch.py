@@ -29,6 +29,11 @@ MAX_VERTICES = 10**6
 ZERO: Optional[Coord] = None
 
 
+def _check_int(name: str, value):
+    if type(value) is not int:  # not isinstance: bool is refused too
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class KupischError(ValueError):
     """Rejected Kupisch series, carrying a named violation."""
 
@@ -284,6 +289,8 @@ def lambda_mh(m: int, h: int) -> KupischSeries:
     h = 1 is accepted only for m = 1 (a connected quiver with zero
     radical has a single vertex).
     """
+    _check_int("m", m)
+    _check_int("h", h)
     if m < 1 or h < 1 or h > m:
         raise ValueError(f"need 1 <= h <= m, got (m, h) = ({m}, {h})")
     if h == 1 and m > 1:

@@ -100,9 +100,9 @@ def source_injective_pd(K: KupischSeries) -> int:
 
 
 def supported(n: int, d: int) -> bool:
-    """Pairs covered by the construction: every d >= n for odd n; for
-    even n the even d >= n and every d >= 2n."""
-    if n < 1 or d < n:
+    """Pairs of ints covered by the construction: every d >= n for odd
+    n; for even n the even d >= n and every d >= 2n."""
+    if type(n) is not int or type(d) is not int or n < 1 or d < n:
         return False
     if n % 2 == 1 or d == n:
         return True

@@ -28,7 +28,7 @@ class RenderSpec(NamedTuple):
 
 
 # the label of the module (i, j) in each mode, a format string of i, j
-_LABELS = {"coords": "({0},{1})", "dims": "{1}"}
+_LABELS = {"coords": "({0},{1})", "dims": "{1}", "none": "*"}
 
 
 def _absent(K: KupischSeries, x) -> bool:
@@ -43,10 +43,12 @@ def render(K: KupischSeries, spec: RenderSpec = RenderSpec()) -> str:
     bad = [h for h in spec.highlight if _absent(K, h)]
     if bad:
         raise ValueError(f"highlighted vertices not in the quiver: {bad}")
-    emit = _FORMATS.get(spec.format)
+    emit, label = _FORMATS.get(spec.format), _LABELS.get(spec.labels)
     if emit is None:
         raise ValueError(f"unknown format {spec.format!r}")
-    return emit(K, spec, _LABELS.get(spec.labels, "*"), set(spec.highlight))
+    if label is None:
+        raise ValueError(f"unknown labels {spec.labels!r}")
+    return emit(K, spec, label, set(spec.highlight))
 
 
 def _join(sep: str, strings, size: int = 1024) -> str:

@@ -509,8 +509,10 @@ def pushout_matches(glued) -> bool:
 
 
 # -- the two gluing checkers that nakayama.gluing.check_glue replaced -------
-# Kept as they were in the library: check_glue must return the same pair
-# of reports, or raise the same error.
+# Kept as they were in the library: where they return, check_glue must
+# give the same invariants report and the same dispatch flag (its dispatch
+# failure names the first differing entry, not a module); where they raise
+# for an image outside the result, check_glue fails both reports.
 
 
 def check_glue_invariants_oracle(g: Glued) -> GlueReport:

@@ -10,7 +10,9 @@ from nakayama.abutments import (
     max_left_height,
     right_abutment_heights,
 )
+from nakayama.gluing import glue
 from nakayama.kupisch import KupischSeries, lambda_mh
+from nakayama.tilting import is_fracture
 
 from oracles import all_series, footing_from_ka, footing_to_ka_oracle, \
     ka_modules, random_series, verify_foundation_shape
@@ -174,3 +176,18 @@ def test_unique_maximal_abutments():
         assert lh == set(range(1, max(lh) + 1))
         assert rh == set(range(1, max(rh) + 1))
         assert max_left_height(K) == max(lh)
+
+
+def test_abutment_height_must_be_an_integer():
+    # every abutment height passes through one check, which refuses a
+    # height that is not an int, True included, by name: a float was an
+    # unnamed TypeError and True glued at height 1
+    B, A = lambda_mh(9, 4), lambda_mh(6, 5)
+    for h in (1.0, True, "1"):
+        for call in (lambda: glue(B, A, h),
+                     lambda: foundation(A, "left", h),
+                     lambda: footing_to_ka(B, "right", h, (9, 1)),
+                     lambda: is_fracture(A, "left", h, [(1, 1)])):
+            with pytest.raises(ValueError,
+                               match="^abutment height must be an integer"):
+                call()

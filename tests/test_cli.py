@@ -96,6 +96,11 @@ def test_check_nct_batch_worst_exit(capsys, monkeypatch):
     assert code == 1  # (2,2,2,1) is not 2-cluster-tilting
 
 
+# JSON nested far deeper than json.loads decodes: it stops at its
+# recursion limit, which differs between Python versions
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 def test_batch_isolates_bad_lines(capsys, monkeypatch):
     # a line that does not parse, or names no Kupisch series, gets one
     # error record; the lines after it still run and the exit code is
@@ -103,6 +108,8 @@ def test_batch_isolates_bad_lines(capsys, monkeypatch):
     for argv, stdin, good, last_ok in (
             (["validate"], "2,2,1\nfoo\n2,1\n", "valid: 2,1 (m = 2)",
              lambda r: r.get("ok") is True),
+            (["check-nct", "--n", "2"], '{"kupisch": %s}\n2,2,1\n' % DEEP,
+             "2^2,1 n=2: ok", lambda r: r.get("ok") is True),
             (["check-nct", "--n", "2"], "3,1\n5,5,4^7,3,2,1\n",
              "5^2,4^7,3,2,1 n=2: ok", lambda r: r.get("ok") is True),
             (["ar-quiver"], "foo\n2,1\n", "   (1,1) (2,1)",
@@ -490,6 +497,14 @@ def test_json_series_not_reinterpreted(capsys):
       "--fracturing", "[1]"], "bad fracturing [1]: "),
     (["ar-quiver", "--kupisch", "2,1", "--highlight", '{"a": 1}'],
      "bad coordinate list {'a': 1}: "),
+    (["validate", "--kupisch", '{"kupisch": %s}' % DEEP],
+     "bad Kupisch series '{\"kupisch\": [[["),
+    (["ar-quiver", "--kupisch", "2,1", "--highlight", DEEP],
+     "bad --highlight '[[["),
+    (["check-fractured", "--kupisch", "2,1", "--n", "1",
+      "--candidate", DEEP], "bad --candidate '[[["),
+    (["check-fractured", "--kupisch", "2,1", "--n", "1",
+      "--fracturing", DEEP], "bad --fracturing '[[["),
 ])
 def test_malformed_option_named(capsys, argv, message):
     # a malformed option value exits 2 with an error naming the option

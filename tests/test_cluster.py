@@ -882,6 +882,22 @@ def test_complete_slice_errors():
         complete_slice(2, [(1, 1), (1, 2)], 2, "sideways")
 
 
+def test_complete_slice_refuses_a_height_or_order_not_an_integer(
+        monkeypatch):
+    # refused by name before the slice is read, True included
+    def refuse(*args):
+        raise AssertionError("complete_slice read the slice")
+
+    monkeypatch.setattr(tilting, "slice_indices", refuse)
+    slice3 = [(1, 1), (1, 2), (1, 3)]
+    for h, n, name in ((3, 2.5, "n"), (2.0, 2, "h"), (3, True, "n"),
+                       (True, 2, "h")):
+        for side in ("left", "right"):
+            with pytest.raises(ValueError,
+                               match=f"^{name} must be an integer"):
+                complete_slice(h, slice3, n, side)
+
+
 def test_complete_slice_builds_the_fracture_without_is_tilting(monkeypatch):
     # every slice is tilting and slice_indices validated the given one,
     # so the completed fracture is built as it is: the one is_fracture

@@ -206,11 +206,21 @@ def _dispatch_public(g):
     return None
 
 
+def _first_difference(g):
+    """The dispatch failure of a result other than glue's: the first
+    entry where it differs, with both values."""
+    L, G = g.result.entries, glue(g.b, g.a, g.h).result.entries
+    k = next(k for k, (d, e) in enumerate(zip(L, G)) if d != e)
+    return f"dispatch fails at d_{k + 1} = {L[k]}, glued {G[k]}"
+
+
 def test_dispatch_failures_on_wrong_results():
     # a Glued whose result is some other series of the right length: the
-    # failure string, or the error for an image outside it, is the one
-    # the public kernel gives
+    # dispatch passes iff the public kernel's does, and a failure names
+    # the first differing entry; where the public kernel raises for an
+    # image outside the result, both reports fail
     rng = random.Random(19)
+    seen = Counter()
     for _ in range(80):
         A = random_series(rng, 8)
         B = random_series(rng, 8)
@@ -219,23 +229,24 @@ def test_dispatch_failures_on_wrong_results():
         m = A.m + B.m - h
         L = random_series(rng, m, min_m=m)
         g = Glued(L, h, A, B)
+        inv, report = check_glue(g)
+        assert report.failure == (None if report.ok else _first_difference(g))
         try:
             expected = _dispatch_public(g)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                check_glue(g)
-            assert str(got.value) == str(exc)
+        except ValueError:
+            assert not inv.ok and not report.ok
+            seen["error"] += 1
             continue
-        report = check_glue(g)[1]
-        assert report.failure == expected
         assert report.ok == (expected is None)
+        seen[report.ok] += 1
+    assert seen == {False: 73, True: 7}
     g = glue(lambda_mh(9, 4), lambda_mh(6, 5), 3)
     short = Glued(lambda_mh(3, 2), g.h, g.a, g.b)
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(ValueError, match="no module at"):
         _dispatch_public(short)
-    with pytest.raises(ValueError, match="no module at") as got:
-        check_glue(short)
-    assert str(got.value) == str(exc.value)
+    assert check_glue(short) == (
+        GlueReport(False, "indecomposable count formula"),
+        GlueReport(False, "dispatch fails at d_1 = 2, glued 5"))
 
 
 def _oracle_pair(g):
@@ -247,11 +258,19 @@ def _oracle_pair(g):
         return str(exc)
 
 
-def _check_glue_or_error(g):
-    try:
-        return check_glue(g)
-    except ValueError as exc:
-        return str(exc)
+def _check_against_oracles(g):
+    """check_glue's reports against the oracles': the same invariants
+    report and the same dispatch flag, a dispatch failure naming the
+    first differing entry, and two failing reports where an oracle
+    raises for an image outside the result.  Returns _oracle_pair(g)."""
+    inv, dis = got = check_glue(g)
+    assert dis.failure == (None if dis.ok else _first_difference(g))
+    want = _oracle_pair(g)
+    if isinstance(want, str):
+        assert not inv.ok and not dis.ok, (want, got)
+    else:
+        assert inv == want[0] and dis.ok == want[1].ok, (want, got)
+    return want
 
 
 def test_check_glue_matches_oracles_on_small_gluings():
@@ -268,9 +287,10 @@ def test_check_glue_matches_oracles_on_small_gluings():
 
 def test_check_glue_matches_oracles_on_every_small_hand_built_result():
     # A and B with at most 4 vertices, every common height, and every L
-    # whose length is within one of m_A + m_B - h: the same pair, or the
-    # same error.  The oracle never reports the two checks that count and
-    # coverage imply, and both its reports pass iff L has glue's entries
+    # whose length is within one of m_A + m_B - h: check_glue agrees with
+    # the oracles as _check_against_oracles says.  The oracle never
+    # reports the two checks that count and coverage imply, and both its
+    # reports pass iff L has glue's entries
     by_m = {m: all_series(m) for m in range(1, 9)}
     series = [K for m in range(1, 5) for K in by_m[m]]
     seen = Counter()
@@ -279,9 +299,7 @@ def test_check_glue_matches_oracles_on_every_small_hand_built_result():
             for h in left_abutment_heights(A) & right_abutment_heights(B):
                 m = A.m + B.m - h
                 for L in (L for k in (m - 1, m, m + 1) for L in by_m.get(k, ())):
-                    g = Glued(L, h, A, B)
-                    want = _oracle_pair(g)
-                    assert _check_glue_or_error(g) == want, (L, h, A, B)
+                    want = _check_against_oracles(Glued(L, h, A, B))
                     if not isinstance(want, str):
                         assert (want[0].ok and want[1].ok) == (
                             L.entries == A.entries[:A.m - h] + B.entries)
@@ -318,9 +336,35 @@ def test_check_glue_builds_no_module_set_or_foundation(monkeypatch):
     assert not listed
 
 
+def test_check_glue_walks_no_module_of_any_result(monkeypatch):
+    # a result other than glue's is decided by its entries too: no kernel
+    # step, no module list and no image validated, so an image outside
+    # the result (the first case) does not raise
+    g = glue(lambda_mh(9, 4), lambda_mh(6, 5), 3)  # 5^2,4^7,3,2,1
+
+    def refuse(*args):
+        raise AssertionError("check_glue walked the modules")
+
+    for name in ("_tau", "_syzygy", "_tau_inv", "_cosyzygy", "_down", "_up"):
+        monkeypatch.setattr(ar, name, refuse)
+    for name in ("all_modules", "check_exists", "exists"):
+        monkeypatch.setattr(KupischSeries, name, refuse)
+    count, cover = "indecomposable count formula", \
+        "phi and psi not jointly surjective"
+    for L, inv, dis in ((lambda_mh(3, 2), count, "d_1 = 2, glued 5"),
+                        (lambda_mh(12, 4), count, "d_1 = 4, glued 5"),
+                        (parse_series("4,5^2,4^6,3,2,1"), cover,
+                         "d_1 = 4, glued 5"),
+                        (lambda_mh(14, 5), count, "d_3 = 5, glued 4")):
+        assert check_glue(Glued(L, g.h, g.a, g.b)) == (
+            GlueReport(False, inv),
+            GlueReport(False, "dispatch fails at " + dis))
+
+
 def test_check_glue_matches_oracles_on_wrong_results():
     # hand-built Glued whose result is a random series of about the right
-    # length: the same pair of reports, or the same error
+    # length: check_glue agrees with the oracles as _check_against_oracles
+    # says, whichever dispatch step the oracle finds failing first
     rng = random.Random(17)
     seen = Counter()
     for _ in range(2000):
@@ -330,9 +374,7 @@ def test_check_glue_matches_oracles_on_wrong_results():
                               right_abutment_heights(B)))
         m = A.m + B.m - h
         L = random_series(rng, m + 1, min_m=max(1, m - 1))
-        g = Glued(L, h, A, B)
-        want = _oracle_pair(g)
-        assert _check_glue_or_error(g) == want, (L, h, A, B)
+        want = _check_against_oracles(Glued(L, h, A, B))
         if isinstance(want, str):
             seen["error"] += 1
         else:
@@ -346,9 +388,8 @@ def test_check_glue_matches_oracles_on_wrong_results():
 
 def test_check_glue_matches_oracles_on_one_entry_changes():
     # every gluing of series with m <= 4, and every series that differs
-    # from its result in one entry: the count fails, so the module scan
-    # names the first dispatch failure, validating each image in L, as the
-    # oracles do
+    # from its result in one entry: the count fails, and so does the
+    # dispatch, at the changed entry, as in the oracles
     series = [K for m in range(1, 5) for K in all_series(m)]
     seen = Counter()
     for A in series:
@@ -364,8 +405,12 @@ def test_check_glue_matches_oracles_on_one_entry_changes():
                         except ValueError:
                             continue
                         g = Glued(L, h, A, B)
-                        want = _oracle_pair(g)
-                        assert _check_glue_or_error(g) == want, (L, h, A, B)
+                        want = _check_against_oracles(g)
+                        assert want[0].failure == \
+                            "indecomposable count formula"
+                        assert check_glue(g)[1].failure == (
+                            f"dispatch fails at d_{k + 1} = {d}, "
+                            f"glued {true[k]}")
                         seen[want[1].failure.split()[0]] += 1
     # a changed entry changes u on one co-diagonal of L, and every
     # co-diagonal is an image: the dispatch always fails, first at a simple
@@ -376,12 +421,12 @@ def test_check_glue_matches_oracles_on_one_entry_changes():
 
 def test_check_glue_dispatch_follows_patched_tables(monkeypatch):
     # a true gluing whose result has one u or v entry moved by one: the
-    # kernel steps on L read the patched table, so the module scan names
-    # the dispatch oracle's first failure, while check_glue, which decides
-    # a true gluing by its entries, keeps its passing dispatch report; with
-    # the three gldims memoized first, both its reports pass even once L's
-    # u and v are all zeros.  The invariants oracle is not compared: it
-    # lists L's modules from u and its arrows from v
+    # kernel steps on L read the patched table, so the dispatch oracle
+    # fails, while check_glue, which decides by the entries, keeps its
+    # passing dispatch report; with the three gldims memoized first, both
+    # its reports pass even once L's u and v are all zeros.  The
+    # invariants oracle is not compared: it lists L's modules from u and
+    # its arrows from v
     series = [K for m in range(1, 5) for K in all_series(m)]
     seen = Counter()
     for A in series:
@@ -391,8 +436,6 @@ def test_check_glue_dispatch_follows_patched_tables(monkeypatch):
                 L = g.result
                 for K in (A, B, L):
                     ar.gldim(K)
-                fa = abutments._check_abutment(A, "left", h)
-                fb = abutments._check_abutment(B, "right", h)
                 for table, first in (("_u", 2), ("_v", 1)):
                     real = getattr(L, table)
                     for k in range(first, len(real)):
@@ -401,8 +444,6 @@ def test_check_glue_dispatch_follows_patched_tables(monkeypatch):
                                 real[k] + d,) + real[k + 1:])
                             want = dispatch_check_oracle(g)
                             assert not want.ok
-                            assert gluing._first_dispatch_failure(
-                                g, fa, fb) == want.failure, (A, B, h, k, d)
                             assert check_glue(g)[1] == GlueReport(True)
                             seen[want.failure.split()[0]] += 1
                     monkeypatch.setattr(L, table, real)
@@ -414,13 +455,11 @@ def test_check_glue_dispatch_follows_patched_tables(monkeypatch):
 @pytest.mark.parametrize("step", ["_tau", "_syzygy", "_tau_inv", "_cosyzygy"])
 def test_check_glue_matches_oracles_with_patched_kernel(monkeypatch, step):
     # a kernel step patched on a true gluing's result, wrong at one module,
-    # ZERO or one step off: check_glue decides a true gluing by its
-    # entries, so its reports stay those of the real kernel, and the module
-    # scan it runs on any other result names the dispatch oracle's failure
+    # ZERO or one step off: the dispatch oracle sees the patch, while
+    # check_glue decides by the entries, so its reports stay those of the
+    # real kernel
     g = glue(lambda_mh(9, 4), lambda_mh(6, 5), 3)
     L, real = g.result, getattr(ar, step)
-    fa = abutments._check_abutment(g.a, "left", g.h)
-    fb = abutments._check_abutment(g.b, "right", g.h)
     want = _oracle_pair(g)
     assert all(r.ok for r in want)
     failures = set()
@@ -429,10 +468,7 @@ def test_check_glue_matches_oracles_with_patched_kernel(monkeypatch, step):
             monkeypatch.setattr(ar, step, lambda K, x, y=y, wrong=wrong:
                                 wrong if K is L and x == y else real(K, x))
             assert check_glue(g) == want, (y, wrong)
-            dis = dispatch_check_oracle(g)
-            assert gluing._first_dispatch_failure(g, fa, fb) == \
-                dis.failure, (y, wrong)
-            failures.add(dis.failure)
+            failures.add(dispatch_check_oracle(g).failure)
     failures.discard(None)
     assert failures and all(f.startswith(step[1:] + " ") for f in failures)
 
@@ -441,11 +477,10 @@ def test_check_glue_tau_invariant_goes_on_after_a_dispatch_failure(
         monkeypatch):
     # the oracles, with cosyzygy patched at the first A-module's image and
     # L's translation missing the last B-module whose tau is not ZERO,
-    # report both failures.  check_glue reads neither: the entries decide a
-    # true gluing, so both its reports pass, and the scan it runs on any
-    # other result names the cosyzygy failure.  With a moved v entry of L
-    # the scan names the oracle's dispatch failure, while check_glue keeps
-    # the passing dispatch and goes on to the gldim bound
+    # report both failures.  check_glue reads neither: the entries decide,
+    # so both its reports pass.  With a moved v entry of L the dispatch
+    # oracle fails, while check_glue keeps the passing dispatch and goes
+    # on to the gldim bound
     g = glue(lambda_mh(9, 4), lambda_mh(6, 5), 3)
     L, translation, cosyzygy = g.result, ar._translation, ar._cosyzygy
     first = g.phi(g.a.all_modules()[0])
@@ -458,18 +493,13 @@ def test_check_glue_tau_invariant_goes_on_after_a_dispatch_failure(
     assert inv.failure == f"tau not preserved at {last}"
     assert dis.failure == f"cosyzygy dispatch fails at phi{(1, 1)}"
     assert check_glue(g) == (GlueReport(True), GlueReport(True))
-    fa = abutments._check_abutment(g.a, "left", g.h)
-    fb = abutments._check_abutment(g.b, "right", g.h)
-    assert gluing._first_dispatch_failure(g, fa, fb) == dis.failure
     monkeypatch.undo()
 
     real_gldim, v, k = ar.gldim, L._v, first[0]
     monkeypatch.setattr(L, "_v", v[:k] + (v[k] - 1,) + v[k + 1:])
     monkeypatch.setattr(ar, "gldim", lambda K: real_gldim(K) + 10
                         if K is L else real_gldim(K))
-    dis = dispatch_check_oracle(g)
-    assert not dis.ok
-    assert gluing._first_dispatch_failure(g, fa, fb) == dis.failure
+    assert not dispatch_check_oracle(g).ok
     inv, dis = check_glue(g)
     assert inv.failure.startswith("gldim bound violated")
     assert dis == GlueReport(True)

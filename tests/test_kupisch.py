@@ -98,6 +98,15 @@ def test_lambda_mh():
             linear_quiver_algebra(h)
 
 
+def test_lambda_mh_refuses_a_size_that_is_not_an_integer():
+    # refused by name, True included, where it was an unnamed TypeError or
+    # True was taken for 1
+    for m, h, name in ((2.0, 2, "m"), (3, 2.0, "h"), (True, 1, "m"),
+                       (3, True, "h")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            lambda_mh(m, h)
+
+
 def test_module_exists():
     glued = parse_series("5,5,4^7,3,2,1")
     assert glued.exists((7, 5))

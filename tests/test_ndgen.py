@@ -130,6 +130,19 @@ def test_supported():
     assert supported(1, 5)
 
 
+def test_construct_refuses_a_pair_that_is_not_of_integers(monkeypatch):
+    # no pair but of ints is supported, True included, so construct
+    # refuses it before it builds any series
+    def refuse(runs):
+        raise AssertionError("construct built a series")
+
+    monkeypatch.setattr("nakayama.ndgen._expand", refuse)
+    for n, d in ((2.0, 5), (3, 4.0), (True, 3), (3, True), (3.0, 3.0)):
+        assert not supported(n, d)
+        with pytest.raises(ValueError, match="is not supported$"):
+            construct(n, d)
+
+
 def test_realised_pairs_are_supported_at_m_up_to_9():
     # every acyclic Nakayama algebra on at most 9 vertices (2,056
     # series): each pair (n, d) with 2 <= n < d, d its global dimension,

@@ -81,6 +81,14 @@ def test_unknown_format_refused():
         render(lambda_mh(3, 2), RenderSpec(format="svg"))
 
 
+def test_unknown_labels_refused():
+    # a mode that is none of coords, dims and none is refused, not drawn
+    # as "none"
+    for fmt in ("ascii", "dot", "tikz", "json"):
+        with pytest.raises(ValueError, match="unknown labels 'Dims'"):
+            render(lambda_mh(3, 2), RenderSpec(format=fmt, labels="Dims"))
+
+
 def test_no_highlight_iterates_the_vertices_once(monkeypatch):
     # render builds no quiver and lists no module: each format reads the
     # rows of the series at most once, and never ar_quiver or all_modules
