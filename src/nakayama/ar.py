@@ -11,9 +11,10 @@ Everything reduces to coordinate arithmetic:
 * the higher translations compose n-1 (co)syzygies with tau.
 
 One fused loop per direction walks a (co)syzygy chain and applies the
-translate to its end in the same call; the higher translates, pd, idim
-and the checker of nakayama.cluster all use it.  The single steps are
-one-line formulas.  The zero module absorbs every operation.
+translate to its end in the same call; tau and tau_inv are its walks of
+length 0, and the higher translates, pd, idim and the checker of
+nakayama.cluster use it too.  syzygy and cosyzygy are one-line formulas
+after their validation.  The zero module absorbs every operation.
 """
 
 from __future__ import annotations
@@ -23,31 +24,8 @@ from typing import Dict, NamedTuple, Tuple
 from .kupisch import ZERO, Coord, KupischSeries, _check_int, coord_to_json
 
 
-# The private steps and walks trust their argument: a nonzero coordinate
-# of a module over K.  The public functions validate it once.
-
-def _tau(K: KupischSeries, x):
-    i, j = x
-    return ZERO if j == K._u[i + j] else (i - 1, j)
-
-
-def _tau_inv(K: KupischSeries, x):
-    i, j = x
-    return ZERO if j == K._v[i] else (i + 1, j)
-
-
-def _syzygy(K: KupischSeries, x):
-    i, j = x
-    s = i + j
-    us = K._u[s]
-    return ZERO if j == us else (s - us, us - j)
-
-
-def _cosyzygy(K: KupischSeries, x):
-    i, j = x
-    vi = K._v[i]
-    return ZERO if j == vi else (i + j, vi - j)
-
+# The walks trust their argument: a nonzero coordinate of a module over
+# K.  The public functions validate it once.
 
 def _down(K: KupischSeries, x, limit: int):
     """tau of the end of a walk of up to limit syzygies from x, and the
@@ -84,22 +62,31 @@ def _check_order(n: int):
 
 def tau(K: KupischSeries, x):
     """Auslander-Reiten translate; ZERO on projectives."""
-    return ZERO if x is ZERO else _tau(K, K.check_exists(x))
+    return ZERO if x is ZERO else _down(K, K.check_exists(x), 0)[0]
 
 
 def tau_inv(K: KupischSeries, x):
     """Inverse translate; ZERO on injectives."""
-    return ZERO if x is ZERO else _tau_inv(K, K.check_exists(x))
+    return ZERO if x is ZERO else _up(K, K.check_exists(x), 0)[0]
 
 
 def syzygy(K: KupischSeries, x):
     """Kernel of the projective cover; ZERO on projectives."""
-    return ZERO if x is ZERO else _syzygy(K, K.check_exists(x))
+    if x is ZERO:
+        return ZERO
+    i, j = K.check_exists(x)
+    s = i + j
+    us = K._u[s]
+    return ZERO if j == us else (s - us, us - j)
 
 
 def cosyzygy(K: KupischSeries, x):
     """Cokernel of the injective envelope; ZERO on injectives."""
-    return ZERO if x is ZERO else _cosyzygy(K, K.check_exists(x))
+    if x is ZERO:
+        return ZERO
+    i, j = K.check_exists(x)
+    vi = K._v[i]
+    return ZERO if j == vi else (i + j, vi - j)
 
 
 def tau_n(K: KupischSeries, n: int, x):
@@ -182,7 +169,7 @@ def _arrows(K: KupischSeries):
 
 def _translation(K: KupischSeries):
     """The pairs (x, tau x) of the nonprojectives x, in sorted order:
-    _tau's rule, read along the diagonals."""
+    _down's rule at length 0, read along the diagonals."""
     u, v = K._u, K._v
     for i in range(1, K.m + 1):
         for j in range(1, v[i] + 1):

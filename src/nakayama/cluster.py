@@ -293,6 +293,7 @@ def compatibility_check(a_side: Tuple[KupischSeries, Fracture],
     KB, TB = b_side
     if TA.side != "left" or TB.side != "right":
         raise ValueError("expected a left fracture on A and a right on B")
+    _check_int("abutment height", h)
     if h > TA.height or h > TB.height:
         raise ValueError(f"glue height {h} exceeds a fracture height")
     abutments._check_abutment(KA, "left", h)
@@ -489,10 +490,10 @@ def complete_slice(h: int, slice_coords, n: int, side: str):
     trace: List[CompletionStep] = []
 
     # every slice is tilting and slice_indices validated this one, so the
-    # completed fracture is built after an O(1) check of its abutment
+    # completed fracture is built unchecked: the final check_fractured
+    # refuses one that is off the maximal abutment
     if side == "right":
         K = _complete_right_series(h, indices, n, trace)
-        abutments._check_abutment(K, "left", h)
         tl = tilting._fracture(K, "left", h,
                                sorted(tilting.slice_from_indices(indices)))
         F = Fracturing(tl, tilting.injective_fracture(K))
@@ -502,9 +503,8 @@ def complete_slice(h: int, slice_coords, n: int, side: str):
         K = Kr.opposite()
         trace.append(CompletionStep(
             "base", result=K, note="mirror of the completed dual slice"))
-        s = abutments._check_abutment(K, "right", h)
         tr = tilting._fracture(K, "right", h, sorted(
-            (i + s, j) for i, j in tilting.slice_from_indices(indices)))
+            (i + K.m - h, j) for i, j in tilting.slice_from_indices(indices)))
         F = Fracturing(tilting.projective_fracture(K), tr)
 
     # the completed side carries the canonical fracture, maximal and of

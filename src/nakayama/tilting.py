@@ -23,7 +23,7 @@ from functools import cache
 from typing import List, NamedTuple, Tuple
 
 from . import abutments
-from .kupisch import ZERO, Coord, KupischSeries, coord_to_json
+from .kupisch import ZERO, Coord, KupischSeries, _check_int, coord_to_json
 
 
 def _check_ka_coord(h: int, x: Coord):
@@ -42,6 +42,7 @@ def is_tilting(h: int, coords) -> bool:
     Sorted by i ascending and s descending, each arc comes after every
     arc that encloses it; a stack holds the ends s of the arcs enclosing
     the current one, innermost on top.  One sort and one pass: O(h log h)."""
+    _check_int("height", h)
     coords = list(coords)
     for x in coords:
         _check_ka_coord(h, x)
@@ -66,6 +67,7 @@ def enumerate_tilting(h: int) -> List[Tuple[Coord, ...]]:
     covering them all, with, for one position c, a tilting module on
     a..c-1 and one on c+1..b.  Each interval's list is built once; the
     summands are kept as (j, i) for the sort."""
+    _check_int("height", h)
     if h < 0:
         raise ValueError(f"height must be >= 0, got {h}")
 
@@ -100,6 +102,7 @@ def slice_indices(h: int, coords) -> Tuple[int, ...]:
     one (i_k, k) of each length k, with i_h = 1 and i_k in
     {i_{k+1}, i_{k+1} + 1}.  Raises ValueError otherwise, naming a
     summand that is no module coordinate for height h."""
+    _check_int("height", h)
     coords = list(coords)
     for x in coords:
         _check_ka_coord(h, x)

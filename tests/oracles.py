@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 from nakayama import abutments, ar
 from nakayama.abutments import foundation
-from nakayama.ar import ARQuiver, _tau
+from nakayama.ar import ARQuiver
 from nakayama.cluster import CompatReport, check_nct
 from nakayama.gluing import Glued, GlueReport, glue
 from nakayama.kupisch import ZERO, Coord, KupischSeries, lambda_mh
@@ -577,26 +577,21 @@ def dispatch_check_oracle(g: Glued) -> GlueReport:
     * tau_inv and cosyzygy of a B-module outside the overlap, and of any
       A-module, likewise.
 
-    Each component coordinate and its image are validated once; the
-    comparisons then use the trusted steps of the kernel.
+    The comparisons use the public steps, which validate each argument,
+    so an image outside L raises.
     """
     A, B, L = g.a, g.b, g.result
     overlap_a = set(abutments.foundation(A, "left", g.h))
     overlap_b = set(abutments.foundation(B, "right", g.h))
-    shift = B.m - g.h
-
-    def lift(z):  # phi on a kernel result, which needs no validation
-        return ZERO if z is ZERO else (z[0] + shift, z[1])
-
-    down = (("tau", ar._tau), ("syzygy", ar._syzygy))
-    up = (("tau_inv", ar._tau_inv), ("cosyzygy", ar._cosyzygy))
+    down = (("tau", ar.tau), ("syzygy", ar.syzygy))
+    up = (("tau_inv", ar.tau_inv), ("cosyzygy", ar.cosyzygy))
     for x in A.all_modules():
-        y = L.check_exists(g.phi(x))
+        y = g.phi(x)
         for name, step in up if x in overlap_a else down + up:
-            if step(L, y) != lift(step(A, x)):
+            if step(L, y) != g.phi(step(A, x)):
                 return GlueReport(False, f"{name} dispatch fails at phi{x}")
     for x in B.all_modules():
-        y = L.check_exists(g.psi(x))
+        y = g.psi(x)
         for name, step in down if x in overlap_b else down + up:
             if step(L, y) != step(B, x):
                 return GlueReport(False, f"{name} dispatch fails at psi{x}")
@@ -818,7 +813,7 @@ def ar_quiver_oracle(K: KupischSeries) -> ARQuiver:
             arrows.append(((i, j), (i, j + 1)))
         if (i + 1, j - 1) in vset:
             arrows.append(((i, j), (i + 1, j - 1)))
-    translation = {x: y for x in verts if (y := _tau(K, x)) is not ZERO}
+    translation = {x: y for x in verts if (y := ar.tau(K, x)) is not ZERO}
     return ARQuiver(tuple(verts), tuple(sorted(arrows)), translation)
 
 

@@ -396,6 +396,15 @@ def test_compatibility_check_refuses_sides_and_heights():
     with pytest.raises(ValueError,
                        match="glue height 5 exceeds a fracture height"):
         compatibility_check((A, FA.TL), (B, FB.TR), 5)
+    # h is checked before it is compared with the fracture heights, after
+    # the sides
+    for h in ("2", 2.0, True, None):
+        with pytest.raises(ValueError, match=rf"^abutment height must be an "
+                                             rf"integer, got {h!r}$"):
+            compatibility_check((A, FA.TL), (B, FB.TR), h)
+    with pytest.raises(ValueError,
+                       match="expected a left fracture on A and a right on B"):
+        compatibility_check((A, FA.TR), (B, FB.TL), "2")
 
 
 def test_classify_sides_refuses_a_failing_verdict():
@@ -919,12 +928,15 @@ def test_complete_slice_builds_the_fracture_without_is_tilting(monkeypatch):
 
 
 def test_complete_slice_raises_without_the_abutment(monkeypatch):
-    # a completion lacking the height-h abutment is a construction bug
+    # a completion lacking the height-h abutment is a construction bug,
+    # which the final check_fractured refuses: the completed fracture is
+    # off the maximal abutment
     monkeypatch.setattr(cluster, "_complete_right_series",
                         lambda h, indices, n, trace: lambda_mh(5, 2))
     for side, other in (("right", "left"), ("left", "right")):
-        with pytest.raises(ValueError,
-                           match=f"no {other} abutment of height 3"):
+        with pytest.raises(ValueError, match=f"^{other} fracture must sit "
+                                             f"at the maximal {other} "
+                                             f"abutment$"):
             complete_slice(3, [(1, 1), (1, 2), (1, 3)], 2, side)
 
 

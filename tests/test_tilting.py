@@ -210,6 +210,22 @@ def test_a_slice_summand_that_is_no_coordinate_is_named():
         slice_indices(3, [(1, 1), (2, 1), (1, 3)])
 
 
+def test_a_height_that_is_no_integer_is_named():
+    # each checks h before any work: a float or a bool is not read as the
+    # integer it equals
+    coords = [(1, 1), (1, 2)]
+    for h in (2.0, True, "2", None):
+        msg = rf"^height must be an integer, got {re.escape(repr(h))}$"
+        with pytest.raises(ValueError, match=msg):
+            is_tilting(h, coords)
+        with pytest.raises(ValueError, match=msg):
+            slice_indices(h, coords)
+        with pytest.raises(ValueError, match=msg):
+            enumerate_tilting(h)
+        # is_slice says whether slice_indices accepts the arguments
+        assert not is_slice(h, coords)
+
+
 def test_slice_indices_round_trip():
     for h in range(1, 7):
         for s in enumerate_slices(h):
