@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Set
 
-from .kupisch import ZERO, Coord, KupischSeries, _check_int
+from .kupisch import Coord, KupischSeries, _check_int, _is_coord
 
 
 def left_abutment_heights(K: KupischSeries) -> Set[int]:
@@ -74,8 +74,8 @@ def footing_to_ka(K: KupischSeries, side: str, h: int, x: Coord) -> Coord:
     Costs O(1): the foundation triangle is tested by its inequalities,
     not by building the foundation."""
     s = _check_abutment(K, side, h)
-    if x is ZERO or not (x[0] - s >= 1 and x[1] >= 1
-                         and x[0] - s + x[1] <= h + 1):
+    if not (_is_coord(x) and x[0] - s >= 1 and x[1] >= 1
+            and x[0] - s + x[1] <= h + 1):
         raise ValueError(f"{x} not in the {side} foundation of height {h}")
     return (x[0] - s, x[1])
 

@@ -114,23 +114,35 @@ def idim(K: KupischSeries, x) -> int:
 
 def gldim(K: KupischSeries) -> int:
     """Global dimension: the largest projective dimension of a simple
-    module (always finite).  The syzygy of (s - j, j) lies on co-diagonal
-    s - j < s, so one pass over the co-diagonals fills in every
-    projective dimension, and the simple (s - 1, 1) on co-diagonal s is
-    the first of its row.  The value is memoized on the series, which
-    is immutable."""
+    module (always finite), in one O(m) pass.  With f(j) = j + d_j, the
+    module with top a and socle b - 1 has syzygy (b, f(a)), so pd S_j is
+    the distance from j to j + 1 in the tree j -> f(j), rooted at m + 1,
+    less one.  f never decreases, so each depth is an interval.  For j + 1
+    of j's depth, M[j] is the number of steps before j and j + 1 meet: 1
+    if f(j) = f(j + 1), else 1 + the largest M on f(j)..f(j + 1) - 1, and
+    pd S_j = 2 M[j] - 1.  For the last j of a depth, f(j) meets j + 1
+    after the largest M on j + 1..f(j) - 1 steps, and pd S_j is twice
+    that.  So one descending pass fills M.  The value is memoized on the
+    series, which is immutable."""
     if K._gldim is not None:
         return K._gldim
-    u = K._u
-    pds = [[0], [0]]  # pds[s][j - 1]: pd of (s - j, j), 0 at j = u(s)
+    m = K.m
+    M = [0] * (m + 1)
+    # top: the first vertex of the depth above j + 1's; fk: f(j + 1)
+    top = fk = m + 2
     g = 0
-    for s in range(2, K.m + 2):
-        us = u[s]
-        row = [pds[s - j][us - j - 1] + 1 for j in range(1, us)]
-        row.append(0)
-        if row[0] > g:
-            g = row[0]
-        pds.append(row)
+    for j, d in zip(range(m, 0, -1), reversed(K.entries)):
+        fj = j + d
+        if fj < top:  # j + 1 starts a depth, and f(j) is on it
+            top = j + 1
+            pd = 2 * max(M[top:fj]) if fj > top else 0
+        else:  # f(j) + 1 = f(j + 1) is the common case: no slice
+            M[j] = k = (1 if fj == fk else M[fj] + 1 if fj + 1 == fk
+                        else max(M[fj:fk]) + 1)
+            pd = 2 * k - 1
+        if pd > g:
+            g = pd
+        fk = fj
     K._gldim = g
     return g
 

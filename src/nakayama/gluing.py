@@ -51,15 +51,20 @@ class Glued(NamedTuple):
         }
 
 
+def _glued_entries(B: KupischSeries, A: KupischSeries, h: int):
+    """The gluing formula: A's entries without the last h, then B's,
+    once both abutments are checked."""
+    abutments._check_abutment(A, "left", h)
+    abutments._check_abutment(B, "right", h)
+    return A.entries[:A.m - h] + B.entries
+
+
 def glue(B: KupischSeries, A: KupischSeries, h: int) -> Glued:
     """Glue B (right abutment of height h) below A (left abutment of
     height h).  The argument order matches the quiver: A's vertices come
     first, B's last, and A's staircase tail of height h merges into B's
     initial segment."""
-    abutments._check_abutment(A, "left", h)
-    abutments._check_abutment(B, "right", h)
-    entries = A.entries[:A.m - h] + B.entries
-    return Glued(KupischSeries(entries), h, A, B)
+    return Glued(KupischSeries(_glued_entries(B, A, h)), h, A, B)
 
 
 class GlueReport(NamedTuple):
@@ -71,44 +76,18 @@ class GlueReport(NamedTuple):
 
 
 def check_glue(g: Glued) -> Tuple[GlueReport, GlueReport]:
-    """Both reports of a gluing, (invariants, dispatch), each with its
-    first failure.  Invariants: |Ind L| = |Ind A| + |Ind B| - h(h+1)/2,
-    phi/psi jointly surjective, and max(gldim A, gldim B) <= gldim L <=
-    gldim A + gldim B.  Dispatch: computed in the component, tau and
-    syzygy agree with L's except on A's overlap, tau_inv and cosyzygy
-    except on B's.
-
-    The count and coverage together, and the dispatch, hold iff L has
-    glue's entries, A's without its last h followed by B's; only then is
-    the gldim bound checked.  Let L* = glue(B, A, h), t = m_B - h: u_L*
-    is u_B on co-diagonals 2..m_B + 1 and u_A(s - t) above them, and on
-    the overlap u_A(s - t) = s - t - 1 <= u_B(s), as d_1 >= h.
-    Co-diagonal s holds the lengths 1..u(s), so coverage says u_L >=
-    u_L* on 2..m_L* + 1 with m_L >= m_L*; the count says sum u_L =
-    sum u_L* (A's last h entries are h..1), and a further co-diagonal
-    adds 1 or more.  Dispatch compares tau, ZERO exactly on projectives,
-    on B's modules and A's outside its overlap, which fill co-diagonals
-    2..m_L* + 1; a co-diagonal's projective is its longest module, so
-    u_L = u_L* there.  It compares tau_inv on A's injective source simple
-    (m_A, 1), whose image (m_L*, 1) is not injective if m_L > m_L*, as
-    u_L(m_L* + 2) >= 2; if m_L < m_L*, some image lies outside L.  A
-    failing dispatch names the first differing entry, which exists as
-    only d_m is 1: no series is a proper prefix of another.
-
-    Not run: what the count and coverage imply (the images overlap in
-    the identified foundations, add no arrow, carry tau to tau) and what
-    the coordinates make true (phi and psi are injective and keep the
-    arrow rule; each series has one simple projective and one injective).
-    """
-    A, B, L, h = g.a, g.b, g.result, g.h
-    glued = glue(B, A, h).result.entries
+    """Both reports of a gluing that glue built, (invariants, dispatch);
+    any other result is refused at its first entry that differs from
+    glue's.  On glue's result the count, the coverage and the dispatch
+    all hold, so the dispatch report passes and the invariants report is
+    the bound max(gldim A, gldim B) <= gldim L <= gldim A + gldim B."""
+    A, B, L = g.a, g.b, g.result
+    glued = _glued_entries(B, A, g.h)
     if L.entries != glued:
-        count = sum(A.entries) + sum(B.entries) - h * (h + 1) // 2
-        inv = ("indecomposable count formula" if sum(L.entries) != count
-               else "phi and psi not jointly surjective")
+        # only d_m is 1, so no series is a proper prefix of another
         k = next(k for k, d in enumerate(glued) if L.entries[k] != d)
-        dis = f"dispatch fails at d_{k + 1} = {L.entries[k]}, glued {glued[k]}"
-        return GlueReport(False, inv), GlueReport(False, dis)
+        raise ValueError(f"not the gluing of its components: "
+                         f"d_{k + 1} = {L.entries[k]}, glued {glued[k]}")
     da, db, dl = ar.gldim(A), ar.gldim(B), ar.gldim(L)
     inv = (None if max(da, db) <= dl <= da + db
            else f"gldim bound violated: {da}, {db} vs {dl}")

@@ -34,6 +34,19 @@ def _check_int(name: str, value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_index(name: str, value, lo: int, hi: int) -> int:
+    _check_int(name, value)
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} {value} out of range {lo}..{hi}")
+    return value
+
+
+def _is_coord(x) -> bool:
+    """A coordinate is a pair of ints; bool is refused."""
+    return (type(x) is tuple and len(x) == 2
+            and type(x[0]) is int and type(x[1]) is int)
+
+
 class KupischError(ValueError):
     """Rejected Kupisch series, carrying a named violation."""
 
@@ -134,17 +147,18 @@ class KupischSeries:
 
     def u(self, s: int) -> int:
         """Maximal module length on co-diagonal i + j = s (2 <= s <= m+1)."""
-        return self._u[s]
+        return self._u[_check_index("co-diagonal", s, 2, self.m + 1)]
 
     def v(self, i: int) -> int:
         """Maximal module length on diagonal i (1 <= i <= m)."""
-        return self._v[i]
+        return self._v[_check_index("diagonal", i, 1, self.m)]
 
     # -- module coordinates ------------------------------------------------
 
     def exists(self, coord) -> bool:
-        """True iff the coordinate names a nonzero indecomposable module."""
-        if coord is ZERO:
+        """True iff the coordinate, a pair of ints, names a nonzero
+        indecomposable module."""
+        if not _is_coord(coord):
             return False
         i, j = coord
         if i < 1 or j < 1 or i + j > self.m + 1:
@@ -174,11 +188,11 @@ class KupischSeries:
 
     def is_projective(self, coord) -> bool:
         i, j = self.check_exists(coord)
-        return j == self.u(i + j)
+        return j == self._u[i + j]
 
     def is_injective(self, coord) -> bool:
         i, j = self.check_exists(coord)
-        return j == self.v(i)
+        return j == self._v[i]
 
     def top_vertex(self, coord) -> int:
         i, j = self.check_exists(coord)
@@ -194,8 +208,8 @@ class KupischSeries:
         top = self.m - i - j + 2
         soc = self.m - i + 1
         return {
-            "projective": j == self.u(i + j),
-            "injective": j == self.v(i),
+            "projective": j == self._u[i + j],
+            "injective": j == self._v[i],
             "top": top,
             "socle": soc,
             "support": (top, soc),
@@ -204,17 +218,13 @@ class KupischSeries:
 
     def projective_at(self, vertex: int) -> Coord:
         """The indecomposable projective with top at the given vertex."""
-        if not 1 <= vertex <= self.m:
-            raise ValueError(f"vertex {vertex} out of range")
-        d = self.entries[vertex - 1]
+        d = self.entries[_check_index("vertex", vertex, 1, self.m) - 1]
         return (self.m - vertex + 2 - d, d)
 
     def injective_at(self, vertex: int) -> Coord:
         """The indecomposable injective with socle at the given vertex."""
-        if not 1 <= vertex <= self.m:
-            raise ValueError(f"vertex {vertex} out of range")
-        i = self.m - vertex + 1
-        return (i, self.v(i))
+        i = self.m + 1 - _check_index("vertex", vertex, 1, self.m)
+        return (i, self._v[i])
 
     def projectives(self):
         """The projectives, one on each co-diagonal, in sorted order: the
@@ -249,7 +259,7 @@ class KupischSeries:
 
     def opposite(self) -> "KupischSeries":
         """The opposite algebra: entries are the injective length profile."""
-        return KupischSeries([self.v(i) for i in range(1, self.m + 1)])
+        return KupischSeries(self._v[1:])
 
     def dual_coord(self, coord):
         """Coordinate of the dual module over the opposite algebra."""

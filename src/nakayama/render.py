@@ -31,16 +31,9 @@ class RenderSpec(NamedTuple):
 _LABELS = {"coords": "({0},{1})", "dims": "{1}", "none": "*"}
 
 
-def _absent(K: KupischSeries, x) -> bool:
-    try:
-        return not K.exists(x)
-    except (TypeError, ValueError):  # not a pair of integers
-        return True
-
-
 def render(K: KupischSeries, spec: RenderSpec = RenderSpec()) -> str:
     """The AR quiver of K in the spec's format, label mode and highlights."""
-    bad = [h for h in spec.highlight if _absent(K, h)]
+    bad = [h for h in spec.highlight if not K.exists(h)]
     if bad:
         raise ValueError(f"highlighted vertices not in the quiver: {bad}")
     emit, label = _FORMATS.get(spec.format), _LABELS.get(spec.labels)

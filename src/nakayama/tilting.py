@@ -23,16 +23,12 @@ from functools import cache
 from typing import List, NamedTuple, Tuple
 
 from . import abutments
-from .kupisch import ZERO, Coord, KupischSeries, _check_int, coord_to_json
+from .kupisch import ZERO, Coord, KupischSeries, _check_int, _is_coord, \
+    coord_to_json
 
 
 def _check_ka_coord(h: int, x: Coord):
-    try:
-        i, j = x
-        ok = i >= 1 and j >= 1 and i + j <= h + 1
-    except (TypeError, ValueError):  # ZERO, or not a pair of integers
-        ok = False
-    if not ok:
+    if not (_is_coord(x) and x[0] >= 1 and x[1] >= 1 and sum(x) <= h + 1):
         raise ValueError(f"{x} is not a module coordinate for height {h}")
 
 
@@ -157,9 +153,11 @@ def is_fracture(K: KupischSeries, side: str, h: int, coords) -> Fracture:
     abutment, as the footing decides, and become a basic tilting module
     under it.  Raises ValueError otherwise."""
     coords = list(coords)
-    if ZERO in coords:
-        raise ValueError(f"the zero module is not a summand of a {side} "
-                         f"fracture of height {h}")
+    for x in coords:
+        if not _is_coord(x):  # ZERO, or no pair of ints: the sort may fail
+            x = "the zero module" if x is ZERO else repr(x)
+            raise ValueError(f"{x} is not a summand of a {side} fracture "
+                             f"of height {h}")
     # checked here too, as an empty fracture is never footed
     abutments._check_abutment(K, side, h)
     coords.sort()

@@ -509,10 +509,9 @@ def pushout_matches(glued) -> bool:
 
 
 # -- the two gluing checkers that nakayama.gluing.check_glue replaced -------
-# Kept as they were in the library: where they return, check_glue must
-# give the same invariants report and the same dispatch flag (its dispatch
-# failure names the first differing entry, not a module); where they raise
-# for an image outside the result, check_glue fails both reports.
+# Kept as they were in the library: on a result that glue built, check_glue
+# must give both their reports; any other result check_glue refuses, while
+# these still report it, or raise for an image outside the result.
 
 
 def check_glue_invariants_oracle(g: Glued) -> GlueReport:

@@ -1,5 +1,6 @@
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -260,6 +261,20 @@ def test_gldim_memo_is_invisible():
         assert K == fresh and hash(K) == hash(fresh)
         back = pickle.loads(pickle.dumps(K))
         assert back == K and back._gldim == g and gldim(back) == g
+
+
+def test_gldim_memory_is_linear_in_m():
+    # one pass over the tree j -> j + d_j keeps one int per vertex; a pd
+    # row per co-diagonal would hold |Ind| = 3,980,100 ints (33 MB traced)
+    K = lambda_mh(20000, 200)
+    tracemalloc.start()
+    try:
+        g = gldim(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == 199
+    assert peak < 4 * 2**20, peak
 
 
 def test_ar_quiver():

@@ -52,10 +52,14 @@ def test_glue_height_errors():
     ([2, 1], 0, "no left abutment of height 0"),
 ])
 def test_glue_refusal_names_the_abutment(a, h, message):
-    # glue tests h by the O(1) abutment rule, which names the refusal
-    with pytest.raises(ValueError) as exc:
-        glue(KupischSeries([2, 1]), KupischSeries(a), h)
-    assert str(exc.value) == f"{message} on KupischSeries([2, 1])"
+    # glue tests h by the O(1) abutment rule, which names the refusal,
+    # and check_glue reads the gluing formula through the same checks
+    B, A = KupischSeries([2, 1]), KupischSeries(a)
+    for build in (lambda: glue(B, A, h),
+                  lambda: check_glue(Glued(B, h, A, B))):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == f"{message} on KupischSeries([2, 1])"
 
 
 def test_glue_worked_chain_counts():
@@ -162,14 +166,33 @@ def test_embeddings_injective_foundations_identified_arrows_kept():
                     {g.psi(x) for x in foundation(B, "right", h)}
 
 
+def _refusal(g):
+    """check_glue's refusal of a result other than glue's: the first
+    entry where the two differ, with both values."""
+    L, G = g.result.entries, glue(g.b, g.a, g.h).result.entries
+    k = next(k for k, (d, e) in enumerate(zip(L, G)) if d != e)
+    return f"not the gluing of its components: d_{k + 1} = {L[k]}, " \
+        f"glued {G[k]}"
+
+
+def _assert_refused(g):
+    with pytest.raises(ValueError) as exc:
+        check_glue(g)
+    assert str(exc.value) == _refusal(g)
+
+
 def test_invariant_failures_on_wrong_results():
+    # the invariants oracle names the count or the coverage, and
+    # check_glue refuses both results at d_1
     g = glue(lambda_mh(9, 4), lambda_mh(6, 5), 3)  # 5^2,4^7,3,2,1
     for L, failure in (
             (lambda_mh(12, 4), "indecomposable count formula"),
             (parse_series("4,5^2,4^6,3,2,1"),  # same count, other modules
              "phi and psi not jointly surjective")):
-        report = check_glue(Glued(L, g.h, g.a, g.b))[0]
-        assert not report.ok and report.failure == failure
+        wrong = Glued(L, g.h, g.a, g.b)
+        assert check_glue_invariants_oracle(wrong).failure == failure
+        _assert_refused(wrong)
+        assert _refusal(wrong).endswith("d_1 = 4, glued 5")
 
 
 def test_check_glue_validates_each_module_once(monkeypatch):
@@ -206,19 +229,12 @@ def _dispatch_public(g):
     return None
 
 
-def _first_difference(g):
-    """The dispatch failure of a result other than glue's: the first
-    entry where it differs, with both values."""
-    L, G = g.result.entries, glue(g.b, g.a, g.h).result.entries
-    k = next(k for k, (d, e) in enumerate(zip(L, G)) if d != e)
-    return f"dispatch fails at d_{k + 1} = {L[k]}, glued {G[k]}"
-
-
 def test_dispatch_failures_on_wrong_results():
     # a Glued whose result is some other series of the right length: the
-    # dispatch passes iff the public kernel's does, and a failure names
-    # the first differing entry; where the public kernel raises for an
-    # image outside the result, both reports fail
+    # public kernel's dispatch passes iff the result has glue's entries,
+    # where check_glue's dispatch report passes; check_glue refuses any
+    # other result at the first differing entry, and so one whose images
+    # the public kernel raises for, as outside the result
     rng = random.Random(19)
     seen = Counter()
     for _ in range(80):
@@ -229,24 +245,26 @@ def test_dispatch_failures_on_wrong_results():
         m = A.m + B.m - h
         L = random_series(rng, m, min_m=m)
         g = Glued(L, h, A, B)
-        inv, report = check_glue(g)
-        assert report.failure == (None if report.ok else _first_difference(g))
+        glued = L == glue(B, A, h).result
+        if glued:
+            assert check_glue(g)[1] == GlueReport(True)
+        else:
+            _assert_refused(g)
         try:
             expected = _dispatch_public(g)
         except ValueError:
-            assert not inv.ok and not report.ok
+            assert not glued
             seen["error"] += 1
             continue
-        assert report.ok == (expected is None)
-        seen[report.ok] += 1
+        assert glued == (expected is None)
+        seen[glued] += 1
     assert seen == {False: 73, True: 7}
     g = glue(lambda_mh(9, 4), lambda_mh(6, 5), 3)
     short = Glued(lambda_mh(3, 2), g.h, g.a, g.b)
     with pytest.raises(ValueError, match="no module at"):
         _dispatch_public(short)
-    assert check_glue(short) == (
-        GlueReport(False, "indecomposable count formula"),
-        GlueReport(False, "dispatch fails at d_1 = 2, glued 5"))
+    _assert_refused(short)
+    assert _refusal(short).endswith("d_1 = 2, glued 5")
 
 
 def _oracle_pair(g):
@@ -259,17 +277,14 @@ def _oracle_pair(g):
 
 
 def _check_against_oracles(g):
-    """check_glue's reports against the oracles': the same invariants
-    report and the same dispatch flag, a dispatch failure naming the
-    first differing entry, and two failing reports where an oracle
-    raises for an image outside the result.  Returns _oracle_pair(g)."""
-    inv, dis = got = check_glue(g)
-    assert dis.failure == (None if dis.ok else _first_difference(g))
+    """check_glue against the oracles: the oracles' reports where the
+    result has glue's entries, and otherwise the refusal at the first
+    differing entry, with no report.  Returns _oracle_pair(g)."""
     want = _oracle_pair(g)
-    if isinstance(want, str):
-        assert not inv.ok and not dis.ok, (want, got)
+    if g.result == glue(g.b, g.a, g.h).result:
+        assert check_glue(g) == want
     else:
-        assert inv == want[0] and dis.ok == want[1].ok, (want, got)
+        _assert_refused(g)
     return want
 
 
@@ -289,10 +304,25 @@ def test_check_glue_matches_oracles_on_every_small_hand_built_result():
     # A and B with at most 4 vertices, every common height, and every L
     # whose length is within one of m_A + m_B - h: check_glue agrees with
     # the oracles as _check_against_oracles says.  The oracle never
-    # reports the two checks that count and coverage imply, and both its
-    # reports pass iff L has glue's entries
+    # reports the two checks that count and coverage imply, and its count
+    # and coverage hold together, as do both its reports, iff L has
+    # glue's entries L*, A's without the last h followed by B's.  Let
+    # t = m_B - h: u_L* is u_B on co-diagonals 2..m_B + 1 and u_A(s - t)
+    # above them, and on the overlap u_A(s - t) = s - t - 1 <= u_B(s), by
+    # the Kupisch step from d_1 >= h.  Co-diagonal s holds the lengths
+    # 1..u(s), so coverage says u_L >= u_L* on 2..m_L* + 1 with
+    # m_L >= m_L*; the count says sum u_L = sum u_L*, as A's last h
+    # entries are h..1, and a further co-diagonal of L adds at least 1.
+    # The dispatch compares tau, ZERO exactly on projectives, on the
+    # modules that fill co-diagonals 2..m_L* + 1, and a co-diagonal's
+    # projective is its longest module, so u_L = u_L* there; it compares
+    # tau_inv on A's injective source simple (m_A, 1), whose image
+    # (m_L*, 1) is not injective in an L with more vertices; with fewer,
+    # some image lies outside L
     by_m = {m: all_series(m) for m in range(1, 9)}
     series = [K for m in range(1, 5) for K in by_m[m]]
+    count_or_cover = ("indecomposable count formula",
+                      "phi and psi not jointly surjective")
     seen = Counter()
     for A in series:
         for B in series:
@@ -300,9 +330,10 @@ def test_check_glue_matches_oracles_on_every_small_hand_built_result():
                 m = A.m + B.m - h
                 for L in (L for k in (m - 1, m, m + 1) for L in by_m.get(k, ())):
                     want = _check_against_oracles(Glued(L, h, A, B))
+                    glued = L.entries == A.entries[:A.m - h] + B.entries
                     if not isinstance(want, str):
-                        assert (want[0].ok and want[1].ok) == (
-                            L.entries == A.entries[:A.m - h] + B.entries)
+                        assert (want[0].failure not in count_or_cover) \
+                            == (want[0].ok and want[1].ok) == glued
                     seen["error" if isinstance(want, str)
                          else want[0].failure or "ok"] += 1
     assert seen == {"indecomposable count formula": 25529,
@@ -337,10 +368,20 @@ def test_check_glue_builds_no_module_set_or_foundation(monkeypatch):
 
 
 def test_check_glue_walks_no_module_of_any_result(monkeypatch):
-    # a result other than glue's is decided by its entries too: no kernel
+    # a result other than glue's is refused by its entries: no kernel
     # step, no module list and no image validated, so an image outside
-    # the result (the first case) does not raise
+    # the result (the first case) does not raise.  The oracle names the
+    # count or the coverage, computed first
     g = glue(lambda_mh(9, 4), lambda_mh(6, 5), 3)  # 5^2,4^7,3,2,1
+    count, cover = "indecomposable count formula", \
+        "phi and psi not jointly surjective"
+    cases = ((lambda_mh(3, 2), count, "d_1 = 2, glued 5"),
+             (lambda_mh(12, 4), count, "d_1 = 4, glued 5"),
+             (parse_series("4,5^2,4^6,3,2,1"), cover, "d_1 = 4, glued 5"),
+             (lambda_mh(14, 5), count, "d_3 = 5, glued 4"))
+    for L, inv, _ in cases:
+        assert check_glue_invariants_oracle(Glued(L, g.h, g.a, g.b)) == \
+            GlueReport(False, inv)
 
     def refuse(*args):
         raise AssertionError("check_glue walked the modules")
@@ -349,16 +390,11 @@ def test_check_glue_walks_no_module_of_any_result(monkeypatch):
         monkeypatch.setattr(ar, name, refuse)
     for name in ("all_modules", "check_exists", "exists"):
         monkeypatch.setattr(KupischSeries, name, refuse)
-    count, cover = "indecomposable count formula", \
-        "phi and psi not jointly surjective"
-    for L, inv, dis in ((lambda_mh(3, 2), count, "d_1 = 2, glued 5"),
-                        (lambda_mh(12, 4), count, "d_1 = 4, glued 5"),
-                        (parse_series("4,5^2,4^6,3,2,1"), cover,
-                         "d_1 = 4, glued 5"),
-                        (lambda_mh(14, 5), count, "d_3 = 5, glued 4")):
-        assert check_glue(Glued(L, g.h, g.a, g.b)) == (
-            GlueReport(False, inv),
-            GlueReport(False, "dispatch fails at " + dis))
+    for L, _, entry in cases:
+        with pytest.raises(ValueError) as exc:
+            check_glue(Glued(L, g.h, g.a, g.b))
+        assert str(exc.value) == \
+            "not the gluing of its components: " + entry
 
 
 def test_check_glue_matches_oracles_on_wrong_results():
@@ -388,8 +424,8 @@ def test_check_glue_matches_oracles_on_wrong_results():
 
 def test_check_glue_matches_oracles_on_one_entry_changes():
     # every gluing of series with m <= 4, and every series that differs
-    # from its result in one entry: the count fails, and so does the
-    # dispatch, at the changed entry, as in the oracles
+    # from its result in one entry: the oracles' count and dispatch fail,
+    # and check_glue refuses the result at the changed entry
     series = [K for m in range(1, 5) for K in all_series(m)]
     seen = Counter()
     for A in series:
@@ -408,9 +444,8 @@ def test_check_glue_matches_oracles_on_one_entry_changes():
                         want = _check_against_oracles(g)
                         assert want[0].failure == \
                             "indecomposable count formula"
-                        assert check_glue(g)[1].failure == (
-                            f"dispatch fails at d_{k + 1} = {d}, "
-                            f"glued {true[k]}")
+                        assert _refusal(g).endswith(
+                            f"d_{k + 1} = {d}, glued {true[k]}")
                         seen[want[1].failure.split()[0]] += 1
     # a changed entry changes u on one co-diagonal of L, and every
     # co-diagonal is an image: the dispatch always fails, first at a simple
@@ -520,13 +555,14 @@ def test_check_glue_builds_no_ar_quiver(monkeypatch):
     def refuse(K):
         raise AssertionError("check_glue built an AR quiver")
 
-    monkeypatch.setattr(ar, "ar_quiver", refuse)
     g = glue(lambda_mh(9, 4), lambda_mh(6, 5), 3)
+    wrong = Glued(parse_series("4,5^2,4^6,3,2,1"), g.h, g.a, g.b)
+    assert check_glue_invariants_oracle(wrong).failure == \
+        "phi and psi not jointly surjective"
+    monkeypatch.setattr(ar, "ar_quiver", refuse)
     inv, dis = check_glue(g)
     assert inv.ok and dis.ok
-    wrong = Glued(parse_series("4,5^2,4^6,3,2,1"), g.h, g.a, g.b)
-    assert check_glue(wrong)[0].failure == \
-        "phi and psi not jointly surjective"
+    _assert_refused(wrong)
 
 
 def test_glued_json():

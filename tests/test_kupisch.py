@@ -5,7 +5,8 @@ from itertools import product
 
 import pytest
 
-from nakayama import kupisch
+from nakayama import ar, kupisch
+from nakayama.cluster import check_fractured
 from nakayama.kupisch import (
     ZERO,
     KupischError,
@@ -16,6 +17,7 @@ from nakayama.kupisch import (
     parse_series,
     validate,
 )
+from nakayama.tilting import projective_injective_fracturing
 
 from oracles import all_series, classify_oracle, exists_oracle, \
     minimal_relations_oracle, random_series, v_oracle
@@ -360,6 +362,45 @@ def test_projective_and_injective_at_refuse_a_vertex_out_of_range():
             with pytest.raises(ValueError,
                                match=f"vertex {vertex} out of range"):
                 at(vertex)
+
+
+def test_a_coordinate_is_a_pair_of_ints():
+    # exists is False for anything else, bool included, so each function
+    # that validates a coordinate names it
+    K = KupischSeries([3, 2, 1])
+    assert K.exists((1, 1)) and K.exists((1, 3))
+    for x in ((True, 1), (1, True), (1.0, 1), (1, 1.0), (1, 1, 1), (1,),
+              [1, 1], "11", 11):
+        assert not K.exists(x)
+        for check in (K.check_exists, K.classify, K.dual_coord,
+                      K.is_projective, lambda x: ar.tau(K, x),
+                      lambda x: ar.pd(K, x)):
+            with pytest.raises(ValueError, match="^no module at "):
+                check(x)
+        with pytest.raises(ValueError, match="^no module at "):
+            check_fractured(K, 2, projective_injective_fracturing(K),
+                            candidate=[x])
+
+
+def test_an_index_is_an_int_in_range():
+    # no wrap (-1), no padding slot (0) and no IndexError past the end:
+    # u, v and the projective and injective at a vertex name the index
+    K = KupischSeries([3, 2, 1])
+    for name, at, lo, hi in (("co-diagonal", K.u, 2, 4),
+                             ("diagonal", K.v, 1, 3),
+                             ("vertex", K.projective_at, 1, 3),
+                             ("vertex", K.injective_at, 1, 3)):
+        for k in (-1, 0, lo - 1, hi + 1):
+            with pytest.raises(ValueError, match=rf"^{name} {k} out of "
+                                                 rf"range {lo}\.\.{hi}$"):
+                at(k)
+        for k in (True, 2.0, "2"):
+            with pytest.raises(ValueError, match=rf"^{name} must be an "
+                                                 r"integer, got "):
+                at(k)
+    assert [K.u(s) for s in range(2, 5)] == [1, 2, 3]
+    assert [K.v(i) for i in range(1, 4)] == [3, 2, 1]
+    assert K.projective_at(2) == (1, 2) and K.injective_at(2) == (2, 2)
 
 
 def test_parse_caps_vertices(monkeypatch):

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from nakayama import tilting
+from nakayama.abutments import footing_to_ka
 from nakayama.cluster import complete_slice
 from nakayama.kupisch import lambda_mh, parse_series
 from nakayama.tilting import (
@@ -224,6 +225,30 @@ def test_a_height_that_is_no_integer_is_named():
             enumerate_tilting(h)
         # is_slice says whether slice_indices accepts the arguments
         assert not is_slice(h, coords)
+
+
+def test_a_summand_that_is_no_pair_of_ints_is_named():
+    # a coordinate is a pair of ints: a float or a bool is not read as
+    # the integer it equals, in a tilting module, a slice or a fracture
+    K = lambda_mh(3, 3)
+    for x in ((1, 1.0), (1, True), (True, 1), [1, 1]):
+        msg = rf"^{re.escape(str(x))} is not a module coordinate for " \
+            r"height 2$"
+        with pytest.raises(ValueError, match=msg):
+            is_tilting(2, [x, (1, 2)])
+        with pytest.raises(ValueError, match=msg):
+            complete_slice(2, [x, (1, 2)], 2, "right")
+        with pytest.raises(ValueError, match=rf"^{re.escape(repr(x))} is "
+                                             r"not a summand of a left "
+                                             r"fracture of height 3$"):
+            is_fracture(K, "left", 3, [x, (1, 2), (1, 3)])
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(x))} not "
+                                             r"in the left foundation of "
+                                             r"height 3$"):
+            footing_to_ka(K, "left", 3, x)
+    for x in ("ab", (1,), None):  # no pair: refused before the sort
+        with pytest.raises(ValueError, match="is not a summand of a left"):
+            is_fracture(K, "left", 3, [(1, 1), x, (1, 3)])
 
 
 def test_slice_indices_round_trip():
