@@ -2,12 +2,13 @@
 
 Exit codes: 0 for a passing check, 1 for a failing check, 2 for usage
 or input errors.  Kupisch series are written in run-length syntax, e.g.
-``2^6,3^13,2^3,1``.  For ``validate``, ``ar-quiver`` and
-``check-nct``, ``--kupisch -`` reads one series per line from stdin in
-batch mode, where a line that is not a series, or whose ``ar-quiver``
-lacks a ``--highlight`` vertex, gets an error record and the batch goes
-on; the other commands refuse ``-`` by name.  ``--json`` switches to
-machine-readable output.
+``2^6,3^13,2^3,1``, and every integer is ASCII decimal with an optional
+``-``.  ``--json`` switches to machine-readable output.  ``validate``,
+``ar-quiver`` and ``check-nct`` run in batch mode on ``--kupisch -``,
+one series per non-blank line of stdin: a line that fails with an input
+error (no series, or an ``ar-quiver`` that lacks a ``--highlight``
+vertex) gets one error record, the batch goes on, and the exit code is
+the worst one.  The other commands refuse ``-`` by name.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from . import abutments, ar, tilting
 from .cluster import check_fractured, check_nct, classify_sides, \
     complete_slice
 from .gluing import check_glue, glue
-from .kupisch import KupischError, KupischSeries, coord_from_json, \
-    format_series, parse_series
+from .kupisch import KupischError, KupischSeries, _decimal, \
+    coord_from_json, format_series, parse_series
 from .ndgen import construct, supported
 from .render import RenderSpec, render
 from .tilting import Fracture, Fracturing, is_fracture
@@ -34,12 +35,17 @@ from .tilting import Fracture, Fracturing, is_fracture
 MAX_FRACTURES = 10**5
 
 
-class CliError(Exception):
+class CliError(ValueError):
     pass
 
 
-def _series_arg(text: str) -> KupischSeries:
+def _series_arg(text: str, option: str = "") -> KupischSeries:
+    """The series that `text` writes.  The value of an `option` may not be
+    `-`; a batch line passes no option."""
     text = text.strip()
+    if option and text == "-":
+        raise CliError(f"{option} - reads a batch from stdin only for "
+                       f"validate, ar-quiver and check-nct")
     try:
         if text.startswith("{"):
             return KupischSeries.from_json(json.loads(text))
@@ -48,22 +54,20 @@ def _series_arg(text: str) -> KupischSeries:
         raise CliError(f"bad Kupisch series {text!r}: {exc}") from exc
 
 
-def _one_series(text: str, option: str = "--kupisch") -> KupischSeries:
-    """The series of a command that takes one: `-` is refused by name."""
-    if text.strip() == "-":
-        raise CliError(f"{option} - reads a batch from stdin only for "
-                       f"validate, ar-quiver and check-nct")
-    return _series_arg(text)
-
-
-def _series_inputs(arg: str):
-    if arg == "-":
-        for line in sys.stdin:
-            line = line.strip()
-            if line:
-                yield line
-    else:
-        yield arg
+def _batch(args, job) -> int:
+    """Run `job` on the text of --kupisch or, for `-`, on each non-blank
+    line of stdin.  A line whose job raises ValueError gets one error
+    record and the batch goes on; returns the worst exit code."""
+    texts = ((t for t in map(str.strip, sys.stdin) if t)
+             if args.kupisch == "-" else (args.kupisch,))
+    worst = 0
+    for text in texts:
+        try:
+            worst = max(worst, job(text))
+        except ValueError as exc:
+            _emit_error(exc, args.json)
+            worst = 2
+    return worst
 
 
 def _json_arg(option: str, text: str):
@@ -103,28 +107,32 @@ def _emit_error(exc: Exception, as_json: bool):
         print(f"error: {exc}", file=sys.stderr)
 
 
-def _verdict_line(K: KupischSeries, n: int, verdict) -> str:
-    """The text line of a check: the first failure record only."""
-    return f"{format_series(K)} n={n}: " + ("ok" if verdict.ok else
-        f"not ok ({next(verdict.stream())['detail']})")
+def _emit_verdict(args, K: KupischSeries, verdict, **extra) -> int:
+    """A check's verdict and exit code.  Only the --json record, with the
+    `extra` keys, reads every failure; the text line takes the first."""
+    if args.json:
+        _emit({**verdict.to_json(), **extra}, True)
+    else:
+        print(f"{format_series(K)} n={args.n}: " + ("ok" if verdict.ok else
+              f"not ok ({next(verdict.stream())['detail']})"))
+    return 0 if verdict.ok else 1
 
 
 def cmd_validate(args) -> int:
-    worst = 0
-    for text in _series_inputs(args.kupisch):
+    def job(text):
         try:
             K = _series_arg(text)
         except CliError as exc:
-            if isinstance(exc.__cause__, KupischError):
-                _emit({"ok": False, "violation": exc.__cause__.violation},
-                      args.json, f"invalid: {exc.__cause__.violation}")
-            else:  # one bad line of a batch does not end the batch
-                _emit_error(exc, args.json)
-            worst = 2
-            continue
+            if not isinstance(exc.__cause__, KupischError):
+                raise
+            violation = exc.__cause__.violation
+            _emit({"ok": False, "violation": violation}, args.json,
+                  f"invalid: {violation}")
+            return 2
         _emit({"ok": True, "kupisch": list(K.entries)},
               args.json, f"valid: {format_series(K)} (m = {K.m})")
-    return worst
+        return 0
+    return _batch(args, job)
 
 
 def cmd_ar_quiver(args) -> int:
@@ -132,41 +140,26 @@ def cmd_ar_quiver(args) -> int:
                  if args.highlight else ())
     spec = RenderSpec(format="json" if args.json else args.format,
                       highlight=tuple(highlight), labels=args.labels)
-    worst = 0
-    for text in _series_inputs(args.kupisch):
-        try:
-            K = _series_arg(text)
-            out = render(K, spec)
-        except (CliError, ValueError) as exc:  # the batch goes on
-            _emit_error(exc, args.json)
-            worst = 2
-            continue
-        sys.stdout.write(out + ("\n" if args.json else ""))
-    return worst
+
+    def job(text):
+        sys.stdout.write(render(_series_arg(text), spec)
+                         + ("\n" if args.json else ""))
+        return 0
+    return _batch(args, job)
 
 
 def cmd_check_nct(args) -> int:
     ar._check_order(args.n)  # before a line of stdin is read
-    worst = 0
-    for text in _series_inputs(args.kupisch):
-        try:
-            K = _series_arg(text)
-        except CliError as exc:  # one bad line does not end the batch
-            _emit_error(exc, args.json)
-            worst = 2
-            continue
-        verdict = check_nct(K, args.n)
-        if args.json:  # only --json reads every failure record
-            _emit({**verdict.to_json(), "kupisch": list(K.entries),
-                   "n": args.n}, True)
-        else:
-            print(_verdict_line(K, args.n, verdict))
-        worst = max(worst, 0 if verdict.ok else 1)
-    return worst
+
+    def job(text):
+        K = _series_arg(text)
+        return _emit_verdict(args, K, check_nct(K, args.n),
+                             kupisch=list(K.entries), n=args.n)
+    return _batch(args, job)
 
 
 def cmd_check_fractured(args) -> int:
-    K = _one_series(args.kupisch)
+    K = _series_arg(args.kupisch, "--kupisch")
     if args.fracturing:
         data = _json_arg("--fracturing", args.fracturing)
         if not isinstance(data, dict):
@@ -179,20 +172,14 @@ def cmd_check_fractured(args) -> int:
     candidate = (_coords_from_json(_json_arg("--candidate", args.candidate))
                  if args.candidate else None)
     verdict = check_fractured(K, args.n, F, candidate=candidate)
-    if args.json:
-        payload = verdict.to_json()
-        payload["fracturing"] = F.to_json()
-        if verdict.ok:
-            payload["sides"] = classify_sides(K, F, verdict)
-        _emit(payload, True)
-    else:
-        print(_verdict_line(K, args.n, verdict))
-    return 0 if verdict.ok else 1
+    sides = ({"sides": classify_sides(K, F, verdict)}
+             if args.json and verdict.ok else {})
+    return _emit_verdict(args, K, verdict, fracturing=F.to_json(), **sides)
 
 
 def cmd_glue(args) -> int:
-    B = _one_series(args.b, "--b")
-    A = _one_series(args.a, "--a")
+    B = _series_arg(args.b, "--b")
+    A = _series_arg(args.a, "--a")
     g = glue(B, A, args.height)
     ok, checks, text = True, {}, format_series(g.result)
     if args.check:
@@ -230,7 +217,7 @@ def cmd_construct_nd(args) -> int:
 
 def cmd_complete_slice(args) -> int:
     try:
-        indices = [int(t) for t in args.slice.split(",")]
+        indices = [_decimal(t) for t in args.slice.split(",")]
     except ValueError as exc:
         raise CliError(f"bad --slice {args.slice!r}: expected integers "
                        "i_1,...,i_h") from exc
@@ -253,7 +240,7 @@ def cmd_fractures(args) -> int:
         raise CliError(f"--side {args.side} needs --height")
     if args.height is not None and args.side is None:
         raise CliError(f"--height {args.height} needs --side")
-    K = _one_series(args.kupisch)
+    K = _series_arg(args.kupisch, "--kupisch")
     left = sorted(abutments.left_abutment_heights(K))
     right = sorted(abutments.right_abutment_heights(K))
     payload = {
@@ -295,78 +282,70 @@ def build_parser() -> argparse.ArgumentParser:
         description="Representation theory of acyclic Nakayama algebras: "
                     "AR quivers, gluing, fractures and n-cluster-tilting.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def series_opt(sp, batch):
-        sp.add_argument("--kupisch", required=True,
-                        help="series like 2,3,3,1 or 2^6,3^13,1"
-                             + ("; - for stdin" if batch else ""))
-        sp.add_argument("--json", action="store_true",
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true",
                         help="machine-readable output")
 
-    sp = sub.add_parser("validate", help="validate a Kupisch series")
-    series_opt(sp, batch=True)
-    sp.set_defaults(func=cmd_validate)
+    def command(name, func, summary, batch=None):
+        """A subcommand; `batch` (True or False) adds --kupisch."""
+        sp = sub.add_parser(name, parents=[common], help=summary)
+        sp.set_defaults(func=func)
+        if batch is not None:
+            sp.add_argument("--kupisch", required=True,
+                            help="series like 2,3,3,1 or 2^6,3^13,1"
+                                 + ("; - for stdin" if batch else ""))
+        return sp
 
-    sp = sub.add_parser("ar-quiver", help="render the AR quiver")
-    series_opt(sp, batch=True)
+    command("validate", cmd_validate, "validate a Kupisch series", batch=True)
+
+    sp = command("ar-quiver", cmd_ar_quiver, "render the AR quiver",
+                 batch=True)
     sp.add_argument("--format", default="ascii",
                     choices=["ascii", "dot", "tikz", "json"])
     sp.add_argument("--labels", default="coords",
                     choices=["coords", "dims", "none"])
     sp.add_argument("--highlight", help="JSON list of [i,j] to encircle")
-    sp.set_defaults(func=cmd_ar_quiver)
 
-    sp = sub.add_parser("check-nct", help="n-cluster-tilting check")
-    series_opt(sp, batch=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.set_defaults(func=cmd_check_nct)
+    sp = command("check-nct", cmd_check_nct, "n-cluster-tilting check",
+                 batch=True)
+    sp.add_argument("--n", type=_decimal, required=True)
 
-    sp = sub.add_parser("check-fractured", help="fractured subcategory check")
-    series_opt(sp, batch=False)
-    sp.add_argument("--n", type=int, required=True)
+    sp = command("check-fractured", cmd_check_fractured,
+                 "fractured subcategory check", batch=False)
+    sp.add_argument("--n", type=_decimal, required=True)
     sp.add_argument("--fracturing",
                     help='JSON {"TL": {...}, "TR": {...}}; defaults to the '
                          "projective/injective fracturing")
     sp.add_argument("--candidate",
                     help="JSON list of [i,j]: re-verify this candidate "
                          "instead of generating one")
-    sp.set_defaults(func=cmd_check_fractured)
 
-    sp = sub.add_parser("glue", help="glue two series along an abutment")
+    sp = command("glue", cmd_glue, "glue two series along an abutment")
     sp.add_argument("--b", required=True, help="series providing the right abutment")
     sp.add_argument("--a", required=True, help="series providing the left abutment")
-    sp.add_argument("--height", type=int, required=True)
+    sp.add_argument("--height", type=_decimal, required=True)
     sp.add_argument("--check", action="store_true",
                     help="also verify the gluing invariants")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_glue)
 
-    sp = sub.add_parser("construct-nd",
-                        help="certified algebra for a supported (n, d)")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
+    sp = command("construct-nd", cmd_construct_nd,
+                 "certified algebra for a supported (n, d)")
+    sp.add_argument("--n", type=_decimal, required=True)
+    sp.add_argument("--d", type=_decimal, required=True)
     sp.add_argument("--emit", default="certificate",
                     choices=["quiver", "kupisch", "certificate"])
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_construct_nd)
 
-    sp = sub.add_parser("complete-slice",
-                        help="complete a slice into a one-sided "
-                             "cluster-tilting algebra")
-    sp.add_argument("--h", type=int, required=True)
+    sp = command("complete-slice", cmd_complete_slice,
+                 "complete a slice into a one-sided cluster-tilting algebra")
+    sp.add_argument("--h", type=_decimal, required=True)
     sp.add_argument("--slice", required=True,
                     help="index sequence i_1,...,i_h, e.g. 2,2,1,1,1")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_decimal, required=True)
     sp.add_argument("--side", required=True, choices=["left", "right"])
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_complete_slice)
 
-    sp = sub.add_parser("fractures",
-                        help="list abutment heights and enumerate fractures")
-    series_opt(sp, batch=False)
+    sp = command("fractures", cmd_fractures,
+                 "list abutment heights and enumerate fractures", batch=False)
     sp.add_argument("--side", choices=["left", "right"])
-    sp.add_argument("--height", type=int)
-    sp.set_defaults(func=cmd_fractures)
+    sp.add_argument("--height", type=_decimal)
 
     return p
 
@@ -379,8 +358,8 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (CliError, ValueError, KeyError) as exc:
-        _emit_error(exc, getattr(args, "json", False))
+    except ValueError as exc:
+        _emit_error(exc, args.json)
         return 2
 
 

@@ -368,8 +368,9 @@ def glue_fractured(b_side: Tuple[KupischSeries, Fracturing],
 # -- slice completion ------------------------------------------------------
 
 #: The tallest slice complete_slice accepts.  Its cost grows as h^2 (a
-#: staircase slice builds h series of up to h entries; h = 1000 takes
-#: seconds), so a taller slice is refused before any work.
+#: staircase slice builds h series of up to h entries; the CLI takes about
+#: 0.5 s and 73 MB at h = 1000 on a 2-vCPU machine), so a taller slice is
+#: refused before any work.
 MAX_SLICE_HEIGHT = 1000
 
 

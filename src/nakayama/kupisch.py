@@ -41,6 +41,17 @@ def _check_index(name: str, value, lo: int, hi: int) -> int:
     return value
 
 
+def _decimal(text: str) -> int:
+    """The integer that `text` writes: an optional '-' and ASCII digits,
+    surrounding spaces stripped.  int() would also read '1_0', '+2' and
+    non-ASCII digits such as '٢'."""
+    text = text.strip()
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _is_coord(x) -> bool:
     """A coordinate is a pair of ints; bool is refused."""
     return (type(x) is tuple and len(x) == 2
@@ -318,8 +329,9 @@ def linear_quiver_algebra(h: int) -> KupischSeries:
 
 def parse_series(text: str) -> KupischSeries:
     """Parse '2,3,3,1' or run-length '2^6,3^13,2^3,1' into a series.
-    An empty part is refused by position; the empty text is the empty
-    series, refused as last-entry-not-one."""
+    Entries and run lengths are decimal integers (`_decimal`).  An empty
+    part is refused by position; the empty text is the empty series,
+    refused as last-entry-not-one."""
     entries = []
     for pos, part in enumerate(text.split(",") if text.strip() else (), 1):
         part = part.strip()
@@ -327,7 +339,7 @@ def parse_series(text: str) -> KupischSeries:
             raise ValueError(f"empty part at position {pos}")
         if "^" in part:
             base, _, count = part.partition("^")
-            k = int(count)
+            k = _decimal(count)
             if k < 1:
                 raise ValueError(f"run length {k} < 1 in {part!r}")
         else:
@@ -335,7 +347,7 @@ def parse_series(text: str) -> KupischSeries:
         if len(entries) + k > MAX_VERTICES:
             raise ValueError(f"series of more than MAX_VERTICES = "
                              f"{MAX_VERTICES} vertices at {part!r}")
-        entries.extend([int(base)] * k)
+        entries.extend([_decimal(base)] * k)
     return KupischSeries(entries)
 
 

@@ -400,6 +400,17 @@ def tau_n_closed_lambda_mh(m: int, h: int, n: int, x, direction: str):
     return target if K.exists(target) else ZERO
 
 
+def homogeneous_nct(m: int, l: int, n: int) -> bool:
+    """Whether check_nct(lambda_mh(m, l), n) passes, for 2 <= n <= gldim,
+    by a rule fitted to check_nct and tested on a grid, not quoted from
+    the paper: l = 2 and n divides m - 1, or l >= 3, n even and
+    m = nl/2 + 1 + k(nl - l + 2) for some k >= 0."""
+    if l == 2:
+        return (m - 1) % n == 0
+    first = n * l // 2 + 1
+    return n % 2 == 0 and m >= first and (m - first) % (n * l - l + 2) == 0
+
+
 # -- the fractured checker -------------------------------------------------
 
 

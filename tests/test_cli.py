@@ -113,6 +113,13 @@ def test_batch_isolates_bad_lines(capsys, monkeypatch):
             (["check-nct", "--n", "2"], "3,1\n5,5,4^7,3,2,1\n",
              "5^2,4^7,3,2,1 n=2: ok", lambda r: r.get("ok") is True),
             (["ar-quiver"], "foo\n2,1\n", "   (1,1) (2,1)",
+             lambda r: len(r["vertices"]) == 3),
+            # a line "-" is no series, not the option refusal of "-"
+            (["validate"], "-\n2,1\n", "valid: 2,1 (m = 2)",
+             lambda r: r.get("ok") is True),
+            (["check-nct", "--n", "2"], "-\n2,2,1\n", "2^2,1 n=2: ok",
+             lambda r: r.get("ok") is True),
+            (["ar-quiver"], "-\n2,1\n", "   (1,1) (2,1)",
              lambda r: len(r["vertices"]) == 3)):
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         code = main(argv + ["--kupisch", "-"])
@@ -513,6 +520,45 @@ def test_malformed_option_named(capsys, argv, message):
     out = capsys.readouterr()
     assert code == 2 and out.out == ""
     assert out.err.startswith("error: " + message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "--kupisch", "1_0,9,8,7,6,5,4,3,2,1"],
+     "error: bad Kupisch series '1_0,9,8,7,6,5,4,3,2,1': "
+     "not a decimal integer: '1_0'\n"),
+    (["validate", "--kupisch", "2^1_0,1"],
+     "error: bad Kupisch series '2^1_0,1': not a decimal integer: '1_0'\n"),
+    (["validate", "--kupisch", "+2,1"],
+     "error: bad Kupisch series '+2,1': not a decimal integer: '+2'\n"),
+    (["validate", "--kupisch", "\uff12,1"],
+     "error: bad Kupisch series '\uff12,1': not a decimal integer: "
+     "'\uff12'\n"),
+    (["complete-slice", "--h", "3", "--slice", "\u0662,1,1", "--n", "2",
+      "--side", "right"],
+     "error: bad --slice '\u0662,1,1': expected integers i_1,...,i_h\n"),
+    (["check-nct", "--kupisch", "3,2,1", "--n", "1_0"],
+     "argument --n: invalid _decimal value: '1_0'"),
+    (["construct-nd", "--n", "2", "--d", "+4"],
+     "argument --d: invalid _decimal value: '+4'"),
+    (["complete-slice", "--h", "\u0663", "--slice", "1,1,1", "--n", "2",
+      "--side", "right"], "argument --h: invalid _decimal value: '\u0663'"),
+    (["glue", "--b", "2,1", "--a", "2,1", "--height", "1_0"],
+     "argument --height: invalid _decimal value: '1_0'"),
+    (["fractures", "--kupisch", "3,2,1", "--side", "left",
+      "--height", "\uff11"],
+     "argument --height: invalid _decimal value: '\uff11'"),
+    # a negative value is an integer and reaches its named error
+    (["validate", "--kupisch", "2^-3,1"],
+     "error: bad Kupisch series '2^-3,1': run length -3 < 1 in '2^-3'\n"),
+    (["fractures", "--kupisch", "3,2,1", "--side", "left", "--height", "-1"],
+     "error: no left abutment of height -1 on KupischSeries([3, 2, 1])\n"),
+])
+def test_integers_are_ascii_decimal(capsys, argv, message):
+    # an integer is an optional '-' and ASCII digits: '1_0', '+2' and
+    # non-ASCII digits exit 2 instead of being read as another number
+    code = main(argv)
+    out = capsys.readouterr()
+    assert code == 2 and out.out == "" and message in out.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -26,7 +26,7 @@ from nakayama.tilting import (
 
 from oracles import all_series, check_fractured_oracle, \
     compatibility_check_oracle, enumerate_slices, footing_from_ka, \
-    glue_fracturings_oracle, make_fracturing, random_series
+    glue_fracturings_oracle, homogeneous_nct, make_fracturing, random_series
 
 GLUED = parse_series("5,5,4^7,3,2,1")
 
@@ -87,6 +87,16 @@ def test_check_nct_chains():
         assert v.ok
         assert len(v.candidate) == m + 1
         assert set(v.candidate) == set(K.projectives()) | {(m, 1)}
+
+
+def test_check_nct_on_homogeneous_algebras():
+    # lambda_mh(m, l) has a known answer at every size: compare check_nct
+    # with the fitted rule at every n from 2 to gldim
+    verdicts = [(check_nct(lambda_mh(m, l), n).ok, homogeneous_nct(m, l, n))
+                for l in range(2, 7) for m in range(l, 61)
+                for n in range(2, ar.gldim(lambda_mh(m, l)) + 1)]
+    assert all(ok == rule for ok, rule in verdicts)
+    assert (len(verdicts), sum(ok for ok, _ in verdicts)) == (4838, 300)
 
 
 def test_check_nct_n1():

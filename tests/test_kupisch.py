@@ -341,6 +341,22 @@ def test_parse_rejects_empty_runs():
             parse_series(text)
 
 
+def test_parse_reads_ascii_decimal_only():
+    # an entry or run length is an optional '-' and ASCII digits; int()
+    # alone would read each of these as another series
+    for text, part in (("1_0,9,8,7,6,5,4,3,2,1", "1_0"), ("2^1_0,1", "1_0"),
+                       ("+2,1", "+2"), ("\uff12,1", "\uff12"),
+                       ("\u0662,1", "\u0662"), ("2^+3,1", "+3"),
+                       ("2^\u0663,1", "\u0663"), ("2,1.0", "1.0"),
+                       ("--2,1", "--2"), ("-,1", "-")):
+        with pytest.raises(ValueError) as exc:
+            parse_series(text)
+        assert str(exc.value) == f"not a decimal integer: {part!r}"
+    assert parse_series(" 2 ^ 03 , 1 ").entries == (2, 2, 2, 1)
+    with pytest.raises(ValueError, match="run length -3 < 1"):
+        parse_series("2^-3,1")
+
+
 def test_parse_refuses_empty_parts():
     # an empty part is refused by position, not dropped; the empty text
     # stays the empty series, refused by its named violation
