@@ -12,17 +12,15 @@ coordinates of the linear-quiver algebra.
 
 from __future__ import annotations
 
-from typing import List, Set
-
 from .kupisch import Coord, KupischSeries, _check_int, _is_coord
 
 
-def left_abutment_heights(K: KupischSeries) -> Set[int]:
+def left_abutment_heights(K: KupischSeries) -> set[int]:
     """Heights {1..max_left_height(K)}."""
     return set(range(1, max_left_height(K) + 1))
 
 
-def right_abutment_heights(K: KupischSeries) -> Set[int]:
+def right_abutment_heights(K: KupischSeries) -> set[int]:
     """Heights {1..d_1}: the initial segment of the quiver carries no
     relation of length below d_1."""
     return set(range(1, K.entries[0] + 1))
@@ -59,7 +57,7 @@ def _check_abutment(K: KupischSeries, side: str, h: int) -> int:
     raise ValueError(f"side must be left/right, got {side!r}")
 
 
-def foundation(K: KupischSeries, side: str, h: int) -> List[Coord]:
+def foundation(K: KupischSeries, side: str, h: int) -> list[Coord]:
     """The triangle of the height-h abutment: left foundations are
     {(i,j) : i+j <= h+1}, right foundations {(i,j) : i >= m-h+1}."""
     s = _check_abutment(K, side, h)

@@ -19,7 +19,7 @@ after their validation.  The zero module absorbs every operation.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Tuple
+from collections import namedtuple
 
 from .kupisch import ZERO, Coord, KupischSeries, _check_int, coord_to_json
 
@@ -147,13 +147,14 @@ def gldim(K: KupischSeries) -> int:
     return g
 
 
-class ARQuiver(NamedTuple):
+class ARQuiver(namedtuple("ARQuiver", "vertices arrows translation")):
     """The Auslander-Reiten quiver: vertices, irreducible-map arrows and
     the translation as a partial map on coordinates."""
 
-    vertices: Tuple[Coord, ...]
-    arrows: Tuple[Tuple[Coord, Coord], ...]
-    translation: Dict[Coord, Coord]
+    __slots__ = ()
+    vertices: tuple[Coord, ...]
+    arrows: tuple[tuple[Coord, Coord], ...]
+    translation: dict[Coord, Coord]
 
     def to_json(self) -> dict:
         return {

@@ -24,9 +24,9 @@ sorted P, I and P ∪ I are memoized on the series.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from operator import attrgetter, itemgetter
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, \
-    Tuple
 
 from . import abutments, ar, tilting
 from .gluing import Glued, glue
@@ -43,8 +43,8 @@ class Verdict:
 
     __slots__ = ("_ok", "_candidate", "_orbit", "_stream", "_failures")
 
-    def __init__(self, ok: bool, candidate: Tuple[Coord, ...],
-                 orbit: Tuple[Tuple[Coord, Coord], ...],  # (x, tau_n_inv x)
+    def __init__(self, ok: bool, candidate: tuple[Coord, ...],
+                 orbit: tuple[tuple[Coord, Coord], ...],  # (x, tau_n_inv x)
                  stream: Callable[[], Iterator[dict]] = tuple):
         self._ok = ok
         self._candidate = candidate
@@ -56,14 +56,14 @@ class Verdict:
     stream = property(attrgetter("_stream"))
 
     @property
-    def orbit(self) -> Tuple[Tuple[Coord, Coord], ...]:
+    def orbit(self) -> tuple[tuple[Coord, Coord], ...]:
         orbit = self._orbit
         if callable(orbit):
             self._orbit = orbit = orbit()
         return orbit
 
     @property
-    def failures(self) -> Tuple[dict, ...]:
+    def failures(self) -> tuple[dict, ...]:
         try:
             return self._failures
         except AttributeError:
@@ -104,13 +104,13 @@ def _fail(condition: int, coord, detail: str) -> dict:
             "detail": detail}
 
 
-def _closure(K: KupischSeries, n: int, seed, dr) -> Dict[Coord, Tuple]:
+def _closure(K: KupischSeries, n: int, seed, dr) -> dict[Coord, tuple]:
     """Close seed under the inverse higher translate (dropping ZERO); map
     each module x of the closure outside I_R = I Δ dr to (tau_n_inv x,
     its cosyzygy count).  A module of I_R is not recorded: an injective
     there ends its orbit without a walk, as tau_n_inv sends it to ZERO,
     and any other is walked once, only to follow its orbit on."""
-    walks: Dict[Coord, Tuple] = {}
+    walks: dict[Coord, tuple] = {}
     passed = set()  # the modules of I_R walked so far
     v, up = K._v, ar._up
     for x in seed:  # follow the tau_n^- orbit of x until it is known
@@ -127,7 +127,7 @@ def _closure(K: KupischSeries, n: int, seed, dr) -> Dict[Coord, Tuple]:
     return walks
 
 
-def _merged(rest, ir) -> Tuple[Coord, ...]:
+def _merged(rest, ir) -> tuple[Coord, ...]:
     """The union of the disjoint sequences rest and ir, sorted: ir is
     sorted, and timsort finds it as a run."""
     return tuple(sorted([*rest, *ir]))
@@ -170,7 +170,7 @@ def _stream(K: KupischSeries, n: int, dl, cand, walks,
                 for y, (_, k) in up.items() if k < n - 1)
 
 
-def _orbit(K, walks, cand, dl) -> Tuple[Tuple[Coord, Coord], ...]:
+def _orbit(K, walks, cand, dl) -> tuple[tuple[Coord, Coord], ...]:
     """(y, tau_n_inv y) for y in C minus I_R, in sorted order, with
     tau_n_inv y in C minus P_L."""
     cs, u = set(cand), K._u
@@ -274,7 +274,11 @@ def classify_sides(K: KupischSeries, F: Fracturing,
     return {"left_nct": left, "right_nct": right, "nct": left and right}
 
 
-class CompatReport(NamedTuple):
+class CompatReport(namedtuple("CompatReport", "compatible level_ok")):
+    """compatibility_check's answer: whether the fractures agree, and
+    whether the glue height dominates their levels."""
+
+    __slots__ = ()
     compatible: bool
     level_ok: bool  # whether the glue height dominates both fracture levels
 
@@ -282,8 +286,8 @@ class CompatReport(NamedTuple):
         return self.compatible
 
 
-def compatibility_check(a_side: Tuple[KupischSeries, Fracture],
-                        b_side: Tuple[KupischSeries, Fracture],
+def compatibility_check(a_side: tuple[KupischSeries, Fracture],
+                        b_side: tuple[KupischSeries, Fracture],
                         h: int) -> CompatReport:
     """Compare both fractures inside the height-h sub-foundations: the
     footed coordinate sets must coincide.  Also reports whether h is at
@@ -325,9 +329,9 @@ def glue_fracturings(g: Glued, FB: Fracturing, FA: Fracturing) -> Fracturing:
                           [(i + tr, j) for i, j in TR.coords]))
 
 
-def glue_fractured(b_side: Tuple[KupischSeries, Fracturing],
-                   a_side: Tuple[KupischSeries, Fracturing],
-                   h: int, n: int) -> Tuple[Glued, Fracturing, Verdict]:
+def glue_fractured(b_side: tuple[KupischSeries, Fracturing],
+                   a_side: tuple[KupischSeries, Fracturing],
+                   h: int, n: int) -> tuple[Glued, Fracturing, Verdict]:
     """Glue two fractured algebras along a height-h abutment and re-check
     the glued fracturing from scratch.
 
@@ -374,13 +378,18 @@ def glue_fractured(b_side: Tuple[KupischSeries, Fracturing],
 MAX_SLICE_HEIGHT = 1000
 
 
-class CompletionStep(NamedTuple):
+class CompletionStep(namedtuple("CompletionStep",
+                                "kind a b height result note",
+                                defaults=(None, None, None, None, ""))):
+    """One step of a slice completion's trace."""
+
+    __slots__ = ()
     kind: str  # "base", "staircase", "glue"
-    a: Optional[KupischSeries] = None
-    b: Optional[KupischSeries] = None
-    height: Optional[int] = None
-    result: Optional[KupischSeries] = None
-    note: str = ""
+    a: KupischSeries | None
+    b: KupischSeries | None
+    height: int | None
+    result: KupischSeries | None
+    note: str
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "note": self.note}
@@ -395,8 +404,8 @@ class CompletionStep(NamedTuple):
         return out
 
 
-def _complete_right_series(h: int, indices: Tuple[int, ...], n: int,
-                           trace: List[CompletionStep]) -> KupischSeries:
+def _complete_right_series(h: int, indices: tuple[int, ...], n: int,
+                           trace: list[CompletionStep]) -> KupischSeries:
     """Build an algebra whose maximal left abutment (height h) carries the
     slice and whose right fracturing is injective.  The caller's final
     check certifies it, so no step re-validates a module or a slice.
@@ -488,7 +497,7 @@ def complete_slice(h: int, slice_coords, n: int, side: str):
         raise ValueError(f"slice height {h} is more than MAX_SLICE_HEIGHT "
                          f"= {MAX_SLICE_HEIGHT}")
     indices = tilting.slice_indices(h, slice_coords)
-    trace: List[CompletionStep] = []
+    trace: list[CompletionStep] = []
 
     # every slice is tilting and slice_indices validated this one, so the
     # completed fracture is built unchecked: the final check_fractured

@@ -9,15 +9,16 @@ cover the result and overlap exactly in the identified foundations.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from collections import namedtuple
 
 from . import abutments, ar
 from .kupisch import ZERO, KupischSeries
 
 
-class Glued(NamedTuple):
+class Glued(namedtuple("Glued", "result h a b")):
     """A glued algebra with its coordinate embeddings."""
 
+    __slots__ = ()
     result: KupischSeries
     h: int
     a: KupischSeries  # supplies the left abutment, forms the prefix
@@ -67,15 +68,18 @@ def glue(B: KupischSeries, A: KupischSeries, h: int) -> Glued:
     return Glued(KupischSeries(_glued_entries(B, A, h)), h, A, B)
 
 
-class GlueReport(NamedTuple):
+class GlueReport(namedtuple("GlueReport", "ok failure", defaults=(None,))):
+    """One report of check_glue: whether it passed, and why not."""
+
+    __slots__ = ()
     ok: bool
-    failure: Optional[str] = None
+    failure: str | None
 
     def __bool__(self):
         return self.ok
 
 
-def check_glue(g: Glued) -> Tuple[GlueReport, GlueReport]:
+def check_glue(g: Glued) -> tuple[GlueReport, GlueReport]:
     """Both reports of a gluing that glue built, (invariants, dispatch);
     any other result is refused at its first entry that differs from
     glue's.  On glue's result the count, the coverage and the dispatch

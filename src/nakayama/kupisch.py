@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from itertools import groupby
 from operator import sub
-from typing import Optional, Tuple
 
-Coord = Tuple[int, int]
+Coord = tuple[int, int]
 
 #: The most vertices parse_series and lambda_mh accept, checked before a
 #: run is expanded, so that a short text or a pair of integers cannot
@@ -26,7 +25,7 @@ Coord = Tuple[int, int]
 MAX_VERTICES = 10**6
 
 #: The zero module.  Serialized as JSON null.
-ZERO: Optional[Coord] = None
+ZERO: Coord | None = None
 
 
 def _check_int(name: str, value):
@@ -124,12 +123,15 @@ class KupischSeries:
         # the injective with socle t has as top the least vertex r whose
         # projective reaches t.  The reach r + d_r - 1 never decreases
         # (Kupisch step), so one pointer moving forward over t finds them.
+        # Where the reach is t, the injective is that projective, and v
+        # holds the entry d_r itself rather than an equal new int.
         v = [0] * (m + 1)
-        r = 1
+        r, reach = 1, entries[0]
         for t in range(1, m + 1):
-            while r + entries[r - 1] - 1 < t:
+            while reach < t:
                 r += 1
-            v[m - t + 1] = t - r + 1
+                reach = r + entries[r - 1] - 1
+            v[m - t + 1] = entries[r - 1] if reach == t else t - r + 1
         self._v = tuple(v)
         self._gldim = None
         self._pi = None

@@ -17,14 +17,14 @@ the table.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from collections import namedtuple
 
 from . import ar, kupisch
 from .cluster import Verdict, check_nct
 from .kupisch import KupischSeries
 
 
-def _row(n: int, r: int) -> Tuple[List[Tuple[int, int]], int]:
+def _row(n: int, r: int) -> tuple[list[tuple[int, int]], int]:
     """The base family member that construct starts from for a residue
     0 < r < n, base_family_odd(n, n + r) for odd n and
     base_family_even(n, r) for even n, as its runs of (entry, count)
@@ -47,9 +47,9 @@ def _row(n: int, r: int) -> Tuple[List[Tuple[int, int]], int]:
     return [(3, 9 * n // 2 - 2), (2, 1), (1, 1)], 2 * n + r
 
 
-def _expand(runs: List[Tuple[int, int]]) -> List[int]:
+def _expand(runs: list[tuple[int, int]]) -> list[int]:
     """The entries that the (entry, count) runs spell out."""
-    entries: List[int] = []
+    entries: list[int] = []
     for entry, count in runs:
         entries += [entry] * count
     return entries
@@ -109,14 +109,20 @@ def supported(n: int, d: int) -> bool:
     return d % 2 == 0 or d >= 2 * n
 
 
-class NdCertificate(NamedTuple):
+class NdCertificate(namedtuple("NdCertificate", "n d kupisch verdict gldim "
+                               "pd_source_injective trace")):
+    """A verified (n, d) algebra: its series, the verdict of its
+    n-cluster-tilting check, its global dimension, the projective
+    dimension of its source injective and the steps that built it."""
+
+    __slots__ = ()
     n: int
     d: int
     kupisch: KupischSeries
     verdict: Verdict
     gldim: int
     pd_source_injective: int
-    trace: Tuple[dict, ...]
+    trace: tuple[dict, ...]
 
     def to_json(self) -> dict:
         return {

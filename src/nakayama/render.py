@@ -14,21 +14,36 @@ at a time, so that memory stays within a small multiple of the output.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from itertools import islice
-from typing import NamedTuple, Sequence
 
 from . import ar
 from .kupisch import Coord, KupischSeries
 
 
-class RenderSpec(NamedTuple):
-    format: str = "ascii"  # ascii | dot | tikz | json
-    highlight: Sequence[Coord] = ()
-    labels: str = "coords"  # coords | dims | none
+class RenderSpec(namedtuple("RenderSpec", "format highlight labels",
+                            defaults=("ascii", (), "coords"))):
+    """What render writes: the format, the vertices to encircle and the
+    label mode."""
+
+    __slots__ = ()
+    format: str  # ascii | dot | tikz | json
+    highlight: Sequence[Coord]
+    labels: str  # coords | dims | none
 
 
 # the label of the module (i, j) in each mode, a format string of i, j
 _LABELS = {"coords": "({0},{1})", "dims": "{1}", "none": "*"}
+
+#: The most bytes an ascii render writes, checked before a row is listed.
+#: Each line is padded out to its row's last module, so the text grows
+#: with rows times diagonals, not with the modules: the series
+#: 600,599,...,2,2^59400,1 (a 2.3 kB argument, 299,100 modules) would
+#: take 431 MB.  10^8 is about the json text of the 1.1M modules that
+#: CI renders at scale (101 MB), and far above the largest ascii render
+#: of the tests, the golden files and the CI (172 kB, lambda_mh(400, 40)).
+MAX_ASCII_BYTES = 10**8
 
 
 def render(K: KupischSeries, spec: RenderSpec = RenderSpec()) -> str:
@@ -54,10 +69,24 @@ def _join(sep: str, strings, size: int = 1024) -> str:
 
 
 def _ascii(K: KupischSeries, spec: RenderSpec, label: str, high) -> str:
-    rows = list(K._rows())
+    # the last module (s - j, j) of each row j, s the largest co-diagonal
+    # with u(s) >= j, from one pass down the co-diagonals
+    u, last = K._u, []
+    for s in range(K.m + 1, 1, -1):
+        last += [s] * (u[s] - len(last))
+    ends = [(s - j, j) for j, s in enumerate(last, 1)]
     # a label is longest at the largest i of its row
-    width = 1 + max([len(label.format(row[-1] - j, j)) for j, row in rows]
-                    + [len(label.format(*x)) + 2 for x in high])
+    lens = [len(label.format(*x)) for x in ends]
+    width = 1 + max(lens + [len(label.format(*x)) + 2 for x in high])
+    # a line ends with its last label, at column (2i + j - 2) * width / 2:
+    # the modules of a row are width apart, so no label overlaps the next
+    size = sum((2 * i + j - 2) * width // 2 + n + 1
+               + (2 if (i, j) in high else 0)
+               for (i, j), n in zip(ends, lens))
+    if size > MAX_ASCII_BYTES:
+        raise ValueError(f"the ascii quiver would take {size} bytes, more "
+                         f"than MAX_ASCII_BYTES = {MAX_ASCII_BYTES}")
+    rows = list(K._rows())
     lines = []
     for j, row in reversed(rows):
         parts, end = [], 0

@@ -19,8 +19,8 @@ fracture.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
-from typing import List, NamedTuple, Tuple
 
 from . import abutments
 from .kupisch import ZERO, Coord, KupischSeries, _check_int, _is_coord, \
@@ -54,7 +54,7 @@ def is_tilting(h: int, coords) -> bool:
     return True
 
 
-def enumerate_tilting(h: int) -> List[Tuple[Coord, ...]]:
+def enumerate_tilting(h: int) -> list[tuple[Coord, ...]]:
     """All basic tilting modules, each with its summands sorted by length
     and then by i, in the lexicographic order of those lists; there are
     Catalan(h) many.
@@ -88,12 +88,12 @@ def is_slice(h: int, coords) -> bool:
     return True
 
 
-def slice_from_indices(indices) -> List[Coord]:
+def slice_from_indices(indices) -> list[Coord]:
     """Slice coordinates from the index sequence (i_1, ..., i_h)."""
     return [(i, k) for k, i in enumerate(indices, 1)]
 
 
-def slice_indices(h: int, coords) -> Tuple[int, ...]:
+def slice_indices(h: int, coords) -> tuple[int, ...]:
     """The index sequence (i_1, ..., i_h) of a slice: exactly h summands,
     one (i_k, k) of each length k, with i_h = 1 and i_k in
     {i_{k+1}, i_{k+1} + 1}.  Raises ValueError otherwise, naming a
@@ -111,17 +111,18 @@ def slice_indices(h: int, coords) -> Tuple[int, ...]:
     return indices
 
 
-def dual_slice_indices(h: int, indices) -> Tuple[int, ...]:
+def dual_slice_indices(h: int, indices) -> tuple[int, ...]:
     """Index sequence of the dual slice, (i_k) -> (h + 2 - i_k - k)."""
     return tuple(h + 2 - i - k for k, i in enumerate(indices, 1))
 
 
-class Fracture(NamedTuple):
+class Fracture(namedtuple("Fracture", "side height coords level")):
     """A tilting replacement for the (co)composition series of an abutment."""
 
+    __slots__ = ()
     side: str  # "left" or "right"
     height: int
-    coords: Tuple[Coord, ...]  # sorted, inside the foundation
+    coords: tuple[Coord, ...]  # sorted, inside the foundation
     level: int  # output only: no decision reads it
 
     def to_json(self) -> dict:
@@ -186,10 +187,11 @@ def injective_fracture(K: KupischSeries) -> Fracture:
                      [(K.m - j + 1, j) for j in range(h, 0, -1)])
 
 
-class Fracturing(NamedTuple):
+class Fracturing(namedtuple("Fracturing", "TL TR")):
     """One fracture per maximal abutment; over a Kupisch series there is
     exactly one on each side, so a pair."""
 
+    __slots__ = ()
     TL: Fracture
     TR: Fracture
 
@@ -218,12 +220,12 @@ def _flips(K: KupischSeries, F: Fracturing, side: str) -> frozenset:
     return frozenset(fracture.coords).symmetric_difference(canonical.coords)
 
 
-def pL_category(K: KupischSeries, F: Fracturing) -> List[Coord]:
+def pL_category(K: KupischSeries, F: Fracturing) -> list[Coord]:
     """Projectives that are not abutments, together with the left
     fracture, sorted.  Same cardinality as the projectives."""
     return sorted(_flips(K, F, "left").symmetric_difference(K.projectives()))
 
 
-def iR_category(K: KupischSeries, F: Fracturing) -> List[Coord]:
+def iR_category(K: KupischSeries, F: Fracturing) -> list[Coord]:
     """Injectives that are not abutments, and the right fracture, sorted."""
     return sorted(_flips(K, F, "right").symmetric_difference(K.injectives()))

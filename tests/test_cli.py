@@ -6,10 +6,13 @@ import pytest
 
 from nakayama import ar
 from nakayama.cli import main
-from nakayama.kupisch import parse_series
-from nakayama.render import RenderSpec
+from nakayama.kupisch import KupischSeries, parse_series
+from nakayama.render import RenderSpec, render
 
 from oracles import render_oracle
+
+# the module: the package's name render is the function
+render_module = sys.modules["nakayama.render"]
 
 
 def run(capsys, *argv):
@@ -236,6 +239,31 @@ def test_ar_quiver_command(capsys):
     code, out = run(capsys, "ar-quiver", "--kupisch", "2,2,1", "--json")
     data = json.loads(out)
     assert len(data["vertices"]) == 5
+
+
+def test_ascii_quiver_too_large_is_refused(capsys, monkeypatch):
+    # the ascii text grows with rows times diagonals, so its size is
+    # computed before a row is listed and refused above MAX_ASCII_BYTES:
+    # a text of exactly the cap is written, one byte more is refused by
+    # name (exit 2), and in a stdin batch the refused line gets one error
+    # record while the others still render
+    want = render(parse_series("3,3,2,1"), RenderSpec())
+    monkeypatch.setattr(render_module, "MAX_ASCII_BYTES", len(want))
+    code, out = run(capsys, "ar-quiver", "--kupisch", "3,3,2,1")
+    assert code == 0 and out == want
+    monkeypatch.setattr(render_module, "MAX_ASCII_BYTES", len(want) - 1)
+    small = render(parse_series("2,1"), RenderSpec())
+    with monkeypatch.context() as patch:
+        patch.setattr(KupischSeries, "_rows", None)  # no row is listed
+        code, err = input_error(capsys, "ar-quiver", "--kupisch", "3,3,2,1")
+    assert code == 2
+    assert err == (f"error: the ascii quiver would take {len(want)} bytes, "
+                   f"more than MAX_ASCII_BYTES = {len(want) - 1}\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("2,1\n3,3,2,1\n2,1\n"))
+    code = main(["ar-quiver", "--kupisch", "-"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == small * 2
+    assert out.err.count("MAX_ASCII_BYTES") == 1
 
 
 def test_byte_identical_output(capsys):

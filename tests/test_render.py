@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -129,6 +130,31 @@ def test_ascii_buckets_rows_in_one_pass():
                     assert render(K, spec) == render_ascii_oracle(g, spec)
                     compared += 1
     assert compared == 65 * 9
+
+
+def test_ascii_size_is_exact(monkeypatch):
+    # the size checked against MAX_ASCII_BYTES is the length of the text:
+    # a cap of that length renders it, one byte less refuses it.  Every
+    # series with m <= 6 and 10 seeded ones up to m = 80, in each label
+    # mode, with no highlight, every third module or all of them
+    render_module = sys.modules["nakayama.render"]  # not the function
+    rng = random.Random(38)
+    series = [K for m in range(1, 7) for K in all_series(m)]
+    series += [random_series(rng, 80) for _ in range(10)]
+    for K in series:
+        modules = tuple(K.all_modules())
+        for labels in ("coords", "dims", "none"):
+            for high in ((), modules[::3], modules):
+                spec = RenderSpec("ascii", high, labels)
+                out = render(K, spec)
+                monkeypatch.setattr(render_module, "MAX_ASCII_BYTES",
+                                    len(out))
+                assert render(K, spec) == out
+                monkeypatch.setattr(render_module, "MAX_ASCII_BYTES",
+                                    len(out) - 1)
+                with pytest.raises(ValueError, match="MAX_ASCII_BYTES"):
+                    render(K, spec)
+                monkeypatch.undo()
 
 
 def test_render_matches_the_quiver_renderers():

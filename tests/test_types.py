@@ -170,17 +170,37 @@ def test_verdict_failures_are_cached():
         v.failures = ()
 
 
+# what the fields of each record default to
+DEFAULT_FIELDS = {
+    GlueReport: {"failure": None},
+    CompletionStep: {"a": None, "b": None, "height": None, "result": None,
+                     "note": ""},
+    RenderSpec: {"format": "ascii", "highlight": (), "labels": "coords"},
+}
+
+
+@pytest.mark.parametrize("cls, fields, text, hashable", CASES[:-1],
+                         ids=IDS[:-1])
+def test_fields_match_the_annotations(cls, fields, text, hashable):
+    # the field string of each record and its class annotations name the
+    # same fields in the same order, and the defaults stay as they were
+    assert cls._fields == tuple(cls.__annotations__) == tuple(fields)
+    assert cls._field_defaults == DEFAULT_FIELDS.get(cls, {})
+
+
 @pytest.mark.parametrize("module", ["nakayama", "nakayama.cli"])
 def test_cold_import_loads_no_dataclasses(module):
-    # the package costs its own code only: no dataclasses, no inspect;
-    # json waits for the first json render, but the cli needs it at once
+    # the package costs its own code only: no dataclasses, inspect,
+    # typing, re or enum; json waits for the first json render, but the
+    # cli needs it at once, and argparse and json bring re and enum.  -S
+    # keeps site out, whose .pth files may import any of these first
     src = str(Path(nakayama.__file__).resolve().parent.parent)
-    banned = {"dataclasses", "inspect"} | ({"json"} if module == "nakayama"
-                                           else set())
+    banned = {"dataclasses", "inspect", "typing"} | (
+        {"json", "re", "enum"} if module == "nakayama" else set())
     code = ("import sys; before = set(sys.modules); "
             f"sys.path.insert(0, {src!r}); import {module}; "
             f"print(sorted({banned!r} & (set(sys.modules) - before)))")
-    done = subprocess.run([sys.executable, "-I", "-c", code],
+    done = subprocess.run([sys.executable, "-S", "-I", "-c", code],
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
 
