@@ -262,9 +262,8 @@ def cmd_fractures(args) -> int:
         fractures = []
         # enumerate_tilting yields tilting modules only: no re-validation
         for cand in tilting.enumerate_tilting(h):
-            back = sorted((i + s, j) for i, j in cand)
-            fractures.append(tilting._fracture(K, args.side, h,
-                                               back).to_json())
+            back = tuple(sorted((i + s, j) for i, j in cand))
+            fractures.append(Fracture(args.side, h, back).to_json())
         payload["foundation"] = [list(x) for x in fnd]
         payload["fractures"] = fractures
         lines.append(f"foundation:    {fnd}")

@@ -306,10 +306,7 @@ def compatibility_check(a_side: tuple[KupischSeries, Fracture],
     # and the footing's shift (0 on the left) foots it
     set_a = {x for x in TA.coords if x[0] + x[1] <= h + 1}
     set_b = {(i - s, j) for i, j in TB.coords if i > s}
-    # the levels are read from the coordinates, not from the records
-    la = tilting._fracture(KA, "left", TA.height, TA.coords).level
-    lb = tilting._fracture(KB, "right", TB.height, TB.coords).level
-    return CompatReport(set_a == set_b, h >= la and h >= lb)
+    return CompatReport(set_a == set_b, h >= TA.level and h >= TB.level)
 
 
 def glue_fracturings(g: Glued, FB: Fracturing, FA: Fracturing) -> Fracturing:
@@ -317,16 +314,15 @@ def glue_fracturings(g: Glued, FB: Fracturing, FA: Fracturing) -> Fracturing:
     from the suffix algebra B (from A only in the trivial gluing where B
     is hereditary of the glue height), the maximal right abutment from
     the prefix algebra A (dually).  Each is its component's fracture
-    moved by that component's shift (phi's for A, 0 for B), so it stays
-    tilting and maximal and is not validated again."""
+    moved by that component's shift (phi's b.m - h for A, 0 for B), so it
+    stays tilting and maximal; the left one always moves by 0 (phi's shift
+    is 0 when L is A) and is reused, as is B's right one."""
+    TL = FA.TL if g.b.m == g.h else FB.TL  # trivial: L is A
+    if g.a.m == g.h:  # trivial: L is B
+        return Fracturing(TL, FB.TR)
     s = g._shift
-    TL, tl = (FA.TL, s) if g.b.m == g.h else (FB.TL, 0)  # trivial: L is A
-    TR, tr = (FB.TR, 0) if g.a.m == g.h else (FA.TR, s)  # trivial: L is B
-    return Fracturing(
-        tilting._fracture(g.result, "left", TL.height,
-                          [(i + tl, j) for i, j in TL.coords]),
-        tilting._fracture(g.result, "right", TR.height,
-                          [(i + tr, j) for i, j in TR.coords]))
+    return Fracturing(TL, Fracture(
+        "right", FA.TR.height, tuple((i + s, j) for i, j in FA.TR.coords)))
 
 
 def glue_fractured(b_side: tuple[KupischSeries, Fracturing],
@@ -504,8 +500,8 @@ def complete_slice(h: int, slice_coords, n: int, side: str):
     # refuses one that is off the maximal abutment
     if side == "right":
         K = _complete_right_series(h, indices, n, trace)
-        tl = tilting._fracture(K, "left", h,
-                               sorted(tilting.slice_from_indices(indices)))
+        tl = Fracture("left", h,
+                      tuple(sorted(tilting.slice_from_indices(indices))))
         F = Fracturing(tl, tilting.injective_fracture(K))
     else:
         dual = tilting.dual_slice_indices(h, indices)
@@ -513,8 +509,8 @@ def complete_slice(h: int, slice_coords, n: int, side: str):
         K = Kr.opposite()
         trace.append(CompletionStep(
             "base", result=K, note="mirror of the completed dual slice"))
-        tr = tilting._fracture(K, "right", h, sorted(
-            (i + K.m - h, j) for i, j in tilting.slice_from_indices(indices)))
+        tr = Fracture("right", h, tuple(sorted(
+            (i + K.m - h, j) for i, j in tilting.slice_from_indices(indices))))
         F = Fracturing(tilting.projective_fracture(K), tr)
 
     # the completed side carries the canonical fracture, maximal and of

@@ -116,14 +116,25 @@ def dual_slice_indices(h: int, indices) -> tuple[int, ...]:
     return tuple(h + 2 - i - k for k, i in enumerate(indices, 1))
 
 
-class Fracture(namedtuple("Fracture", "side height coords level")):
+class Fracture(namedtuple("Fracture", "side height coords")):
     """A tilting replacement for the (co)composition series of an abutment."""
 
     __slots__ = ()
     side: str  # "left" or "right"
     height: int
     coords: tuple[Coord, ...]  # sorted, inside the foundation
-    level: int  # output only: no decision reads it
+
+    @property
+    def level(self) -> int:
+        """1 + the largest length k whose abutment apex is not a summand,
+        or 1: the apexes are (1, k) on the left and (c - k, k) on the
+        right, on the co-diagonal c = i + j (= m + 1) of the top summand."""
+        cset = set(self.coords)
+        c = max((i + j for i, j in cset), default=0)
+        for k in range(self.height, 0, -1):
+            if ((1, k) if self.side == "left" else (c - k, k)) not in cset:
+                return k + 1
+        return 1
 
     def to_json(self) -> dict:
         return {
@@ -132,20 +143,6 @@ class Fracture(namedtuple("Fracture", "side height coords level")):
             "coords": [coord_to_json(c) for c in self.coords],
             "level": self.level,
         }
-
-
-def _fracture(K: KupischSeries, side: str, h: int, coords) -> Fracture:
-    """Build the fracture of sorted, distinct coordinates already known
-    to be tilting under the footing.  Its level is 1 + the largest
-    height whose abutment apex is missing (left: M(1,i); right:
-    M(m-i+1,i)), or 1 if none is missing."""
-    cset = set(coords)
-    if side == "left":
-        missing = [i for i in range(1, h + 1) if (1, i) not in cset]
-    else:
-        missing = [i for i in range(1, h + 1)
-                   if (K.m - i + 1, i) not in cset]
-    return Fracture(side, h, tuple(coords), max(missing, default=0) + 1)
 
 
 def is_fracture(K: KupischSeries, side: str, h: int, coords) -> Fracture:
@@ -168,7 +165,7 @@ def is_fracture(K: KupischSeries, side: str, h: int, coords) -> Fracture:
     footed = [abutments.footing_to_ka(K, side, h, c) for c in coords]
     if not is_tilting(h, footed):
         raise ValueError(f"{coords} is not tilting under the {side} footing")
-    return _fracture(K, side, h, coords)
+    return Fracture(side, h, tuple(coords))
 
 
 # The canonical fractures are the projectives (injectives) of the linear
@@ -177,14 +174,14 @@ def is_fracture(K: KupischSeries, side: str, h: int, coords) -> Fracture:
 def projective_fracture(K: KupischSeries) -> Fracture:
     """The unique projective fracture of the maximal left abutment."""
     h = abutments.max_left_height(K)
-    return _fracture(K, "left", h, [(1, j) for j in range(1, h + 1)])
+    return Fracture("left", h, tuple((1, j) for j in range(1, h + 1)))
 
 
 def injective_fracture(K: KupischSeries) -> Fracture:
     """The unique injective fracture of the maximal right abutment."""
     h = abutments.max_right_height(K)
-    return _fracture(K, "right", h,
-                     [(K.m - j + 1, j) for j in range(h, 0, -1)])
+    return Fracture("right", h,
+                    tuple((K.m - j + 1, j) for j in range(h, 0, -1)))
 
 
 class Fracturing(namedtuple("Fracturing", "TL TR")):
@@ -207,8 +204,9 @@ def _flips(K: KupischSeries, F: Fracturing, side: str) -> frozenset:
     """TL Δ the projective fracture, or TR Δ the injective one.  The only
     projectives in the left foundation are the (1, j), so P_L = P Δ the
     left flips; dually I_R = I Δ the right flips.  K places F by its
-    maximal heights and the footing: a Fracture is a public record, of
-    which only the side, height and coordinates are read."""
+    maximal heights and the footing, and refuses one whose summands
+    repeat or do not number its height.  That is O(h): a well-formed
+    record that is not tilting is still trusted."""
     fracture, canonical = (F.TL, projective_fracture(K)) if side == "left" \
         else (F.TR, injective_fracture(K))
     h = canonical.height
@@ -217,7 +215,11 @@ def _flips(K: KupischSeries, F: Fracturing, side: str) -> frozenset:
             f"{side} fracture must sit at the maximal {side} abutment")
     for x in fracture.coords:
         abutments.footing_to_ka(K, side, h, x)
-    return frozenset(fracture.coords).symmetric_difference(canonical.coords)
+    cset, k = frozenset(fracture.coords), len(fracture.coords)
+    if not len(cset) == k == h:
+        raise ValueError(f"{side} fracture of height {h} needs {h} distinct "
+                         f"summands (count {k}, distinct {len(cset)})")
+    return cset.symmetric_difference(canonical.coords)
 
 
 def pL_category(K: KupischSeries, F: Fracturing) -> list[Coord]:

@@ -642,7 +642,19 @@ def compatibility_check_oracle(a_side, b_side, h: int) -> CompatReport:
              for x in TA.coords if x in fnd_a}
     set_b = {abutments.footing_to_ka(KB, "right", h, x)
              for x in TB.coords if x in fnd_b}
-    return CompatReport(set_a == set_b, h >= TA.level and h >= TB.level)
+    la = fracture_level_oracle(KA, "left", TA.height, TA.coords)
+    lb = fracture_level_oracle(KB, "right", TB.height, TB.coords)
+    return CompatReport(set_a == set_b, h >= la and h >= lb)
+
+
+def fracture_level_oracle(K: KupischSeries, side: str, h: int, coords) -> int:
+    """A fracture's level read from the series: 1 + the largest height i
+    whose abutment apex is missing (left: M(1, i); right: M(m - i + 1, i)),
+    or 1 if none is missing."""
+    cset = set(coords)
+    missing = [i for i in range(1, h + 1)
+               if ((1, i) if side == "left" else (K.m - i + 1, i)) not in cset]
+    return max(missing, default=0) + 1
 
 
 def extend_by_n_oracle(K: KupischSeries, n: int) -> KupischSeries:

@@ -82,6 +82,11 @@ def test_cosyzygy_examples():
     assert cosyzygy(K, (1, 2)) == (3, 1)
 
 
+def test_syzygy_and_cosyzygy_of_zero():
+    for K in (GLUED, lambda_mh(1, 1), lambda_mh(6, 5)):
+        assert syzygy(K, ZERO) is ZERO and cosyzygy(K, ZERO) is ZERO
+
+
 def oracle_chain(K, step, x):
     """x, step(x), step(step(x)), ... up to the first ZERO (excluded)."""
     chain = [x]
@@ -250,6 +255,21 @@ def test_gldim_is_the_largest_pd_of_a_simple():
             g = gldim(KupischSeries(K.entries))
             assert g == max(pd(K, (s - 1, 1)) for s in range(2, m + 2)), K
             assert g == max(pd(K, x) for x in K.all_modules()), K
+
+
+def test_gldim_never_drops_when_a_vertex_is_prepended():
+    # the lemma a census on the Kupisch tree carries gldim down on: every
+    # child (d,) + K.entries of every series with m <= 10 has a gldim at
+    # least its parent's.  The children are every series with 2 <= m <= 11
+    children = 0
+    for m in range(1, 11):
+        for K in all_series(m):
+            g = gldim(K)
+            for d in range(2, K.entries[0] + 2):
+                child = KupischSeries((d,) + K.entries)
+                assert gldim(child) >= g, (K, d)
+                children += 1
+    assert children == 23713
 
 
 def test_gldim_memo_is_invisible():

@@ -180,6 +180,16 @@ def test_glue_command(capsys):
     assert code == 2
 
 
+def test_glue_check_prints_its_failure(capsys, monkeypatch):
+    # check_glue fails only on a gldim bound that a bug breaks: patched
+    # here, the text output names it and the exit code is 1
+    monkeypatch.setattr(ar, "gldim", lambda K: 9 if K.m == 12 else 1)
+    code, out = run(capsys, "glue", "--b", "4,4,4,4,4,4,3,2,1",
+                    "--a", "5,5,4,3,2,1", "--height", "3", "--check")
+    assert code == 1
+    assert out == "glue failed: gldim bound violated: 1, 1 vs 9\n"
+
+
 def test_glue_text_builds_no_json(capsys, monkeypatch):
     # the phi/psi tables cover every module; text output prints one line
     from nakayama.gluing import Glued

@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -14,7 +15,7 @@ from nakayama.cluster import (
     glue_fractured,
 )
 from nakayama.gluing import Glued, check_glue, glue
-from nakayama.kupisch import KupischSeries, lambda_mh, parse_series
+from nakayama.kupisch import ZERO, KupischSeries, lambda_mh, parse_series
 from nakayama.tilting import (
     Fracture,
     injective_fracture,
@@ -396,6 +397,25 @@ def test_glue_fractured_refuses_disagreeing_fractures():
         glue_fractured((B, FB), (A, projective_injective_fracturing(A)), 3, 4)
 
 
+def test_glue_fractured_raises_on_a_candidate_off_the_union(monkeypatch):
+    # an ok glued verdict whose candidate is not the union of the embedded
+    # component candidates can only come from a bug: patched here, the
+    # glued check drops a module from its candidate
+    from nakayama.cluster import Verdict
+    B, A = lambda_mh(5, 2), lambda_mh(3, 2)
+    real = cluster.check_fractured
+
+    def dropping(K, n, F):
+        v = real(K, n, F)
+        return v if K is A or K is B else Verdict(True, v.candidate[1:], ())
+
+    monkeypatch.setattr(cluster, "check_fractured", dropping)
+    with pytest.raises(RuntimeError, match="^glued candidate differs from "
+                                           "the union of the components$"):
+        glue_fractured((B, projective_injective_fracturing(B)),
+                       (A, projective_injective_fracturing(A)), 1, 2)
+
+
 def test_compatibility_check_refuses_sides_and_heights():
     A, B = lambda_mh(9, 4), lambda_mh(12, 5)
     FA = projective_injective_fracturing(A)
@@ -431,17 +451,17 @@ def test_check_fractured_places_a_hand_built_fracture():
     # refused by name, not an IndexError or a verdict holding a non-module
     K = parse_series("3,2,1")
     for coords, bad in ((((9, 9),), (9, 9)), (((0, 2), (1, 1)), (0, 2))):
-        F = Fracturing(Fracture("left", 3, coords, 1),
+        F = Fracturing(Fracture("left", 3, coords),
                        injective_fracture(K))
         with pytest.raises(ValueError) as exc:
             check_fractured(K, 2, F)
         assert str(exc.value) == f"{bad} not in the left foundation of height 3"
         G = Fracturing(projective_fracture(K),
-                       Fracture("right", 3, coords, 1))
+                       Fracture("right", 3, coords))
         with pytest.raises(ValueError, match="not in the right foundation"):
             check_fractured(K, 2, G)
     # a height that is not maximal is refused
-    low = Fracture("left", 2, ((1, 1), (1, 2)), 1)
+    low = Fracture("left", 2, ((1, 1), (1, 2)))
     with pytest.raises(ValueError, match="maximal left abutment"):
         check_fractured(K, 2, Fracturing(low, injective_fracture(K)))
 
@@ -452,26 +472,52 @@ def test_classify_sides_places_the_fracturing():
     # whatever verdict is passed with it
     from nakayama.cluster import Verdict
     K = parse_series("3,2,1")
-    low = Fracture("left", 2, ((1, 1), (1, 2)), 1)
+    low = Fracture("left", 2, ((1, 1), (1, 2)))
     F = Fracturing(low, injective_fracture(K))
     with pytest.raises(ValueError, match="^left fracture must sit at the "
                                          "maximal left abutment$"):
         classify_sides(K, F, Verdict(True, (), ()))
 
 
+def test_flips_refuse_a_record_off_its_height():
+    # a hand-built record at the maximal height whose summands repeat or
+    # do not number its height is refused by name, not read as the set of
+    # its summands: check_fractured, classify_sides and the category of
+    # the side all place a fracture through its flips
+    from nakayama.cluster import Verdict
+    K = parse_series("3,2,1")
+    P, I = projective_fracture(K), injective_fracture(K)
+    ok = Verdict(True, (), ())  # classify_sides reads only ok from it
+    for bad, count, distinct in ((((1, 1), (1, 1), (1, 3)), 3, 2),
+                                 (((1, 3),), 1, 1)):
+        for side, F in (("left", Fracturing(P._replace(coords=bad), I)),
+                        ("right", Fracturing(P, I._replace(coords=tuple(
+                            (4 - j, j) for _, j in bad))))):
+            message = (f"^{side} fracture of height 3 needs 3 distinct "
+                       fr"summands \(count {count}, distinct {distinct}\)$")
+            category = tilting.pL_category if side == "left" \
+                else tilting.iR_category
+            for call in (lambda: check_fractured(K, 2, F),
+                         lambda: classify_sides(K, F, ok),
+                         lambda: category(K, F)):
+                with pytest.raises(ValueError, match=message):
+                    call()
+
+
 def test_classify_sides_reads_no_stored_level():
-    # a stored level of 1 on a fracture of level 3 does not make it the
-    # projective fracture
+    # a fracture of level 3 cannot be given a level of 1, and it is not
+    # the projective fracture
     K = lambda_mh(12, 5)
     F = make_fracturing(
         K,
         [(2, 1), (2, 2), (1, 3), (1, 4), (1, 5)],
         [(11, 1), (10, 2), (10, 3), (9, 4), (8, 5)])
     assert F.TL.level == 3
-    lying = F._replace(TL=F.TL._replace(level=1))
-    v = check_fractured(K, 4, lying)
+    with pytest.raises(ValueError, match=r"field names: \['level'\]"):
+        F.TL._replace(level=1)
+    v = check_fractured(K, 4, F)
     assert v.ok
-    assert classify_sides(K, lying, v) == \
+    assert classify_sides(K, F, v) == \
         {"left_nct": False, "right_nct": False, "nct": False}
 
 
@@ -479,11 +525,11 @@ def test_compatibility_check_reads_no_stored_level():
     A = B = lambda_mh(6, 3)
     TA = is_fracture(A, "left", 3, [(2, 1), (1, 2), (1, 3)])
     assert TA.level == 2
+    with pytest.raises(ValueError, match=r"field names: \['level'\]"):
+        TA._replace(level=1)
     TB = injective_fracture(B)
     assert not compatibility_check((A, TA), (B, TB), 1).level_ok
-    lying = TA._replace(level=1)
-    assert compatibility_check((A, lying), (B, TB), 1) == \
-        compatibility_check((A, TA), (B, TB), 1)
+    assert compatibility_check((A, TA), (B, TB), 2).level_ok
 
 
 def test_compatibility_check_matches_oracle():
@@ -673,7 +719,7 @@ def test_classify_sides_against_canonical_fractures():
     # every fracture at a maximal abutment of a series with m <= 8: a
     # side is honest iff its fracture is the projective (injective) one
     from nakayama.cluster import Verdict
-    from nakayama.tilting import _fracture, enumerate_tilting
+    from nakayama.tilting import enumerate_tilting
     ok = Verdict(True, (), ())  # classify_sides reads only ok from it
     for m in range(2, 9):
         for K in all_series(m):
@@ -681,13 +727,38 @@ def test_classify_sides_against_canonical_fractures():
             for side, canon in (("left", P), ("right", I)):
                 h = canon.height
                 for t in enumerate_tilting(h):
-                    T = _fracture(K, side, h, sorted(
-                        footing_from_ka(K, side, h, c) for c in t))
+                    T = Fracture(side, h, tuple(sorted(
+                        footing_from_ka(K, side, h, c) for c in t)))
                     F = Fracturing(T, I) if side == "left" \
                         else Fracturing(P, T)
                     honest = set(T.coords) == set(canon.coords)
                     assert classify_sides(K, F, ok)[f"{side}_nct"] \
                         == honest
+
+
+def test_the_generated_candidate_is_the_only_one():
+    # the uniqueness claim: over every series with m <= 6 and every
+    # 2 <= n <= gldim, of the candidates that contain P and I only
+    # check_nct's generated one passes the check, and only when check_nct
+    # passes.  tau_n sends C minus P into C minus I, and repeating it from
+    # any x in C minus P ends at a projective, so x lies in the closure
+    pairs = candidates = passing = 0
+    for m in range(1, 7):
+        for K in all_series(m):
+            F = projective_injective_fracturing(K)
+            pi = set(K.projectives()) | set(K.injectives())
+            rest = [x for x in K.all_modules() if x not in pi]
+            for n in range(2, ar.gldim(K) + 1):
+                want = check_nct(K, n)
+                pairs += 1
+                for r in range(len(rest) + 1):
+                    for extra in combinations(rest, r):
+                        c = sorted(pi.union(extra))
+                        candidates += 1
+                        if check_fractured(K, n, F, candidate=c).ok:
+                            assert want.ok and tuple(c) == want.candidate
+                            passing += 1
+    assert (pairs, candidates, passing) == (102, 8610, 11)
 
 
 def record_walks(monkeypatch):
@@ -948,6 +1019,31 @@ def test_complete_slice_raises_without_the_abutment(monkeypatch):
                                              f"at the maximal {other} "
                                              f"abutment$"):
             complete_slice(3, [(1, 1), (1, 2), (1, 3)], 2, side)
+
+
+def test_complete_slice_raises_on_a_wrong_kernel(monkeypatch):
+    # the slice (1, 1), (1, 2) is pushed through lambda_mh(3, 2), whose
+    # inverse higher translate only a bug can make vanish on it, or send
+    # off the injective run below the top
+    base = "KupischSeries([2, 2, 1])"
+    for image, message in ((ZERO, f"slice image vanished at length 1 over "
+                                  f"{base}"),
+                           ((1, 1), f"no injective run below the top over "
+                                    f"{base}")):
+        monkeypatch.setattr(ar, "_up", lambda K, x, limit, y=image: (y, 0))
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            complete_slice(2, [(1, 1), (1, 2)], 2, "right")
+
+
+def test_complete_slice_raises_on_a_failing_final_check(monkeypatch):
+    # the final check certifies the completion; only a bug makes it fail
+    from nakayama.cluster import Verdict
+    monkeypatch.setattr(cluster, "check_fractured", lambda K, n, F: Verdict(
+        False, (), (), lambda: iter([{"detail": "patched"}])))
+    with pytest.raises(RuntimeError, match=r"^slice completion failed "
+                                           r"verification: \{'detail': "
+                                           r"'patched'\}$"):
+        complete_slice(2, [(1, 1), (1, 2)], 2, "right")
 
 
 # -- the failure stream ------------------------------------------------------

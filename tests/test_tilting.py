@@ -6,10 +6,12 @@ from itertools import combinations
 import pytest
 
 from nakayama import tilting
-from nakayama.abutments import footing_to_ka
+from nakayama.abutments import footing_to_ka, left_abutment_heights, \
+    right_abutment_heights
 from nakayama.cluster import complete_slice
 from nakayama.kupisch import lambda_mh, parse_series
 from nakayama.tilting import (
+    Fracture,
     dual_slice_indices,
     enumerate_tilting,
     iR_category,
@@ -25,8 +27,9 @@ from nakayama.tilting import (
 )
 
 from oracles import all_series, enumerate_slices, enumerate_tilting_oracle, \
-    ext1_dim_ka, ext1_dim_oracle, hom_dim_ka, hom_dim_oracle, \
-    is_slice_oracle, is_tilting_oracle, ka_modules, make_fracturing
+    ext1_dim_ka, ext1_dim_oracle, footing_from_ka, fracture_level_oracle, \
+    hom_dim_ka, hom_dim_oracle, is_slice_oracle, is_tilting_oracle, \
+    ka_modules, make_fracturing
 
 
 def catalan(h):
@@ -286,6 +289,25 @@ def test_fracture_examples():
         is_fracture(K, "left", 2, [(1, 1), (2, 1)])  # not tilting
     with pytest.raises(ValueError, match="zero module"):
         is_fracture(K, "left", 2, [None, (1, 1)])
+
+
+def test_level_is_read_from_the_summands():
+    # the level a Fracture derives from its summands against the rule
+    # that reads the series: every fracture at every abutment height, on
+    # both sides, of every series with m <= 7
+    compared = 0
+    for m in range(1, 8):
+        for K in all_series(m):
+            for side, heights in (("left", left_abutment_heights(K)),
+                                  ("right", right_abutment_heights(K))):
+                for h in heights:
+                    for t in enumerate_tilting(h):
+                        coords = tuple(sorted(
+                            footing_from_ka(K, side, h, x) for x in t))
+                        assert Fracture(side, h, coords).level == \
+                            fracture_level_oracle(K, side, h, coords)
+                        compared += 1
+    assert compared == 9254
 
 
 def test_fracture_repeated_summand_refused():
