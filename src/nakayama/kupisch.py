@@ -78,8 +78,10 @@ class KupischSeries:
 
     Instances are immutable and hashable, and hold the entries and the
     tables u and v.  ``_gldim`` memoizes ``ar.gldim`` and ``_pi`` the
-    sorted P, I and P ∪ I that ``cluster`` checks against; each is None
-    until first needed, and equality and hashing ignore both.
+    list [P minus I, I, P ∪ I], sorted, that ``cluster`` checks against:
+    P minus I and I from the first check, P ∪ I from the first
+    closed-form ``check_nct``.  Each is None until first needed, and
+    equality and hashing ignore both.
     A pickle holds the entries and ``_gldim`` only.
     """
 

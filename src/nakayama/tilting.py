@@ -200,26 +200,32 @@ def projective_injective_fracturing(K: KupischSeries) -> Fracturing:
     return Fracturing(projective_fracture(K), injective_fracture(K))
 
 
-def _flips(K: KupischSeries, F: Fracturing, side: str) -> frozenset:
-    """TL Δ the projective fracture, or TR Δ the injective one.  The only
-    projectives in the left foundation are the (1, j), so P_L = P Δ the
-    left flips; dually I_R = I Δ the right flips.  K places F by its
-    maximal heights and the footing, and refuses one whose summands
-    repeat or do not number its height.  That is O(h): a well-formed
+def _summands(K: KupischSeries, fracture: Fracture) -> frozenset:
+    """The summands of a fracture record as a set.  Each is footed at the
+    record's own side and height, and a record whose summands repeat or
+    do not number its height is refused.  That is O(h): a well-formed
     record that is not tilting is still trusted."""
-    fracture, canonical = (F.TL, projective_fracture(K)) if side == "left" \
-        else (F.TR, injective_fracture(K))
-    h = canonical.height
-    if not (fracture.side == side and fracture.height == h):
-        raise ValueError(
-            f"{side} fracture must sit at the maximal {side} abutment")
+    side, h = fracture.side, fracture.height
     for x in fracture.coords:
         abutments.footing_to_ka(K, side, h, x)
     cset, k = frozenset(fracture.coords), len(fracture.coords)
     if not len(cset) == k == h:
         raise ValueError(f"{side} fracture of height {h} needs {h} distinct "
                          f"summands (count {k}, distinct {len(cset)})")
-    return cset.symmetric_difference(canonical.coords)
+    return cset
+
+
+def _flips(K: KupischSeries, F: Fracturing, side: str) -> frozenset:
+    """TL Δ the projective fracture, or TR Δ the injective one.  The only
+    projectives in the left foundation are the (1, j), so P_L = P Δ the
+    left flips; dually I_R = I Δ the right flips.  K places F by its
+    maximal heights, and _summands reads the summands."""
+    fracture, canonical = (F.TL, projective_fracture(K)) if side == "left" \
+        else (F.TR, injective_fracture(K))
+    if not (fracture.side == side and fracture.height == canonical.height):
+        raise ValueError(
+            f"{side} fracture must sit at the maximal {side} abutment")
+    return _summands(K, fracture).symmetric_difference(canonical.coords)
 
 
 def pL_category(K: KupischSeries, F: Fracturing) -> list[Coord]:

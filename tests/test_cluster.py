@@ -556,6 +556,38 @@ def test_compatibility_check_refuses_height_zero():
                             (B, injective_fracture(B)), 0)
 
 
+def test_compatibility_check_places_a_hand_built_fracture():
+    # each record is footed and counted at its own height, with the rule
+    # and the messages of check_fractured, before it is cut to height h:
+    # a repeated summand, a short record or a summand outside the
+    # foundation is refused, not silently dropped
+    A = B = lambda_mh(6, 3)
+    TA, TB = projective_fracture(A), injective_fracture(B)
+    cases = (
+        (((1, 1), (1, 1), (1, 3)), TB.coords,
+         r"^left fracture of height 3 needs 3 distinct summands "
+         r"\(count 3, distinct 2\)$"),
+        (((1, 1), (9, 9), (1, 3)), TB.coords,
+         r"^\(9, 9\) not in the left foundation of height 3$"),
+        (((1, 3),), TB.coords,
+         r"^left fracture of height 3 needs 3 distinct summands "
+         r"\(count 1, distinct 1\)$"),
+        (TA.coords, ((4, 3), (6, 1), (6, 1)),
+         r"^right fracture of height 3 needs 3 distinct summands "
+         r"\(count 3, distinct 2\)$"),
+        (TA.coords, ((1, 1), (4, 3), (6, 1)),
+         r"^\(1, 1\) not in the right foundation of height 3$"),
+    )
+    for left, right, message in cases:
+        ta, tb = TA._replace(coords=left), TB._replace(coords=right)
+        for h in (1, 2, 3):
+            with pytest.raises(ValueError, match=message):
+                compatibility_check((A, ta), (B, tb), h)
+        with pytest.raises(ValueError, match=message):
+            check_fractured(A, 2, Fracturing(ta, tb))
+    assert compatibility_check((A, TA), (B, TB), 1) == (True, True)
+
+
 def test_fracture_layer_builds_no_height_set_or_foundation(monkeypatch):
     # glue, is_fracture and compatibility_check decide abutments by the
     # O(1) rule and foundation membership by the footing
@@ -793,18 +825,28 @@ def test_check_nct_walks_each_module_once(monkeypatch):
 
 
 def test_closure_stops_at_the_fractured_injectives():
-    # seeded with P and stopped at I (no flips), the closure holds
-    # exactly the non-injective modules of the check_nct candidate, each
-    # with the walk the kernel gives
+    # seeded with P, or with the memoized P minus I as check_nct seeds
+    # it, and stopped at I (no flips), the closure holds exactly the
+    # non-injective modules of the check_nct candidate, each with the
+    # walk the kernel gives, in one order; it says whether one of those
+    # walks ends at ZERO
     for m in range(1, 8):
         for K in all_series(m):
+            pni = cluster._pi(K)[0]
+            assert pni == [x for x in K.projectives()
+                           if not K.is_injective(x)], K
             for n in range(1, m + 2):
-                walks = cluster._closure(K, n, K.projectives(), frozenset())
+                walks, vanished = cluster._closure(K, n, K.projectives(),
+                                                   frozenset())
+                seeded = cluster._closure(K, n, pni, frozenset())
+                assert list(seeded[0].items()) == list(walks.items())
+                assert seeded[1] == vanished
                 assert walks.keys() == {
                     x for x in check_nct(K, n).candidate
                     if not K.is_injective(x)}, (K, n)
                 for x, w in walks.items():
                     assert w == ar._up(K, x, n - 1), (K, n, x)
+                assert vanished == any(x is ZERO for x, _ in walks.values())
 
 
 def test_generated_candidate_follows_orbits_through_i_r(monkeypatch):
@@ -844,30 +886,38 @@ def test_generated_candidate_follows_orbits_through_i_r(monkeypatch):
             v = check_fractured(K, n, F)
             assert len(walked) == len(set(walked)), (K, n)
             assert v.to_json() == expected.to_json()
-            walks = cluster._closure(K, n, pL_category(K, F),
-                                     ir.symmetric_difference(K.injectives()))
+            walks, vanished = cluster._closure(
+                K, n, pL_category(K, F),
+                ir.symmetric_difference(K.injectives()))
             assert not walks.keys() & ir
+            assert vanished == any(x is ZERO for x, _ in walks.values())
             for x in left_out & walks.keys():
                 assert walks[x] == (None, 0), (K, n, x)
 
 
 def test_check_nct_memoizes_the_closed_form_candidate(monkeypatch):
-    # the checks of one series share one memo of the sorted P and I,
-    # built at the first of them, general or closed form; the first
-    # closed-form verdict adds P ∪ I, and the later ones share that
-    # tuple.  The memo is invisible to ==, hash and pickle
-    builds, projectives = [], KupischSeries.projectives
+    # the checks of one series share one memo of the sorted P minus I
+    # and I, built at the first of them, general or closed form, with no
+    # list of P; the first closed-form verdict adds P ∪ I, and the later
+    # ones share that tuple.  The memo is invisible to ==, hash and
+    # pickle
+    builds, injectives = [], KupischSeries.injectives
+    projectives = KupischSeries.projectives
+    monkeypatch.setattr(KupischSeries, "injectives",
+                        lambda K: builds.append(K) or injectives(K))
     monkeypatch.setattr(KupischSeries, "projectives",
-                        lambda K: builds.append(K) or projectives(K))
+                        lambda K: builds.append("P") or projectives(K))
     for entries in ([1], [3, 2, 1], GLUED.entries, [2, 3, 3, 2, 1]):
         K, fresh = KupischSeries(entries), KupischSeries(entries)
         g = ar.gldim(K)
         assert K._pi is None
         builds.clear()
         v, w = check_nct(K, g + 1), check_nct(K, g + 2)
-        p, i, pi = K._pi
+        pni, i, pi = K._pi
         assert v.candidate is w.candidate is pi
-        assert p == projectives(K) and i == K.injectives()
+        p = projectives(K)
+        assert pni == [x for x in p if not K.is_injective(x)]
+        assert i == injectives(K)
         assert pi == tuple(sorted(set(p) | set(i)))
         check_nct(K, max(g, 1))  # the general check, but over [1]
         assert builds == [K]
@@ -882,6 +932,31 @@ def test_check_nct_memoizes_the_closed_form_candidate(monkeypatch):
         assert check_nct(fresh, max(g, 1)) == check_nct(K, max(g, 1))
         assert builds == [fresh] and (fresh._pi[2] is None) == (g >= 1)
         assert check_nct(fresh, g + 1).candidate is fresh._pi[2]
+
+
+def test_check_nct_builds_no_list_of_projectives(monkeypatch):
+    # a check with no flips seeds its closure with the memoized P minus
+    # I, so it never calls projectives(): not for the verdict, the orbit
+    # or the failures, with gldim memoized (closed form above it) or not
+    def refuse(K):
+        raise AssertionError("projectives() built")
+
+    monkeypatch.setattr(KupischSeries, "projectives", refuse)
+    checked = 0
+    for m in range(1, 9):
+        for K in all_series(m):
+            memoized = KupischSeries(K.entries)
+            ar.gldim(memoized)
+            for n in range(1, m + 2):
+                for L in (K, memoized):
+                    v = check_nct(L, n)
+                    assert v.ok == (not v.failures) and type(v.orbit) is tuple
+                    checked += 1
+    assert checked == 2 * sum(len(all_series(m)) * (m + 1)
+                              for m in range(1, 9))
+    with pytest.raises(AssertionError, match="projectives"):
+        check_fractured(K, 2, projective_injective_fracturing(K),
+                        candidate=check_nct(K, 2).candidate)
 
 
 def test_check_nct_closed_form_walks_nothing(monkeypatch):
@@ -1074,12 +1149,14 @@ def test_check_nct_stops_at_first_failure(monkeypatch):
         assert early < rest
         assert v.failures
         assert len(calls) == early + rest
-    walks = cluster._closure(FAILING, 3, FAILING.projectives(), frozenset())
-    assert [y for y, (x, k) in walks.items() if x is None] == \
+    walks, vanished = cluster._closure(FAILING, 3, FAILING.projectives(),
+                                       frozenset())
+    assert vanished and [y for y, (x, k) in walks.items() if x is None] == \
         [(6, 1), (6, 2), (6, 3)]
-    assert all(x is not None and k == 2 for x, k in
-               cluster._closure(FULL_UP, 3, FULL_UP.projectives(),
-                                frozenset()).values())
+    walks, vanished = cluster._closure(FULL_UP, 3, FULL_UP.projectives(),
+                                       frozenset())
+    assert not vanished
+    assert all(x is not None and k == 2 for x, k in walks.values())
 
 
 def test_failures_read_once():
